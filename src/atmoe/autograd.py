@@ -44,9 +44,13 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # The first gradient is stored as an owned copy: several parents may
+        # receive the same ``g`` object (see ``add``), and later gradients are
+        # added in place.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.broadcast_to(g, self.data.shape).copy()
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse accumulation from this (scalar) node."""
@@ -141,6 +145,22 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w.T (+ b)`` as one node: x is [N, d_in], w [d_out, d_in], b [d_out]."""
+    parents = (x, w) if b is None else (x, w, b)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data)
+        if w.requires_grad:
+            w._accumulate(g.T @ x.data)
+        if b is not None and b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    out = x.data @ w.data.T
+    return _make(out if b is None else out + b.data, parents, bwd)
+
+
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = np.argsort(axes)
 
@@ -203,7 +223,7 @@ _GELU_K = math.sqrt(2.0 / math.pi)
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    u = _GELU_K * (x + 0.044715 * x**3)
+    u = _GELU_K * (x + 0.044715 * (x * x * x))
     t = np.tanh(u)
 
     def bwd(g):
@@ -241,18 +261,66 @@ def masked_temp_softmax(logits: Tensor, mask: np.ndarray | None, tau: float) -> 
     Slots where ``mask`` is False get probability exactly 0 and receive no
     gradient. Every row must keep at least one unmasked slot.
     """
-    z = logits.data / tau
-    if mask is not None:
-        z = np.where(mask, z, -np.inf)
-    c = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - c)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _masked_softmax(logits.data / tau, mask)
 
     def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        logits._accumulate(_sum_to_shape((g - dot) * y / tau, logits.data.shape))
+        logits._accumulate(_sum_to_shape(_softmax_vjp(g, y) / tau, logits.data.shape))
 
     return _make(y, (logits,), bwd)
+
+
+def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    if mask is not None:
+        z = np.where(mask, z, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the softmax input, given output ``y`` and upstream ``g``."""
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
+def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                     n_heads: int, causal: np.ndarray | None) -> Tensor:
+    """Multi-head self-attention as one node.
+
+    ``a`` is [B, T, d]; each weight is [d, d] and applied as ``x @ w.T``.
+    ``causal`` is a [T, T] boolean mask of the keys each query may see (None
+    sees all). Scores are scaled by ``1/sqrt(d/n_heads)`` before the softmax.
+    """
+    B, T, d = a.data.shape
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    af = a.data.reshape(B * T, d)
+
+    def split(xf):  # [B*T, d] -> [B, H, T, dh]
+        return xf.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(xh):  # [B, H, T, dh] -> [B*T, d]
+        return xh.transpose(0, 2, 1, 3).reshape(B * T, d)
+
+    q, k, v = (split(af @ w.data.T) for w in (wq, wk, wv))
+    y = _masked_softmax((q @ k.transpose(0, 1, 3, 2)) * scale, causal)
+    of = merge(y @ v)
+
+    def bwd(g):
+        gf = g.reshape(B * T, d)
+        if wo.requires_grad:
+            wo._accumulate(gf.T @ of)
+        if not any(p.requires_grad for p in (a, wq, wk, wv)):
+            return
+        go = split(gf @ wo.data)
+        gs = _softmax_vjp(go @ v.transpose(0, 1, 3, 2), y) * scale
+        gq, gk, gv = (merge(gh) for gh in (gs @ k, gs.transpose(0, 1, 3, 2) @ q,
+                                            y.transpose(0, 1, 3, 2) @ go))
+        for w, gw in ((wq, gq), (wk, gk), (wv, gv)):
+            if w.requires_grad:
+                w._accumulate(gw.T @ af)
+        if a.requires_grad:
+            a._accumulate((gq @ wq.data + gk @ wk.data + gv @ wv.data).reshape(B, T, d))
+
+    return _make((of @ wo.data.T).reshape(B, T, d), (a, wq, wk, wv, wo), bwd)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,11 @@ def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     tg = cfg.taskgen
     catalog = TaskCatalog(payload_min_len=tg.payload_min, payload_max_len=tg.payload_max)
+    if catalog.max_sequence_len() > cfg.model.max_seq_len:
+        raise ConfigError(
+            f"taskgen.payload_max {tg.payload_max} gives sequences of up to "
+            f"{catalog.max_sequence_len()} tokens, above model.max_seq_len "
+            f"{cfg.model.max_seq_len}")
     seeds = {name: mix_seed(tg.seed, f"data:{name}")
              for name in ("train", "eval_single", "eval_multi")}
     datasets = {
@@ -63,7 +67,6 @@ def cmd_gen_data(args) -> int:
         "seeds": seeds,
         "multi_intent_fraction": tg.multi_intent_fraction,
         "files": [f"{name}.jsonl" for name in datasets],
-        "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     _write_json(out / "manifest.json", manifest)
     print(f"wrote {sum(len(s) for s in datasets.values())} samples across "
@@ -78,6 +81,14 @@ def _check_config_matches(loaded: LoadedCheckpoint, cfg: Config) -> None:
         raise ConfigError("config file disagrees with the checkpoint's embedded config")
 
 
+def _check_seq_len(samples, max_seq_len: int, source: str | Path) -> None:
+    """Reject data the model cannot take before any step runs."""
+    longest = max((len(s.tokens()) for s in samples), default=0)
+    if longest > max_seq_len:
+        raise ValueError(f"{source}: a sequence of {longest} tokens exceeds "
+                         f"model.max_seq_len {max_seq_len}")
+
+
 def _require_ckpt(path: str | None, about: str, needed: str, cfg: Config) -> LoadedCheckpoint:
     if not path:
         raise StageOrderError(
@@ -90,7 +101,9 @@ def _require_ckpt(path: str | None, about: str, needed: str, cfg: Config) -> Loa
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    samples = read_jsonl(Path(args.data) / "train.jsonl")
+    train_path = Path(args.data) / "train.jsonl"
+    samples = read_jsonl(train_path)
+    _check_seq_len(samples, cfg.model.max_seq_len, train_path)
     seeds = {"config": cfg.seed, "taskgen": cfg.taskgen.seed}
 
     if args.stage == "experts":
@@ -113,7 +126,7 @@ def cmd_train(args) -> int:
     save_checkpoint(args.ckpt_out, model, args.stage, seeds, dtype=args.dtype)
     report_doc = {
         "stage": args.stage,
-        "data": str(Path(args.data) / "train.jsonl"),
+        "data": str(train_path),
         "n_samples": len(samples),
         "reports": [r.to_dict() for r in reports],
     }
@@ -132,6 +145,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     loaded = load_checkpoint(args.ckpt)
     data = read_jsonl(args.data)
+    _check_seq_len(data, loaded.model.cfg.model.max_seq_len, args.data)
     report = evaluate(loaded.model, data, mode=args.mode,
                       adapter_id=args.adapter_id, lam_override=args.lam)
     doc = report.to_dict()

@@ -420,11 +420,11 @@ class ToyTransformer:
         for i in range(m.n_layers):
             b = f"blocks.{i}"
             a = ag.layer_norm(h, P[f"{b}.ln1.gain"], P[f"{b}.ln1.bias"])
-            h = ag.add(h, self._attention(a, P, b, B, T, causal))
+            attn = [P[f"{b}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
+            h = ag.add(h, ag.causal_attention(a, *attn, m.n_heads, causal))
             x = ag.layer_norm(h, P[f"{b}.ln2.gain"], P[f"{b}.ln2.bias"])
             xf = ag.reshape(x, (B * T, m.d_model))
-            u = ag.gelu(ag.add(ag.matmul(xf, ag.transpose(P[f"{b}.ffn.up_w"], (1, 0))),
-                               P[f"{b}.ffn.up_b"]))
+            u = ag.gelu(ag.linear(xf, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
             aux["moe_input"].append(u.data)
             y = self._moe(u, P, i, mode, adapter_id, lam, B, T, token_mask, aux)
             h = ag.add(h, ag.reshape(y, (B, T, m.d_model)))
@@ -432,35 +432,16 @@ class ToyTransformer:
         logits = ag.matmul(ag.reshape(hf, (B * T, m.d_model)), P["unembed"])
         return logits, P, aux
 
-    def _attention(self, a, P, b: str, B: int, T: int, causal: np.ndarray):
-        m = self.cfg.model
-        H, dh = m.n_heads, m.d_model // m.n_heads
-        af = ag.reshape(a, (B * T, m.d_model))
-
-        def heads(w_name):
-            proj = ag.matmul(af, ag.transpose(P[w_name], (1, 0)))
-            return ag.transpose(ag.reshape(proj, (B, T, H, dh)), (0, 2, 1, 3))
-
-        q, k, v = heads(f"{b}.attn.wq"), heads(f"{b}.attn.wk"), heads(f"{b}.attn.wv")
-        scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        att = ag.masked_temp_softmax(scores, causal, 1.0)
-        o = ag.transpose(ag.matmul(att, v), (0, 2, 1, 3))
-        of = ag.matmul(ag.reshape(o, (B * T, m.d_model)),
-                       ag.transpose(P[f"{b}.attn.wo"], (1, 0)))
-        return ag.reshape(of, (B, T, m.d_model))
-
     def _lora(self, xf, P, layer: int, adapter_id: str):
         b = f"blocks.{layer}.moe.experts.{adapter_id}"
-        out = ag.matmul(ag.matmul(xf, ag.transpose(P[f"{b}.A"], (1, 0))),
-                        ag.transpose(P[f"{b}.B"], (1, 0)))
+        out = ag.linear(ag.linear(xf, P[f"{b}.A"]), P[f"{b}.B"])
         scale = float(self.params[f"{b}.scale"][0])
         return out if scale == 1.0 else ag.mul(out, scale)
 
     def _moe(self, xf, P, layer: int, mode: str, adapter_id: str | None, lam: float,
              B: int, T: int, token_mask: np.ndarray, aux: dict):
         b = f"blocks.{layer}"
-        base = ag.add(ag.matmul(xf, ag.transpose(P[f"{b}.ffn.down_w0"], (1, 0))),
-                      P[f"{b}.ffn.down_b0"])
+        base = ag.linear(xf, P[f"{b}.ffn.down_w0"], P[f"{b}.ffn.down_b0"])
         if mode == "base":
             return base
         if mode == "adapter":

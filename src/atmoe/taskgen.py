@@ -55,6 +55,12 @@ class TaskCatalog:
     payload_min_len: int = 3
     payload_max_len: int = 8
 
+    def max_sequence_len(self) -> int:
+        """Longest sample ``generate`` can produce: BOS, two function tokens and
+        a style token, the payload, SEP, the transformed payload and a
+        two-token terminator."""
+        return 2 * self.payload_max_len + 7
+
     def all_tasks(self) -> list[str]:
         return list(self.function_tasks) + list(self.domain_tasks) + list(self.style_tasks)
 

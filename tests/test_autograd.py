@@ -207,3 +207,157 @@ def test_parameters_marks_only_trainable():
     arrays = {"a": np.ones(2), "b": np.zeros(3)}
     P = ag.parameters(arrays, trainable=["a"])
     assert P["a"].requires_grad and not P["b"].requires_grad
+
+
+# ------------------------------------------------------------- fused ops
+
+def _probe_sum(out, probe):
+    """Scalar ``sum(out * probe)`` built from graph ops."""
+    y = ag.mul(out, ag.Tensor(probe))
+    while y.data.ndim:
+        y = ag.reduce_sum(y, 0)
+    return y
+
+
+def _check_fused_grads(build, arrays, trainable, probe):
+    """Analytic gradients of ``sum(build(**leaves) * probe)`` for the trainable
+    leaves against central differences; frozen leaves get no gradient."""
+    leaves = {k: ag.Tensor(v.copy(), requires_grad=(k in trainable))
+              for k, v in arrays.items()}
+    _probe_sum(build(**leaves), probe).backward()
+    for name, leaf in leaves.items():
+        if name not in trainable:
+            assert leaf.grad is None, name
+            continue
+
+        def f(theta, name=name):
+            consts = {k: ag.Tensor(theta if k == name else v) for k, v in arrays.items()}
+            return float(_probe_sum(build(**consts), probe).data)
+
+        num = numeric_grad(f, arrays[name].copy())
+        np.testing.assert_allclose(leaf.grad, num, atol=ATOL, err_msg=name)
+
+
+def test_linear_grads_match_finite_differences():
+    rng = seeded_rng(8)
+    arrays = {"x": rng.normal(size=(5, 3)), "w": rng.normal(size=(4, 3)),
+              "b": rng.normal(size=4)}
+    probe = rng.normal(size=(5, 4))
+    for trainable in ({"x", "w", "b"}, {"w"}, {"x", "b"}):
+        _check_fused_grads(ag.linear, arrays, trainable, probe)
+    no_bias = {k: arrays[k] for k in ("x", "w")}
+    _check_fused_grads(ag.linear, no_bias, {"x", "w"}, probe)
+
+
+ATTN_LEAVES = ("a", "wq", "wk", "wv", "wo")
+
+
+@pytest.mark.parametrize("trainable", [
+    set(ATTN_LEAVES), {"a"}, {"wq", "wo"}, {"wk"}, {"a", "wv"}, {"wo"},
+])
+def test_causal_attention_grads_match_finite_differences(trainable):
+    rng = seeded_rng(9)
+    B, T, d, H = 2, 3, 4, 2
+    arrays = {"a": rng.normal(size=(B, T, d))}
+    arrays.update({w: rng.normal(size=(d, d)) for w in ATTN_LEAVES[1:]})
+    probe = rng.normal(size=(B, T, d))
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    for mask in (causal, None):
+        def build(mask=mask, **leaves):
+            return ag.causal_attention(*(leaves[k] for k in ATTN_LEAVES), H, mask)
+
+        _check_fused_grads(build, arrays, trainable, probe)
+
+
+def _unfused_linear(x, w, b=None):
+    out = ag.matmul(x, ag.transpose(w, (1, 0)))
+    return out if b is None else ag.add(out, b)
+
+
+def _unfused_attention(a, wq, wk, wv, wo, n_heads, causal):
+    """The attention block composed from primitive ops, one node per step."""
+    B, T, d = a.shape
+    dh = d // n_heads
+    af = ag.reshape(a, (B * T, d))
+
+    def heads(w):
+        proj = _unfused_linear(af, w)
+        return ag.transpose(ag.reshape(proj, (B, T, n_heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = heads(wq), heads(wk), heads(wv)
+    scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    att = ag.masked_temp_softmax(scores, causal, 1.0)
+    o = ag.reshape(ag.transpose(ag.matmul(att, v), (0, 2, 1, 3)), (B * T, d))
+    return ag.reshape(_unfused_linear(o, wo), (B, T, d))
+
+
+def _assert_rel_close(got, want, tol=1e-12):
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("B,T,d,H", [(1, 5, 6, 3), (3, 2, 8, 2), (2, 7, 4, 1), (4, 1, 6, 2)])
+def test_fused_ops_match_unfused_composition(B, T, d, H):
+    rng = seeded_rng(100 + 10 * B + T)
+    arrays = {"a": rng.normal(size=(B, T, d))}
+    arrays.update({w: rng.normal(size=(d, d)) / np.sqrt(d) for w in ATTN_LEAVES[1:]})
+    arrays["up_w"] = rng.normal(size=(2 * d, d))
+    arrays["up_b"] = rng.normal(size=2 * d)
+    probe = rng.normal(size=(B * T, 2 * d))
+    causal = np.tril(np.ones((T, T), dtype=bool))
+
+    def run(attention, linear):
+        P = {k: ag.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        h = attention(*(P[k] for k in ATTN_LEAVES), H, causal)
+        out = linear(ag.reshape(h, (B * T, d)), P["up_w"], P["up_b"])
+        _probe_sum(out, probe).backward()
+        return out.data, {k: t.grad for k, t in P.items()}
+
+    fused_out, fused_grads = run(ag.causal_attention, ag.linear)
+    ref_out, ref_grads = run(_unfused_attention, _unfused_linear)
+    _assert_rel_close(fused_out, ref_out)
+    for name in arrays:
+        _assert_rel_close(fused_grads[name], ref_grads[name])
+
+
+def test_gelu_cube_matches_pow_formula():
+    # gelu(x) is of size |x| or less, so the error is measured against
+    # max(|gelu(x)|, |x|): near x << 0 the output itself cancels to ~0.
+    rng = seeded_rng(10)
+    x = rng.normal(0.0, 3.0, size=(64, 64))
+    k = np.sqrt(2.0 / np.pi)
+    want = 0.5 * x * (1.0 + np.tanh(k * (x + 0.044715 * x**3)))
+    got = ag.gelu(ag.Tensor(x)).data
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), np.abs(x)))
+
+
+# ----------------------------------------------------- gradient buffers
+
+def test_shared_upstream_gradient_is_not_aliased():
+    # add hands one g object to both parents; each must own its buffer
+    a = ag.Tensor(np.zeros(3), requires_grad=True)
+    b = ag.Tensor(np.zeros(3), requires_grad=True)
+    loss = ag.add(ag.reduce_sum(ag.add(a, b), 0), ag.reduce_sum(a, 0))
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("view_first", [True, False])
+def test_view_gradient_then_second_gradient(view_first):
+    # transpose/reshape pass a view of their own gradient to the leaf; adding
+    # a second gradient into the leaf must not write through that view
+    rng = seeded_rng(11)
+    x = ag.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    c1, c2 = rng.normal(size=(3, 2)), rng.normal(size=6)
+    t = ag.transpose(x, (1, 0))
+    r = ag.reshape(x, (6,))
+    terms = [_probe_sum(t, c1), _probe_sum(r, c2)]
+    if not view_first:
+        terms.reverse()
+    ag.add(*terms).backward()
+    np.testing.assert_allclose(x.grad, c1.T + c2.reshape(2, 3), atol=1e-15)
+    np.testing.assert_array_equal(t.grad, c1)
+    np.testing.assert_array_equal(r.grad, c2)
+    assert not np.shares_memory(x.grad, t.grad)
+    assert not np.shares_memory(x.grad, r.grad)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from atmoe import cli
 from atmoe.checkpoint import load_checkpoint
 from atmoe.cli import CSV_HEADER, main
 from atmoe.config import Config, save_config
@@ -62,12 +63,16 @@ def test_gen_data_outputs(workdir):
 
 
 def test_gen_data_is_deterministic(workdir, tmp_path):
+    # byte-identical directories, manifest included: it carries no clock time
     root, _, cfg_path, data = workdir
     again = tmp_path / "data2"
     assert main(["gen-data", "--config", str(cfg_path),
                  "--out", str(again)]) == 0
-    for name in ("train.jsonl", "eval_single.jsonl", "eval_multi.jsonl"):
-        assert (again / name).read_bytes() == (data / name).read_bytes()
+    names = sorted(p.name for p in data.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    assert "manifest.json" in names
+    for name in names:
+        assert (again / name).read_bytes() == (data / name).read_bytes(), name
 
 
 def test_train_stages_progress_and_reports(workdir):
@@ -183,3 +188,41 @@ def test_missing_files_give_clean_errors(tmp_path):
                  "--data", str(tmp_path / "none.jsonl")]) == 4
     assert main(["gen-data", "--config", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "d")]) == 2
+
+
+def test_gen_data_rejects_payload_longer_than_max_seq_len(workdir, tmp_path):
+    # payload_max 7 allows 2*7 + 7 = 21 tokens; the model takes 20
+    _, cfg, _, _ = workdir
+    cfg = dataclasses.replace(cfg, taskgen=dataclasses.replace(cfg.taskgen, payload_max=7))
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_train_and_eval_reject_overlong_data(workdir, tmp_path, monkeypatch):
+    # data made for a longer model: every sample has 2*8 + 5 > 20 tokens
+    root, cfg, cfg_path, _ = workdir
+    sec = dataclasses.replace
+    long_cfg = sec(cfg, model=sec(cfg.model, max_seq_len=24),
+                   taskgen=sec(cfg.taskgen, payload_min=8, payload_max=8))
+    long_cfg_path = tmp_path / "long.json"
+    save_config(long_cfg, long_cfg_path)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", str(long_cfg_path), "--out", str(data)]) == 0
+    assert min(len(s.tokens()) for s in read_jsonl(data / "train.jsonl")) > 20
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached training or evaluation")
+
+    for name in ("train_expert", "train_premerged", "train_router", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    ckpt_out = tmp_path / "experts.json"
+    assert main(["train", "--stage", "experts", "--config", str(cfg_path),
+                 "--data", str(data), "--ckpt-out", str(ckpt_out)]) == 2
+    assert not ckpt_out.exists()
+    eval_out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(root / "router.json"),
+                 "--data", str(data / "eval_multi.jsonl"), "--out", str(eval_out)]) == 2
+    assert not eval_out.exists()

@@ -220,3 +220,10 @@ def test_jsonl_roundtrip(tmp_path):
     assert len(back) == len(samples)
     for s, b in zip(samples, back):
         assert s == b
+
+
+@pytest.mark.parametrize("payload_len", [1, 4, 8])
+def test_max_sequence_len_is_the_longest_generated_sample(payload_len):
+    catalog = TaskCatalog(payload_min_len=payload_len, payload_max_len=payload_len)
+    samples = generate(catalog, 64, seed=5, multi_intent_fraction=0.5)
+    assert max(len(s.tokens()) for s in samples) == catalog.max_sequence_len()
