@@ -161,6 +161,48 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out if b is None else out + b.data, parents, bwd)
 
 
+def lora_mixture(x: Tensor, coef, As, Bs) -> Tensor:
+    """``sum_e coef[:, e] * (x @ As[e].T) @ Bs[e].T`` as one node.
+
+    ``x`` is [N, k] and ``coef`` [N, E], a Tensor or a constant array; each
+    ``As[e]`` is [r_e, k] and ``Bs[e]`` [d, r_e]. A coefficient scales a whole
+    row, so it is applied to the rank-r codes between the two factors, and
+    every adapter runs in two GEMMs over the stacked factors.
+    """
+    coef = _wrap(coef)
+    As, Bs = tuple(As), tuple(Bs)
+    ranks = [a.data.shape[0] for a in As]
+    starts = np.cumsum([0] + ranks[:-1])
+    a_cat = np.concatenate([a.data for a in As])           # [R, k]
+    b_cat = np.concatenate([b.data for b in Bs], axis=1)   # [d, R]
+    z = x.data @ a_cat.T                                   # [N, R]
+
+    def scaled(a):
+        # Each row's coefficients, repeated over the rank of their adapter.
+        # Recomputed rather than kept, so the graph holds one [N, R] array.
+        return a * np.repeat(coef.data, ranks, axis=1)
+
+    def bwd(g):
+        if any(b.requires_grad for b in Bs):
+            for b, gb in zip(Bs, np.split(g.T @ scaled(z), starts[1:], axis=1)):
+                if b.requires_grad:
+                    b._accumulate(gb)
+        if not (x.requires_grad or coef.requires_grad or any(a.requires_grad for a in As)):
+            return
+        gzc = g @ b_cat
+        if coef.requires_grad:
+            coef._accumulate(np.add.reduceat(gzc * z, starts, axis=1))
+        gz = scaled(gzc)
+        if any(a.requires_grad for a in As):
+            for a, ga in zip(As, np.split(gz.T @ x.data, starts[1:])):
+                if a.requires_grad:
+                    a._accumulate(ga)
+        if x.requires_grad:
+            x._accumulate(gz @ a_cat)
+
+    return _make(scaled(z) @ b_cat.T, (x, coef, *As, *Bs), bwd)
+
+
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = np.argsort(axes)
 

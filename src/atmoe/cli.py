@@ -143,6 +143,8 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------- eval
 
 def cmd_eval(args) -> int:
+    if args.lam is not None and not 0.0 <= args.lam <= 1.0:  # NaN fails too
+        raise ValueError(f"--lam must lie in [0, 1], got {args.lam}")
     loaded = load_checkpoint(args.ckpt)
     data = read_jsonl(args.data)
     _check_seq_len(data, loaded.model.cfg.model.max_seq_len, args.data)

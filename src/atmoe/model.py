@@ -400,7 +400,8 @@ class ToyTransformer:
 
         Returns (logits Tensor [B*T, vocab], leaf dict, aux). ``aux`` carries
         per-layer arrays: ``moe_input`` (the activation entering the expert
-        projection), plus ``x_route``/``gw_nodes`` in full mode.
+        projection) and ``moe_output`` (what that projection returns), plus
+        ``x_route``/``gw_nodes`` in full mode.
         """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -414,7 +415,7 @@ class ToyTransformer:
         if token_mask is None:
             token_mask = np.ones((B, T))
         causal = np.tril(np.ones((T, T), dtype=bool))
-        aux: dict = {"moe_input": [], "x_route": [], "gw_nodes": []}
+        aux: dict = {"moe_input": [], "moe_output": [], "x_route": [], "gw_nodes": []}
 
         h = ag.add(ag.embedding(P["tok_emb"], tokens), ag.getitem(P["pos_emb"], slice(0, T)))
         for i in range(m.n_layers):
@@ -427,16 +428,11 @@ class ToyTransformer:
             u = ag.gelu(ag.linear(xf, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
             aux["moe_input"].append(u.data)
             y = self._moe(u, P, i, mode, adapter_id, lam, B, T, token_mask, aux)
+            aux["moe_output"].append(y.data)
             h = ag.add(h, ag.reshape(y, (B, T, m.d_model)))
         hf = ag.layer_norm(h, P["final_ln.gain"], P["final_ln.bias"])
         logits = ag.matmul(ag.reshape(hf, (B * T, m.d_model)), P["unembed"])
         return logits, P, aux
-
-    def _lora(self, xf, P, layer: int, adapter_id: str):
-        b = f"blocks.{layer}.moe.experts.{adapter_id}"
-        out = ag.linear(ag.linear(xf, P[f"{b}.A"]), P[f"{b}.B"])
-        scale = float(self.params[f"{b}.scale"][0])
-        return out if scale == 1.0 else ag.mul(out, scale)
 
     def _moe(self, xf, P, layer: int, mode: str, adapter_id: str | None, lam: float,
              B: int, T: int, token_mask: np.ndarray, aux: dict):
@@ -444,8 +440,13 @@ class ToyTransformer:
         base = ag.linear(xf, P[f"{b}.ffn.down_w0"], P[f"{b}.ffn.down_b0"])
         if mode == "base":
             return base
+        N = xf.shape[0]
+        ids = [adapter_id] if mode == "adapter" else self.adapter_ids
+        As = [P[f"{b}.moe.experts.{aid}.A"] for aid in ids]
+        Bs = [P[f"{b}.moe.experts.{aid}.B"] for aid in ids]
+        scales = np.array([self.params[f"{b}.moe.experts.{aid}.scale"][0] for aid in ids])
         if mode == "adapter":
-            return ag.add(base, self._lora(xf, P, layer, adapter_id))
+            return ag.add(base, ag.lora_mixture(xf, np.broadcast_to(scales, (N, 1)), As, Bs))
 
         G, M = self.cfg.n_groups, self.cfg.max_group_size
         d_ff = self.cfg.model.d_ff
@@ -459,18 +460,21 @@ class ToyTransformer:
             dl = ag.reshape(P[f"{b}.moe.wd"], (1, G, M))
         else:
             flat = ag.reshape(ag.transpose(P[f"{b}.moe.wd"], (1, 0, 2)), (d_ff, G * M))
-            dl = ag.reshape(ag.matmul(x_route, flat), (xf.shape[0], G, M))
+            dl = ag.reshape(ag.matmul(x_route, flat), (N, G, M))
         iw = ag.masked_temp_softmax(dl, mask, self.cfg.router.tau_d)
-        comb = ag.mul(ag.reshape(gw, (gw.shape[0], G, 1)), iw)
-
-        routed = None
-        for g, spec in enumerate(self.groups):
-            for s in range(spec.size):
-                w = ag.reshape(ag.getitem(comb, (slice(None), g, s)), (xf.shape[0], 1))
-                contrib = ag.mul(w, self._lora(xf, P, layer, spec.expert_ids[s]))
-                routed = contrib if routed is None else ag.add(routed, contrib)
-        prem = self._lora(xf, P, layer, PREMERGED_ID)
-        return ag.add(base, ag.add(ag.mul(routed, lam), ag.mul(prem, 1.0 - lam)))
+        comb = ag.mul(ag.reshape(gw, (N, G, 1)), iw)
+        # Adapter coefficients in ``adapter_ids`` order: ``pick`` moves slot
+        # (g, m) of the flattened weights to its adapter's column, times
+        # lam * scale, and drops padded slots; the pre-merged column is the
+        # constant (1 - lam) * scale. At lam = 0 ``pick`` is all zeros, so the
+        # router gets an exact zero gradient.
+        slots = [g * M + s for g, spec in enumerate(self.groups) for s in range(spec.size)]
+        pick = np.zeros((G * M, len(ids)))
+        pick[slots, np.arange(len(slots))] = lam * scales[:-1]
+        const = np.zeros(len(ids))
+        const[-1] = (1.0 - lam) * scales[-1]
+        coef = ag.add(ag.matmul(ag.reshape(comb, (N, G * M)), pick), const)
+        return ag.add(base, ag.lora_mixture(xf, coef, As, Bs))
 
     def _pooled(self, xf, B: int, T: int, token_mask: np.ndarray):
         d_ff = self.cfg.model.d_ff

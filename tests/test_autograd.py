@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from atmoe import autograd as ag
+from atmoe.cli import jitter_params
+from atmoe.model import ToyTransformer
 from atmoe.numerics import finite_diff_grad, seeded_rng
+
+from conftest import tiny_config
 
 ATOL = 1e-7
 
@@ -328,6 +332,91 @@ def test_gelu_cube_matches_pow_formula():
     want = 0.5 * x * (1.0 + np.tanh(k * (x + 0.044715 * x**3)))
     got = ag.gelu(ag.Tensor(x)).data
     assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), np.abs(x)))
+
+
+def _mixture_arrays(rng, N, k, d, ranks):
+    arrays = {"x": rng.normal(size=(N, k)), "coef": rng.normal(size=(N, len(ranks)))}
+    for e, r in enumerate(ranks):
+        arrays[f"A{e}"] = rng.normal(size=(r, k))
+        arrays[f"B{e}"] = rng.normal(size=(d, r))
+    return arrays
+
+
+def _mixture_build(n_adapters):
+    def build(x, coef, **factors):
+        return ag.lora_mixture(x, coef, [factors[f"A{e}"] for e in range(n_adapters)],
+                               [factors[f"B{e}"] for e in range(n_adapters)])
+    return build
+
+
+@pytest.mark.parametrize("trainable", [
+    {"x", "coef", "A0", "A1", "A2", "B0", "B1", "B2"},
+    {"x", "coef"},          # router stage: every factor frozen
+    {"A1", "B1"},           # one adapter trained, the others frozen
+    {"A0", "B2"},
+    {"x", "B0", "B1", "B2"},
+    {"coef"},
+])
+def test_lora_mixture_grads_match_finite_differences(trainable):
+    rng = seeded_rng(12)
+    N, k, d, ranks = 5, 4, 3, (2, 1, 3)
+    arrays = _mixture_arrays(rng, N, k, d, ranks)
+    probe = rng.normal(size=(N, d))
+    _check_fused_grads(_mixture_build(len(ranks)), arrays, trainable, probe)
+
+
+def _looped_mixture(x, coef, As, Bs):
+    """The mixture as per-adapter linear -> linear -> mul -> add nodes."""
+    out = None
+    for e, (a, b) in enumerate(zip(As, Bs)):
+        w = ag.reshape(ag.getitem(coef, (slice(None), e)), (x.shape[0], 1))
+        term = ag.mul(w, ag.linear(ag.linear(x, a), b))
+        out = term if out is None else ag.add(out, term)
+    return out
+
+
+@pytest.mark.parametrize("N,k,d,ranks", [
+    (7, 5, 3, (2, 2, 2, 2)), (1, 9, 4, (3,)), (13, 6, 11, (1, 4, 2)), (4, 3, 5, (2,) * 8),
+])
+def test_lora_mixture_matches_looped_composition(N, k, d, ranks):
+    rng = seeded_rng(200 + N + 10 * len(ranks))
+    arrays = _mixture_arrays(rng, N, k, d, ranks)
+    probe = rng.normal(size=(N, d))
+    E = len(ranks)
+
+    def run(mixture):
+        P = {n: ag.Tensor(v, requires_grad=True) for n, v in arrays.items()}
+        out = mixture(P["x"], P["coef"], [P[f"A{e}"] for e in range(E)],
+                      [P[f"B{e}"] for e in range(E)])
+        _probe_sum(out, probe).backward()
+        return out.data, {n: t.grad for n, t in P.items()}
+
+    fused_out, fused_grads = run(ag.lora_mixture)
+    ref_out, ref_grads = run(_looped_mixture)
+    _assert_rel_close(fused_out, ref_out)
+    for name in arrays:
+        _assert_rel_close(fused_grads[name], ref_grads[name])
+
+
+def test_router_gradient_is_exactly_zero_at_lambda_zero():
+    # README, "The composed layer": at lam = 0 the routed branch carries
+    # weight zero, so the router learns nothing; elsewhere it does learn
+    model = ToyTransformer(tiny_config(n_layers=2))
+    jitter_params(model)
+    rng = seeded_rng(13)
+    tokens = rng.integers(0, model.cfg.model.vocab_size, size=(3, 6))
+    targets = rng.integers(0, model.cfg.model.vocab_size, size=(3, 6))
+    weights = np.ones((3, 6))
+    names = model.router_param_names()
+    for lam in (0.0, 0.5):
+        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable=names,
+                                      lam_override=lam)
+        loss.backward()
+        for name in names:
+            if lam == 0.0:
+                assert np.all(P[name].grad == 0.0), name
+            else:
+                assert np.any(P[name].grad != 0.0), name
 
 
 # ----------------------------------------------------- gradient buffers

@@ -136,6 +136,22 @@ def test_eval_lam_override_matches_premerged_adapter(workdir, tmp_path):
     assert a["mean_loss"] == pytest.approx(b["mean_loss"], rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", ["1.7", "-0.5", "nan", "inf"])
+def test_eval_rejects_lam_outside_unit_interval(workdir, tmp_path, monkeypatch, lam):
+    root, _, _, data = workdir
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached checkpoint loading or evaluation")
+
+    for name in ("load_checkpoint", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(root / "router.json"),
+                 "--data", str(data / "eval_multi.jsonl"),
+                 "--lam", lam, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_inspect_csv_layout_and_sums(workdir, tmp_path):
     root, cfg, _, _ = workdir
     out = tmp_path / "routing.csv"

@@ -9,6 +9,8 @@ import pytest
 
 from atmoe import model as M
 from atmoe.adapters import PREMERGED_ID
+from atmoe.cli import jitter_params
+from atmoe.composition import forward
 from atmoe.config import Config
 from atmoe.numerics import seeded_rng, softmax_temp
 from atmoe.taskgen import PAYLOAD_BASE, TASK_TOKENS
@@ -193,6 +195,29 @@ def test_build_graph_exposes_routing_internals(tiny_model, tiny_tokens):
     assert set(P) == set(tiny_model.params)
     assert "x_route" in aux and "gw_nodes" in aux
     assert len(aux["gw_nodes"]) == tiny_model.cfg.model.n_layers
+
+
+@pytest.mark.parametrize("router", [{}, {"pooled": True}, {"static_intra_group": True}])
+def test_graph_moe_output_matches_blend_equation(router):
+    # every row of each layer's batched MoE output against the per-vector
+    # blend equation, fed the same activation and routing input; the jitter
+    # moves the adapter scales off 1 as well
+    sec = dataclasses.replace
+    cfg = tiny_config(n_layers=2)
+    cfg = sec(cfg, router=sec(cfg.router, **router), atmoe=sec(cfg.atmoe, lam=0.3))
+    model = M.ToyTransformer(cfg)
+    jitter_params(model)
+    rng = seeded_rng(21)
+    tokens = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
+    token_mask = np.ones((3, 6))
+    token_mask[1, 4:] = 0.0
+    _, _, aux = model.build_graph(tokens, token_mask=token_mask)
+    for i in range(cfg.model.n_layers):
+        layer = model.moe_layer(i)
+        rows = zip(aux["moe_input"][i], aux["x_route"][i], aux["moe_output"][i])
+        for u, x_route, y in rows:
+            want = forward(layer, u, x_route)
+            assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_structured_base_token_rows_share_norm():
