@@ -222,7 +222,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    """Basic (slice/int) indexing; the selected elements must be disjoint."""
+    """Slice, int or index-array indexing; the selected elements must be
+    disjoint: an index array must not repeat an index."""
 
     def bwd(g):
         ga = np.zeros_like(a.data)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -114,6 +115,9 @@ def cmd_train(args) -> int:
         else:
             model = ToyTransformer(cfg)
         buckets = per_task_split(samples)
+        empty = [tid for tid in model.task_adapter_ids if not buckets.get(tid)]
+        if empty:
+            raise ValueError(f"{train_path}: empty data bucket for task(s) {empty}")
         reports = [train_expert(model, tid, buckets.get(tid, []), cfg)
                    for tid in model.task_adapter_ids]
     elif args.stage == "premerged":
@@ -216,6 +220,8 @@ def jitter_params(model: ToyTransformer, std: float = 0.05) -> None:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise ValueError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     cfg = load_config(args.config) if args.config else gradcheck_config()
     model = ToyTransformer(cfg)
     jitter_params(model)

@@ -395,13 +395,24 @@ class ToyTransformer:
     def build_graph(self, tokens: np.ndarray, trainable: Iterable[str] = (),
                     mode: str = "full", adapter_id: str | None = None,
                     lam_override: float | None = None,
-                    token_mask: np.ndarray | None = None):
-        """Batched forward graph.
+                    token_mask: np.ndarray | None = None,
+                    rows: np.ndarray | None = None):
+        """Batched forward graph; returns (logits Tensor, leaf dict, aux).
 
-        Returns (logits Tensor [B*T, vocab], leaf dict, aux). ``aux`` carries
-        per-layer arrays: ``moe_input`` (the activation entering the expert
-        projection) and ``moe_output`` (what that projection returns), plus
-        ``x_route``/``gw_nodes`` in full mode.
+        ``rows``, sorted unique flat indices into the B*T positions, selects
+        the positions whose logits are needed: the last block past its
+        attention, the final norm and the unembedding run on them only, and
+        the logits are [len(rows), vocab] (``None``: all B*T). Earlier blocks
+        and the last attention see every position, as each feeds later keys
+        and values; pooled routing reads every position too, so there the
+        rows are picked after FFN-up. The pick is a ``getitem``, whose backward
+        ``ga[rows] += g`` is right only because no index repeats.
+
+        ``aux`` carries per-layer arrays: ``moe_input`` (the activation entering
+        the expert projection), ``x_route`` (the routing input) and
+        ``moe_output`` (what the projection returns), plus in full mode
+        ``gw_nodes`` (group weight nodes) and ``iw`` (intra-group weights
+        [N, G, M]). The last layer's arrays hold ``rows`` only.
         """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -410,58 +421,77 @@ class ToyTransformer:
         tokens = self._validate_tokens(tokens)
         B, T = tokens.shape
         m = self.cfg.model
+        pooled = self.cfg.router.pooled
         P = ag.parameters(self.params, trainable)
         lam = self.cfg.atmoe.lam if lam_override is None else float(lam_override)
         if token_mask is None:
             token_mask = np.ones((B, T))
         causal = np.tril(np.ones((T, T), dtype=bool))
-        aux: dict = {"moe_input": [], "moe_output": [], "x_route": [], "gw_nodes": []}
+        aux: dict = {"moe_input": [], "moe_output": [], "x_route": [], "gw_nodes": [], "iw": []}
 
         h = ag.add(ag.embedding(P["tok_emb"], tokens), ag.getitem(P["pos_emb"], slice(0, T)))
         for i in range(m.n_layers):
             b = f"blocks.{i}"
             a = ag.layer_norm(h, P[f"{b}.ln1.gain"], P[f"{b}.ln1.bias"])
             attn = [P[f"{b}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
-            h = ag.add(h, ag.causal_attention(a, *attn, m.n_heads, causal))
+            h = ag.reshape(ag.add(h, ag.causal_attention(a, *attn, m.n_heads, causal)),
+                           (B * T, m.d_model))
+            pick = rows is not None and i == m.n_layers - 1
+            if pick and not pooled:
+                h = ag.getitem(h, rows)
             x = ag.layer_norm(h, P[f"{b}.ln2.gain"], P[f"{b}.ln2.bias"])
-            xf = ag.reshape(x, (B * T, m.d_model))
-            u = ag.gelu(ag.linear(xf, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
+            u = ag.gelu(ag.linear(x, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
+            x_route = self._pooled(u, B, T, token_mask) if pooled else u
+            if pick and pooled:
+                h, u, x_route = (ag.getitem(t, rows) for t in (h, u, x_route))
             aux["moe_input"].append(u.data)
-            y = self._moe(u, P, i, mode, adapter_id, lam, B, T, token_mask, aux)
+            aux["x_route"].append(x_route.data)
+            y = self._moe(u, x_route, P, i, mode, adapter_id, lam, aux)
             aux["moe_output"].append(y.data)
-            h = ag.add(h, ag.reshape(y, (B, T, m.d_model)))
+            h = ag.add(h, y)
+            if i < m.n_layers - 1:
+                h = ag.reshape(h, (B, T, m.d_model))
         hf = ag.layer_norm(h, P["final_ln.gain"], P["final_ln.bias"])
-        logits = ag.matmul(ag.reshape(hf, (B * T, m.d_model)), P["unembed"])
-        return logits, P, aux
+        return ag.matmul(hf, P["unembed"]), P, aux
 
-    def _moe(self, xf, P, layer: int, mode: str, adapter_id: str | None, lam: float,
-             B: int, T: int, token_mask: np.ndarray, aux: dict):
+    def _routing(self, x_route, wg, wd):
+        """Group weights [N, G] and intra-group weights [N or 1, G, M] of the
+        routing input ``x_route`` [N, d_ff], as graph nodes."""
+        G, M = self.cfg.n_groups, self.cfg.max_group_size
+        r = self.cfg.router
+        gw = ag.masked_temp_softmax(ag.matmul(x_route, wg), None, r.tau_g)
+        if r.static_intra_group:
+            dl = ag.reshape(wd, (1, G, M))
+        else:
+            flat = ag.reshape(ag.transpose(wd, (1, 0, 2)), (self.cfg.model.d_ff, G * M))
+            dl = ag.reshape(ag.matmul(x_route, flat), (x_route.shape[0], G, M))
+        return gw, ag.masked_temp_softmax(dl, slot_mask(self.groups, M), r.tau_d)
+
+    def routing_weights(self, layer: int, x_route: np.ndarray):
+        """One layer's group [N, G] and intra-group [N, G, M] weights for the
+        routing inputs ``x_route`` [N, d_ff]; no gradients."""
+        wg, wd = (ag.Tensor(self.params[f"blocks.{layer}.moe.{w}"]) for w in ("wg", "wd"))
+        gw, iw = self._routing(ag.Tensor(x_route), wg, wd)
+        return gw.data, np.broadcast_to(iw.data, (len(gw.data),) + iw.shape[1:])
+
+    def _moe(self, u, x_route, P, layer: int, mode: str, adapter_id: str | None,
+             lam: float, aux: dict):
         b = f"blocks.{layer}"
-        base = ag.linear(xf, P[f"{b}.ffn.down_w0"], P[f"{b}.ffn.down_b0"])
+        base = ag.linear(u, P[f"{b}.ffn.down_w0"], P[f"{b}.ffn.down_b0"])
         if mode == "base":
             return base
-        N = xf.shape[0]
+        N = u.shape[0]
         ids = [adapter_id] if mode == "adapter" else self.adapter_ids
         As = [P[f"{b}.moe.experts.{aid}.A"] for aid in ids]
         Bs = [P[f"{b}.moe.experts.{aid}.B"] for aid in ids]
         scales = np.array([self.params[f"{b}.moe.experts.{aid}.scale"][0] for aid in ids])
         if mode == "adapter":
-            return ag.add(base, ag.lora_mixture(xf, np.broadcast_to(scales, (N, 1)), As, Bs))
+            return ag.add(base, ag.lora_mixture(u, np.broadcast_to(scales, (N, 1)), As, Bs))
 
         G, M = self.cfg.n_groups, self.cfg.max_group_size
-        d_ff = self.cfg.model.d_ff
-        x_route = self._pooled(xf, B, T, token_mask) if self.cfg.router.pooled else xf
-        aux["x_route"].append(x_route.data)
-        gw = ag.masked_temp_softmax(ag.matmul(x_route, P[f"{b}.moe.wg"]),
-                                    None, self.cfg.router.tau_g)
+        gw, iw = self._routing(x_route, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"])
         aux["gw_nodes"].append(gw)
-        mask = slot_mask(self.groups, M)
-        if self.cfg.router.static_intra_group:
-            dl = ag.reshape(P[f"{b}.moe.wd"], (1, G, M))
-        else:
-            flat = ag.reshape(ag.transpose(P[f"{b}.moe.wd"], (1, 0, 2)), (d_ff, G * M))
-            dl = ag.reshape(ag.matmul(x_route, flat), (N, G, M))
-        iw = ag.masked_temp_softmax(dl, mask, self.cfg.router.tau_d)
+        aux["iw"].append(np.broadcast_to(iw.data, (N, G, M)))
         comb = ag.mul(ag.reshape(gw, (N, G, 1)), iw)
         # Adapter coefficients in ``adapter_ids`` order: ``pick`` moves slot
         # (g, m) of the flattened weights to its adapter's column, times
@@ -474,12 +504,12 @@ class ToyTransformer:
         const = np.zeros(len(ids))
         const[-1] = (1.0 - lam) * scales[-1]
         coef = ag.add(ag.matmul(ag.reshape(comb, (N, G * M)), pick), const)
-        return ag.add(base, ag.lora_mixture(xf, coef, As, Bs))
+        return ag.add(base, ag.lora_mixture(u, coef, As, Bs))
 
-    def _pooled(self, xf, B: int, T: int, token_mask: np.ndarray):
+    def _pooled(self, u, B: int, T: int, token_mask: np.ndarray):
         d_ff = self.cfg.model.d_ff
         counts = token_mask.sum(axis=1, keepdims=True)[:, :, None]  # [B,1,1]
-        x3 = ag.reshape(xf, (B, T, d_ff))
+        x3 = ag.reshape(u, (B, T, d_ff))
         mean = ag.mul(ag.reduce_sum(ag.mul(x3, token_mask[:, :, None]), 1, True), 1.0 / counts)
         return ag.reshape(ag.add(mean, np.zeros((B, T, 1))), (B * T, d_ff))
 
@@ -489,13 +519,14 @@ class ToyTransformer:
                    mode: str = "full", adapter_id: str | None = None,
                    lam_override: float | None = None, entropy_bonus: float = 0.0,
                    token_mask: np.ndarray | None = None):
-        """Scored-position cross entropy; returns (loss Tensor, leaf dict, aux)."""
+        """Scored-position cross entropy; returns (loss Tensor, leaf dict, aux).
+        Only the rows with a nonzero weight reach the head (see ``build_graph``)."""
+        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+        rows = np.flatnonzero(weights)
         logits, P, aux = self.build_graph(
-            tokens, trainable, mode, adapter_id, lam_override, token_mask
+            tokens, trainable, mode, adapter_id, lam_override, token_mask, rows
         )
-        aux["logits"] = logits.data
-        loss = ag.cross_entropy(logits, np.asarray(targets).reshape(-1),
-                                np.asarray(weights, dtype=np.float64).reshape(-1))
+        loss = ag.cross_entropy(logits, np.asarray(targets).reshape(-1)[rows], weights[rows])
         if entropy_bonus > 0.0 and aux["gw_nodes"]:
             # reward spread-out group weights; experimental, off by default
             total = None

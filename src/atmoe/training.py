@@ -19,7 +19,6 @@ from .adapters import PREMERGED_ID
 from .config import Config
 from .model import ToyTransformer
 from .numerics import derive_rng, finite_diff_grad
-from .router import batched_weights
 from .taskgen import Sample, batch_arrays
 
 EVAL_BATCH = 64
@@ -217,19 +216,6 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
-def _routing_rows(model: ToyTransformer, aux: dict, layer: int,
-                  B: int, T: int, valid: np.ndarray) -> np.ndarray:
-    """The routing input actually seen (or that would be seen) by a layer."""
-    if aux["x_route"]:
-        return aux["x_route"][layer]
-    x = aux["moe_input"][layer]
-    if not model.cfg.router.pooled:
-        return x
-    x3 = x.reshape(B, T, -1)
-    mean = (x3 * valid[:, :, None]).sum(axis=1, keepdims=True) / valid.sum(axis=1)[:, None, None]
-    return np.broadcast_to(mean, x3.shape).reshape(B * T, -1)
-
-
 def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
              adapter_id: str | None = None,
              lam_override: float | None = None) -> EvalReport:
@@ -246,24 +232,25 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
     for start in range(0, len(data), EVAL_BATCH):
         batch = data[start : start + EVAL_BATCH]
         tokens, targets, weights = batch_arrays(batch, cfg.model.max_seq_len)
-        B, T = tokens.shape
-        valid = _valid_mask(batch, T)
-        logits_t, _, aux = model.build_graph(tokens, (), mode, adapter_id,
-                                             lam_override, token_mask=valid)
-        b_idx, t_idx = np.nonzero(weights)
-        rows = b_idx * T + t_idx
-        tg = targets[b_idx, t_idx]
-        z = logits_t.data[rows]
+        rows = np.flatnonzero(weights)
+        logits_t, _, aux = model.build_graph(tokens, (), mode, adapter_id, lam_override,
+                                             _valid_mask(batch, tokens.shape[1]), rows)
+        tg = targets.reshape(-1)[rows]
+        z = logits_t.data
         c = z.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(z - c).sum(axis=-1)) + c[:, 0]
         nll_sum += float((lse - z[np.arange(len(rows)), tg]).sum())
         n_correct += int((z.argmax(axis=-1) == tg).sum())
         n_scored += len(rows)
 
-        truth = [batch[b].relevant_experts for b in b_idx]
+        truth = [batch[b].relevant_experts for b in rows // tokens.shape[1]]
         for i in range(L):
-            X = _routing_rows(model, aux, i, B, T, valid)[rows]
-            gw, iw, _ = batched_weights(model.router_params(i), X)
+            # the last layer's arrays hold the scored rows only
+            at = rows if i < L - 1 else slice(None)
+            if mode == "full":
+                gw, iw = aux["gw_nodes"][i].data[at], aux["iw"][i][at]
+            else:  # the graph did not route; route its hidden states here
+                gw, iw = model.routing_weights(i, aux["x_route"][i][at])
             ent_sum += float(_entropy_rows(gw).sum())
             ent_n += len(rows)
             for spec in model.groups:

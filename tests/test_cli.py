@@ -13,7 +13,7 @@ from atmoe import cli
 from atmoe.checkpoint import load_checkpoint
 from atmoe.cli import CSV_HEADER, main
 from atmoe.config import Config, save_config
-from atmoe.taskgen import read_jsonl
+from atmoe.taskgen import read_jsonl, write_jsonl
 
 from conftest import tiny_config
 
@@ -195,6 +195,35 @@ def test_gradcheck_passes_and_negative_control(tmp_path):
     assert set(doc["classes"]) == {"group_router", "intra_router", "lora_a",
                                    "lora_b", "embeddings", "unembedding"}
     assert main(["gradcheck", "--inject-error"]) == 5
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])
+def test_gradcheck_rejects_bad_tolerance(tmp_path, monkeypatch, tol):
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the gradient sweep")
+
+    monkeypatch.setattr(cli, "grad_check", no_work)
+    out = tmp_path / "grad.json"
+    assert main(["gradcheck", f"--tolerance={tol}", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_train_experts_rejects_empty_task_bucket(workdir, tmp_path, monkeypatch):
+    # no sample is relevant to echo_first, the last expert in training order
+    _, _, cfg_path, data = workdir
+    samples = [s for s in read_jsonl(data / "train.jsonl")
+               if "echo_first" not in s.relevant_experts.get("style", [])]
+    assert samples
+    write_jsonl(tmp_path / "train.jsonl", samples)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached expert training")
+
+    monkeypatch.setattr(cli, "train_expert", no_work)
+    ckpt_out = tmp_path / "experts.json"
+    assert main(["train", "--stage", "experts", "--config", str(cfg_path),
+                 "--data", str(tmp_path), "--ckpt-out", str(ckpt_out)]) == 2
+    assert not ckpt_out.exists()
 
 
 def test_missing_files_give_clean_errors(tmp_path):

@@ -7,12 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from atmoe import autograd as ag
 from atmoe import model as M
 from atmoe.adapters import PREMERGED_ID
 from atmoe.cli import jitter_params
 from atmoe.composition import forward
 from atmoe.config import Config
-from atmoe.numerics import seeded_rng, softmax_temp
+from atmoe.numerics import finite_diff_grad, seeded_rng, softmax_temp
 from atmoe.taskgen import PAYLOAD_BASE, TASK_TOKENS
 
 from conftest import tiny_config
@@ -197,27 +198,134 @@ def test_build_graph_exposes_routing_internals(tiny_model, tiny_tokens):
     assert len(aux["gw_nodes"]) == tiny_model.cfg.model.n_layers
 
 
-@pytest.mark.parametrize("router", [{}, {"pooled": True}, {"static_intra_group": True}])
-def test_graph_moe_output_matches_blend_equation(router):
-    # every row of each layer's batched MoE output against the per-vector
-    # blend equation, fed the same activation and routing input; the jitter
-    # moves the adapter scales off 1 as well
+ROUTERS = [{}, {"pooled": True}, {"static_intra_group": True}]
+
+
+def _routed_model(router):
+    """A jittered 2-layer model with the given router settings."""
     sec = dataclasses.replace
     cfg = tiny_config(n_layers=2)
     cfg = sec(cfg, router=sec(cfg.router, **router), atmoe=sec(cfg.atmoe, lam=0.3))
     model = M.ToyTransformer(cfg)
     jitter_params(model)
-    rng = seeded_rng(21)
+    return model
+
+
+def _scored_batch(cfg, seed=21):
+    """Tokens [3, 6] with one padded row; scored positions are a minority,
+    and no padded position is scored."""
+    rng = seeded_rng(seed)
     tokens = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
+    targets = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
     token_mask = np.ones((3, 6))
     token_mask[1, 4:] = 0.0
+    weights = np.zeros((3, 6))
+    weights[0, 2:5] = weights[1, 1:3] = weights[2, 5] = 1.0
+    return tokens, targets, weights, token_mask
+
+
+def _grads(P, names, params):
+    return [P[n].grad if P[n].grad is not None else np.zeros_like(params[n])
+            for n in names]
+
+
+def _close(a, b, tol=1e-12):
+    return np.linalg.norm(np.asarray(a) - b) <= tol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("router", ROUTERS)
+def test_graph_moe_output_matches_blend_equation(router):
+    # every row of each layer's batched MoE output against the per-vector
+    # blend equation, fed the same activation and routing input; the jitter
+    # moves the adapter scales off 1 as well
+    model = _routed_model(router)
+    tokens, _, _, token_mask = _scored_batch(model.cfg)
     _, _, aux = model.build_graph(tokens, token_mask=token_mask)
-    for i in range(cfg.model.n_layers):
+    for i in range(model.cfg.model.n_layers):
         layer = model.moe_layer(i)
         rows = zip(aux["moe_input"][i], aux["x_route"][i], aux["moe_output"][i])
         for u, x_route, y in rows:
             want = forward(layer, u, x_route)
             assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("router", ROUTERS)
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("stage", ["base", "expert", "premerged", "router", "all"])
+def test_loss_graph_on_scored_rows_matches_full_row_graph(router, lam, stage):
+    # loss_graph runs the last block past attention and the head on the
+    # scored rows only; the reference runs every row and lets the zero
+    # weights drop the rest inside the cross entropy
+    model = _routed_model(router)
+    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    mode, aid, trainable = {
+        "base": ("base", None, sorted(model.params)),
+        "expert": ("adapter", model.task_adapter_ids[1],
+                   model.adapter_param_names(model.task_adapter_ids[1])),
+        "premerged": ("adapter", PREMERGED_ID, model.adapter_param_names(PREMERGED_ID)),
+        "router": ("full", None, model.router_param_names()),
+        "all": ("full", None, sorted(model.params)),
+    }[stage]
+    loss, P, aux = model.loss_graph(tokens, targets, weights, trainable, mode, aid, lam,
+                                    token_mask=token_mask)
+    loss.backward()
+    logits, P_ref, _ = model.build_graph(tokens, trainable, mode, aid, lam, token_mask)
+    ref = ag.cross_entropy(logits, targets.reshape(-1), weights.reshape(-1))
+    ref.backward()
+    assert aux["moe_output"][-1].shape[0] == int(weights.sum())
+    assert _close(loss.data, ref.data)
+    for name, g, want in zip(trainable, _grads(P, trainable, model.params),
+                             _grads(P_ref, trainable, model.params)):
+        assert _close(g, want), name
+
+
+@pytest.mark.parametrize("router", ROUTERS)
+def test_entropy_bonus_adds_mean_negative_group_entropy(router):
+    model = _routed_model(router)
+    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    bonus = 0.5
+    ce, _, _ = model.loss_graph(tokens, targets, weights, token_mask=token_mask)
+    loss, _, aux = model.loss_graph(tokens, targets, weights, entropy_bonus=bonus,
+                                    token_mask=token_mask)
+    # layer 0 averages over every position, the last layer over scored ones
+    gws = [gw.data for gw in aux["gw_nodes"]]
+    assert [len(gw) for gw in gws] == [tokens.size, int(weights.sum())]
+    neg_ent = [float((gw * np.log(gw)).sum()) / len(gw) for gw in gws]
+    want = float(ce.data) + bonus * sum(neg_ent) / len(neg_ent)
+    assert abs(float(loss.data) - want) <= 1e-12 * abs(want)
+
+
+def test_entropy_bonus_router_gradient_matches_finite_differences():
+    model = _routed_model({})
+    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    names = model.router_param_names()
+
+    def grad(bonus):
+        loss, P, _ = model.loss_graph(tokens, targets, weights, names,
+                                      entropy_bonus=bonus, token_mask=token_mask)
+        loss.backward()
+        return np.concatenate([g.ravel() for g in _grads(P, names, model.params)])
+
+    originals = {n: model.params[n] for n in names}
+
+    def f(theta):
+        off = 0
+        for n in names:
+            size = originals[n].size
+            model.params[n] = theta[off: off + size].reshape(originals[n].shape)
+            off += size
+        loss, _, _ = model.loss_graph(tokens, targets, weights, entropy_bonus=0.5,
+                                      token_mask=token_mask)
+        return float(loss.data)
+
+    analytic = grad(0.5)
+    try:
+        fd = finite_diff_grad(f, np.concatenate([originals[n].ravel() for n in names]), 1e-5)
+    finally:
+        model.params.update(originals)
+    # the bonus moves the router gradient, and the moved gradient is right
+    assert np.linalg.norm(analytic - grad(0.0)) > 1e-3 * np.linalg.norm(analytic)
+    assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_structured_base_token_rows_share_norm():

@@ -6,9 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from atmoe.cli import jitter_params
 from atmoe.model import ToyTransformer
 from atmoe.numerics import seeded_rng
-from atmoe.taskgen import TaskCatalog, generate, per_task_split
+from atmoe.router import batched_weights
+from atmoe.taskgen import TaskCatalog, batch_arrays, generate, per_task_split
 from atmoe.training import (
     Adam,
     EvalReport,
@@ -194,6 +196,50 @@ def test_evaluate_modes_agree_on_fresh_model(train_setup):
     pm = evaluate(model, data[:16], mode="adapter", adapter_id="premerged")
     assert full.mean_loss == pytest.approx(base.mean_loss, rel=1e-12)
     assert pm.mean_loss == pytest.approx(base.mean_loss, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["full", "base"])
+@pytest.mark.parametrize("router", [{}, {"pooled": True}, {"static_intra_group": True}])
+def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
+    # evaluate reads the routing weights the graph computed on scored rows
+    # (or routes the graph's hidden states in a mode that does not route);
+    # the oracle routes the full-row graph's routing inputs per vector
+    cfg, data = train_setup
+    sec = dataclasses.replace
+    cfg = sec(cfg, model=sec(cfg.model, n_layers=2),
+              router=sec(cfg.router, **router), atmoe=sec(cfg.atmoe, lam=0.3))
+    model = ToyTransformer(cfg)
+    jitter_params(model)
+    rng = seeded_rng(17)
+    for name in model.router_param_names():  # routing that varies row to row
+        model.params[name] = model.params[name] + rng.normal(0.0, 2.0, model.params[name].shape)
+    rep = evaluate(model, data, mode=mode)
+
+    hits = {g.name: 0 for g in model.groups}
+    ent, n = 0.0, 0
+    for start in range(0, len(data), 64):
+        batch = data[start: start + 64]
+        tokens, _, weights = batch_arrays(batch, cfg.model.max_seq_len)
+        mask = np.zeros(tokens.shape)
+        for b, s in enumerate(batch):
+            mask[b, : len(s.tokens())] = 1.0
+        _, _, aux = model.build_graph(tokens, mode=mode, token_mask=mask)
+        b_idx, t_idx = np.nonzero(weights)
+        rows = b_idx * tokens.shape[1] + t_idx
+        for i in range(cfg.model.n_layers):
+            params = model.router_params(i)
+            for row, b in zip(rows, b_idx):
+                gw, iw, _ = batched_weights(params, aux["x_route"][i][row][None, :])
+                ent -= float((gw * np.log(gw)).sum())
+                n += 1
+                for spec in model.groups:
+                    slot = iw[0, spec.group_id, : spec.size].argmax()
+                    hits[spec.name] += spec.expert_ids[slot] in \
+                        batch[b].relevant_experts.get(spec.name, ())
+    assert n == cfg.model.n_layers * rep.n_scored_tokens
+    assert abs(rep.mean_group_entropy - ent / n) <= 1e-12
+    for name, acc in rep.routing_accuracy.items():
+        assert abs(acc - hits[name] / n) <= 1e-12
 
 
 def test_grad_check_passes_and_negative_control_fails(train_setup):
