@@ -3,7 +3,8 @@
 evaluation on both eval splits, and a routing CSV dump.
 
 Everything goes through the CLI entry points, so this doubles as an
-end-to-end exercise of the command surface. Artifacts land in --workdir.
+end-to-end exercise of the command surface. Each command's wall time is
+printed after it, and the total at the end. Artifacts land in --workdir.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ REPO = Path(__file__).resolve().parent.parent
 
 def run(argv: list[str]) -> None:
     print(f"$ atmoe {' '.join(argv)}")
+    t0 = time.perf_counter()
     code = cli(argv)
     if code != 0:
         raise SystemExit(f"command failed with exit code {code}: {argv}")
+    print(f"  wall time: {time.perf_counter() - t0:.1f}s")
 
 
 def main() -> int:

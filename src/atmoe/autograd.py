@@ -313,10 +313,14 @@ def masked_temp_softmax(logits: Tensor, mask: np.ndarray | None, tau: float) -> 
 
 
 def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax over the last axis, in place: ``z`` must be a fresh array.
+    Masked slots get an additive -inf, so they come out exactly 0."""
     if mask is not None:
-        z = np.where(mask, z, -np.inf)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        z += np.where(mask, 0.0, -np.inf)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:

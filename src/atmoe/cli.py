@@ -21,7 +21,7 @@ from .config import Config, ConfigError, ModelSection, load_config
 from .model import MODES, ToyTransformer
 from .numerics import derive_rng, mix_seed
 from .taskgen import TaskCatalog, generate, per_task_split, read_jsonl, write_jsonl
-from .training import (StageOrderError, evaluate, grad_check, train_expert,
+from .training import (PrefixCache, StageOrderError, evaluate, grad_check, train_expert,
                        train_premerged, train_router)
 
 CSV_HEADER = ("layer,token_index,group_id,group_name,expert_slot,"
@@ -118,7 +118,8 @@ def cmd_train(args) -> int:
         empty = [tid for tid in model.task_adapter_ids if not buckets.get(tid)]
         if empty:
             raise ValueError(f"{train_path}: empty data bucket for task(s) {empty}")
-        reports = [train_expert(model, tid, buckets.get(tid, []), cfg)
+        cache = PrefixCache(model, samples)
+        reports = [train_expert(model, tid, buckets[tid], cfg, cache)
                    for tid in model.task_adapter_ids]
     elif args.stage == "premerged":
         model = _require_ckpt(args.ckpt_in, "premerged", "experts", cfg).model
@@ -149,6 +150,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.lam is not None and not 0.0 <= args.lam <= 1.0:  # NaN fails too
         raise ValueError(f"--lam must lie in [0, 1], got {args.lam}")
+    if (args.adapter_id is None) == (args.mode == "adapter"):
+        raise ValueError("--adapter-id is required by --mode adapter and valid only there")
+    if args.lam is not None and args.mode != "full":
+        raise ValueError("--lam applies only to --mode full")
     loaded = load_checkpoint(args.ckpt)
     data = read_jsonl(args.data)
     _check_seq_len(data, loaded.model.cfg.model.max_seq_len, args.data)

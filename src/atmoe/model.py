@@ -48,6 +48,7 @@ READOUT_STD = 0.02
 ROUTER_STD = 0.02
 
 MODES = ("full", "base", "adapter")
+PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.ln1.", "blocks.0.attn.")  # name prefixes
 
 # ---------------------------------------------------------------------------
 # Coded-reservoir layout. First 32 residual coordinates:
@@ -392,12 +393,31 @@ class ToyTransformer:
             raise ValueError("token id out of vocabulary")
         return tokens
 
+    def frozen_prefix(self, tokens: np.ndarray) -> np.ndarray:
+        """``build_graph``'s ``prefix`` [B, T, d_model] for ``tokens``; no graph."""
+        return self._prefix(self._validate_tokens(tokens), ag.parameters(self.params, ())).data
+
+    def _prefix(self, tokens: np.ndarray, P: dict):
+        pos = ag.getitem(P["pos_emb"], slice(0, tokens.shape[1]))
+        return self._attend(ag.add(ag.embedding(P["tok_emb"], tokens), pos), P, 0)
+
+    def _attend(self, h, P: dict, layer: int):
+        b, T = f"blocks.{layer}", h.shape[1]
+        a = ag.layer_norm(h, P[f"{b}.ln1.gain"], P[f"{b}.ln1.bias"])
+        attn = [P[f"{b}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
+        causal = np.tril(np.ones((T, T), dtype=bool))
+        return ag.add(h, ag.causal_attention(a, *attn, self.cfg.model.n_heads, causal))
+
     def build_graph(self, tokens: np.ndarray, trainable: Iterable[str] = (),
                     mode: str = "full", adapter_id: str | None = None,
                     lam_override: float | None = None,
                     token_mask: np.ndarray | None = None,
-                    rows: np.ndarray | None = None):
+                    rows: np.ndarray | None = None,
+                    prefix: np.ndarray | None = None):
         """Batched forward graph; returns (logits Tensor, leaf dict, aux).
+
+        ``prefix``, a constant from ``frozen_prefix``, replaces the embedding and
+        block 0's attention, so their ``PREFIX_PARAMS`` must stay frozen.
 
         ``rows``, sorted unique flat indices into the B*T positions, selects
         the positions whose logits are needed: the last block past its
@@ -423,19 +443,17 @@ class ToyTransformer:
         m = self.cfg.model
         pooled = self.cfg.router.pooled
         P = ag.parameters(self.params, trainable)
+        if prefix is not None and any(P[n].requires_grad for n in P if n.startswith(PREFIX_PARAMS)):
+            raise ValueError("a prefix needs frozen embeddings and block 0 attention")
         lam = self.cfg.atmoe.lam if lam_override is None else float(lam_override)
         if token_mask is None:
             token_mask = np.ones((B, T))
-        causal = np.tril(np.ones((T, T), dtype=bool))
         aux: dict = {"moe_input": [], "moe_output": [], "x_route": [], "gw_nodes": [], "iw": []}
 
-        h = ag.add(ag.embedding(P["tok_emb"], tokens), ag.getitem(P["pos_emb"], slice(0, T)))
+        h = self._prefix(tokens, P) if prefix is None else ag.Tensor(prefix)
         for i in range(m.n_layers):
             b = f"blocks.{i}"
-            a = ag.layer_norm(h, P[f"{b}.ln1.gain"], P[f"{b}.ln1.bias"])
-            attn = [P[f"{b}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
-            h = ag.reshape(ag.add(h, ag.causal_attention(a, *attn, m.n_heads, causal)),
-                           (B * T, m.d_model))
+            h = ag.reshape(h if i == 0 else self._attend(h, P, i), (B * T, m.d_model))
             pick = rows is not None and i == m.n_layers - 1
             if pick and not pooled:
                 h = ag.getitem(h, rows)
@@ -518,24 +536,22 @@ class ToyTransformer:
     def loss_graph(self, tokens, targets, weights, trainable: Iterable[str] = (),
                    mode: str = "full", adapter_id: str | None = None,
                    lam_override: float | None = None, entropy_bonus: float = 0.0,
-                   token_mask: np.ndarray | None = None):
+                   token_mask: np.ndarray | None = None, prefix: np.ndarray | None = None):
         """Scored-position cross entropy; returns (loss Tensor, leaf dict, aux).
         Only the rows with a nonzero weight reach the head (see ``build_graph``)."""
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         rows = np.flatnonzero(weights)
         logits, P, aux = self.build_graph(
-            tokens, trainable, mode, adapter_id, lam_override, token_mask, rows
+            tokens, trainable, mode, adapter_id, lam_override, token_mask, rows, prefix
         )
         loss = ag.cross_entropy(logits, np.asarray(targets).reshape(-1)[rows], weights[rows])
-        if entropy_bonus > 0.0 and aux["gw_nodes"]:
-            # reward spread-out group weights; experimental, off by default
-            total = None
-            for gw in aux["gw_nodes"]:
-                n = gw.shape[0]
-                neg_ent = ag.mul(ag.reduce_sum(ag.reduce_sum(ag.mul(gw, ag.log(gw)), 1), 0),
-                                 1.0 / n)
-                total = neg_ent if total is None else ag.add(total, neg_ent)
-            loss = ag.add(loss, ag.mul(total, entropy_bonus / len(aux["gw_nodes"])))
+        gws = aux["gw_nodes"]
+        if entropy_bonus > 0.0 and gws:
+            # reward spread-out group weights over every layer's scored rows
+            # (the last layer holds only those); experimental, off by default
+            picked = [ag.getitem(gw, rows) for gw in gws[:-1]] + gws[-1:]
+            total = sum(ag.reduce_sum(ag.reduce_sum(ag.mul(gw, ag.log(gw)), 1), 0) for gw in picked)
+            loss = ag.add(loss, ag.mul(total, entropy_bonus / (len(gws) * len(rows))))
         return loss, P, aux
 
     def forward_logits(self, tokens, mode: str = "full",

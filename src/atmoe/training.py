@@ -11,6 +11,7 @@ expert-relevance labels carried with each sample.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .numerics import derive_rng, finite_diff_grad
 from .taskgen import Sample, batch_arrays
 
 EVAL_BATCH = 64
+PREFIX_CHUNK = 64
 
 
 class StageOrderError(RuntimeError):
@@ -123,10 +125,37 @@ def _valid_mask(batch: list[Sample], T: int) -> np.ndarray:
     return mask
 
 
+class PrefixCache:
+    """``frozen_prefix`` of each distinct sequence's real tokens: one float64
+    [sum of lengths, d_model] array and each sequence's row offset."""
+
+    def __init__(self, model: ToyTransformer, samples: list[Sample]):
+        uniq = list({tuple(s.tokens()): s for s in samples}.values())
+        starts = np.cumsum([0] + [len(s.tokens()) for s in uniq])
+        self.offsets = {tuple(s.tokens()): int(o) for s, o in zip(uniq, starts)}
+        # an own mapping: freeing a malloc'd block this big raises glibc's mmap
+        # threshold, and later stages' arrays would then stay resident
+        n, d = int(starts[-1]), model.cfg.model.d_model
+        self.data = np.frombuffer(mmap.mmap(-1, 8 * n * d)).reshape(n, d)
+        for c in range(0, len(uniq), PREFIX_CHUNK):
+            chunk = uniq[c : c + PREFIX_CHUNK]
+            h = model.frozen_prefix(batch_arrays(chunk, model.cfg.model.max_seq_len)[0])
+            self.data[starts[c] : starts[c + len(chunk)]] = h[_valid_mask(chunk, h.shape[1]) > 0]
+
+    def batch(self, batch: list[Sample], T: int) -> np.ndarray:
+        """The prefix [B, T, d_model] of a batch; pad rows are 0."""
+        out = np.zeros((len(batch), T, self.data.shape[1]))
+        for b, s in enumerate(batch):
+            seq = tuple(s.tokens())
+            out[b, : len(seq)] = self.data[self.offsets[seq] : self.offsets[seq] + len(seq)]
+        return out
+
+
 def _run_stage(model: ToyTransformer, samples: list[Sample], trainable: list[str],
                mode: str, adapter_id: str | None, stage, seed: int, stage_tag: str,
-               entropy_bonus: float = 0.0) -> list[float]:
+               entropy_bonus: float = 0.0, cache: PrefixCache | None = None) -> list[float]:
     """Epoch loop shared by the three stages; returns per-epoch mean losses."""
+    cache = cache or PrefixCache(model, samples)
     opt = Adam(model.params, trainable, stage.learning_rate,
                stage.beta1, stage.beta2, stage.eps)
     max_len = model.cfg.model.max_seq_len
@@ -141,6 +170,7 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], trainable: list[str
                 tokens, targets, weights, trainable=trainable, mode=mode,
                 adapter_id=adapter_id, entropy_bonus=entropy_bonus,
                 token_mask=_valid_mask(batch, tokens.shape[1]),
+                prefix=cache.batch(batch, tokens.shape[1]),
             )
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"non-finite loss in stage {stage_tag!r}")
@@ -156,7 +186,7 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], trainable: list[str
 
 
 def train_expert(model: ToyTransformer, task_id: str, data: list[Sample],
-                 cfg: Config) -> TrainReport:
+                 cfg: Config, cache: PrefixCache | None = None) -> TrainReport:
     """Stage 1: fit one task adapter on its bucket; everything else frozen."""
     if task_id not in model.task_adapter_ids:
         raise KeyError(f"unknown task adapter: {task_id!r}")
@@ -164,7 +194,7 @@ def train_expert(model: ToyTransformer, task_id: str, data: list[Sample],
         raise ValueError(f"empty data bucket for task {task_id!r}")
     stage = cfg.training.experts
     losses = _run_stage(model, data, model.adapter_param_names(task_id),
-                        "adapter", task_id, stage, cfg.seed, f"expert:{task_id}")
+                        "adapter", task_id, stage, cfg.seed, f"expert:{task_id}", cache=cache)
     return TrainReport("experts", task_id, len(data), stage.epochs,
                        stage.batch_size, stage.learning_rate, losses)
 

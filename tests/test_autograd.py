@@ -450,3 +450,65 @@ def test_view_gradient_then_second_gradient(view_first):
     np.testing.assert_array_equal(r.grad, c2)
     assert not np.shares_memory(x.grad, t.grad)
     assert not np.shares_memory(x.grad, r.grad)
+
+
+def _where_softmax(z, mask):
+    """The softmax and its VJP as out-of-place ``np.where`` formulas."""
+    if mask is not None:
+        z = np.where(mask, z, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _random_inputs(seed):
+    """Random causal [B, H, T, T] scores and [N, G, M] slot-masked logits;
+    every slot mask keeps at least one slot per row."""
+    rng = seeded_rng(seed)
+    B, H, T, N, G, M = 3, 2, 7, 9, 4, 3
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    slots = rng.random((G, M)) < 0.5
+    slots[np.arange(G), rng.integers(0, M, size=G)] = True
+    return [(rng.normal(scale=3.0, size=(B, H, T, T)), causal),
+            (rng.normal(scale=3.0, size=(N, G, M)), slots),
+            (rng.normal(scale=3.0, size=(N, G, M)), None)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_in_place_softmax_is_bit_identical_to_where_formula(seed):
+    for z, mask in _random_inputs(seed):
+        z0 = z.copy()
+        y = ag._masked_softmax(z, mask)
+        want = _where_softmax(z0, mask)
+        np.testing.assert_array_equal(y, want)
+        if mask is not None:
+            assert (y[..., ~mask] == 0.0).all()
+        g = seeded_rng(seed + 10).normal(size=y.shape)
+        g0 = g.copy()
+        np.testing.assert_array_equal(ag._softmax_vjp(g, y),
+                                      (g0 - (g0 * want).sum(axis=-1, keepdims=True)) * want)
+        np.testing.assert_array_equal(g, g0)
+        np.testing.assert_array_equal(y, want)
+
+
+def test_softmax_ops_leave_inputs_and_upstream_gradient_unchanged():
+    rng = seeded_rng(12)
+    _, (logits, slots), _ = _random_inputs(3)
+    a = rng.normal(size=(2, 5, 4))
+    ws = [rng.normal(size=(4, 4)) for _ in range(4)]
+    causal = np.tril(np.ones((5, 5), dtype=bool))
+    cases = [
+        ([logits], lambda t: ag.masked_temp_softmax(t[0], slots, 0.7)),
+        ([a, *ws], lambda t: ag.causal_attention(*t, 2, causal)),
+    ]
+    for arrays, op in cases:
+        leaves = [ag.Tensor(x.copy(), requires_grad=True) for x in arrays]
+        out = op(leaves)
+        out_data = out.data.copy()
+        g = rng.normal(size=out.shape)
+        g0 = g.copy()
+        out._backward(g)
+        np.testing.assert_array_equal(g, g0)
+        np.testing.assert_array_equal(out.data, out_data)
+        for leaf, x in zip(leaves, arrays):
+            np.testing.assert_array_equal(leaf.data, x)
+            assert leaf.grad is not None

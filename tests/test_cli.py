@@ -13,6 +13,7 @@ from atmoe import cli
 from atmoe.checkpoint import load_checkpoint
 from atmoe.cli import CSV_HEADER, main
 from atmoe.config import Config, save_config
+from atmoe.model import ToyTransformer
 from atmoe.taskgen import read_jsonl, write_jsonl
 
 from conftest import tiny_config
@@ -150,6 +151,45 @@ def test_eval_rejects_lam_outside_unit_interval(workdir, tmp_path, monkeypatch, 
                  "--data", str(data / "eval_multi.jsonl"),
                  "--lam", lam, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "full", "--adapter-id", "bogus"],
+    ["--mode", "base", "--adapter-id", "identity"],
+    ["--mode", "base", "--lam", "0.5"],
+    ["--mode", "adapter", "--adapter-id", "identity", "--lam", "0.5"],
+    ["--mode", "adapter"],
+])
+def test_eval_rejects_flags_its_mode_does_not_use(workdir, tmp_path, monkeypatch, flags):
+    root, _, _, data = workdir
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached data reading or evaluation")
+
+    for name in ("read_jsonl", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(root / "router.json"),
+                 "--data", str(data / "eval_multi.jsonl"), *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_train_experts_computes_each_prefix_once(workdir, tmp_path, monkeypatch):
+    # one cache serves all experts, and no step rebuilds the prefix from
+    # token ids: the cache and the token path share ``_prefix``
+    _, _, cfg_path, data = workdir
+    seqs = {tuple(s.tokens()) for s in read_jsonl(data / "train.jsonl")}
+    computed = []
+    prefix = ToyTransformer._prefix
+
+    def counting_prefix(self, tokens, P):
+        computed.append(len(tokens))
+        return prefix(self, tokens, P)
+
+    monkeypatch.setattr(ToyTransformer, "_prefix", counting_prefix)
+    assert main(["train", "--stage", "experts", "--config", str(cfg_path),
+                 "--data", str(data), "--ckpt-out", str(tmp_path / "experts.json")]) == 0
+    assert sum(computed) == len(seqs)
 
 
 def test_inspect_csv_layout_and_sums(workdir, tmp_path):

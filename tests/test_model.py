@@ -201,10 +201,10 @@ def test_build_graph_exposes_routing_internals(tiny_model, tiny_tokens):
 ROUTERS = [{}, {"pooled": True}, {"static_intra_group": True}]
 
 
-def _routed_model(router):
-    """A jittered 2-layer model with the given router settings."""
+def _routed_model(router, n_layers=2):
+    """A jittered model with the given router settings."""
     sec = dataclasses.replace
-    cfg = tiny_config(n_layers=2)
+    cfg = tiny_config(n_layers=n_layers)
     cfg = sec(cfg, router=sec(cfg.router, **router), atmoe=sec(cfg.atmoe, lam=0.3))
     model = M.ToyTransformer(cfg)
     jitter_params(model)
@@ -287,10 +287,12 @@ def test_entropy_bonus_adds_mean_negative_group_entropy(router):
     ce, _, _ = model.loss_graph(tokens, targets, weights, token_mask=token_mask)
     loss, _, aux = model.loss_graph(tokens, targets, weights, entropy_bonus=bonus,
                                     token_mask=token_mask)
-    # layer 0 averages over every position, the last layer over scored ones
+    # every layer averages over the scored rows; the last layer holds only those
+    rows = np.flatnonzero(weights)
     gws = [gw.data for gw in aux["gw_nodes"]]
-    assert [len(gw) for gw in gws] == [tokens.size, int(weights.sum())]
-    neg_ent = [float((gw * np.log(gw)).sum()) / len(gw) for gw in gws]
+    assert [len(gw) for gw in gws] == [tokens.size, len(rows)]
+    gws[0] = gws[0][rows]
+    neg_ent = [float((gw * np.log(gw)).sum()) / len(rows) for gw in gws]
     want = float(ce.data) + bonus * sum(neg_ent) / len(neg_ent)
     assert abs(float(loss.data) - want) <= 1e-12 * abs(want)
 
@@ -374,3 +376,69 @@ def test_structured_base_reads_out_current_payload_token():
         probs = softmax_temp(logits[pos], 1.0)
         assert probs.argmax() == tokens[pos]
         assert probs[tokens[pos]] > 0.3
+
+
+def _stage_setup(model, stage):
+    """(mode, adapter id, trainable names) of one training stage."""
+    return {
+        "expert": ("adapter", model.task_adapter_ids[1],
+                   model.adapter_param_names(model.task_adapter_ids[1])),
+        "premerged": ("adapter", PREMERGED_ID, model.adapter_param_names(PREMERGED_ID)),
+        "router": ("full", None, model.router_param_names()),
+        "past_prefix": ("full", None, [n for n in model.params
+                                       if not n.startswith(M.PREFIX_PARAMS)]),
+    }[stage]
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("router", ROUTERS)
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("stage", ["expert", "premerged", "router", "past_prefix"])
+def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
+    # the frozen prefix as a constant against the graph from token ids
+    model = _routed_model(router, n_layers)
+    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    mode, aid, trainable = _stage_setup(model, stage)
+    prefix = model.frozen_prefix(tokens)
+    assert prefix.shape == tokens.shape + (model.cfg.model.d_model,)
+    runs = []
+    for pre in (prefix, None):
+        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, mode, aid, lam,
+                                      0.1, token_mask, pre)
+        loss.backward()
+        runs.append((loss.data, _grads(P, trainable, model.params)))
+    (loss, grads), (want_loss, want_grads) = runs
+    assert _close(loss, want_loss)
+    for name, g, want in zip(trainable, grads, want_grads):
+        assert _close(g, want), name
+
+
+@pytest.mark.parametrize("name", ["tok_emb", "pos_emb", "blocks.0.ln1.gain", "blocks.0.ln1.bias",
+                                  "blocks.0.attn.wq", "blocks.0.attn.wk", "blocks.0.attn.wv",
+                                  "blocks.0.attn.wo"])
+def test_prefix_rejects_trainable_prefix_parameter(name):
+    model = _routed_model({})
+    assert name.startswith(M.PREFIX_PARAMS) and name in model.params
+    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    with pytest.raises(ValueError):
+        model.loss_graph(tokens, targets, weights, [name, "unembed"],
+                         token_mask=token_mask, prefix=model.frozen_prefix(tokens))
+
+
+@pytest.mark.parametrize("router", ROUTERS)
+def test_pad_columns_leave_loss_and_router_gradient_unchanged(router):
+    # with the entropy bonus on, every layer must average over scored rows
+    model = _routed_model(router)
+    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    names = model.router_param_names()
+    runs = []
+    for pad in (0, 2):
+        wide = [np.pad(a, ((0, 0), (0, pad))) for a in (tokens, targets, weights, token_mask)]
+        loss, P, _ = model.loss_graph(*wide[:3], names, entropy_bonus=0.1,
+                                      token_mask=wide[3])
+        loss.backward()
+        runs.append((loss.data, _grads(P, names, model.params)))
+    (loss, grads), (want_loss, want_grads) = runs
+    assert _close(loss, want_loss)
+    for name, g, want in zip(names, grads, want_grads):
+        assert _close(g, want), name

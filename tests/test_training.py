@@ -11,9 +11,11 @@ from atmoe.model import ToyTransformer
 from atmoe.numerics import seeded_rng
 from atmoe.router import batched_weights
 from atmoe.taskgen import TaskCatalog, batch_arrays, generate, per_task_split
+from atmoe import training
 from atmoe.training import (
     Adam,
     EvalReport,
+    PrefixCache,
     StageOrderError,
     TrainReport,
     evaluate,
@@ -264,3 +266,45 @@ def test_grad_check_validates_subset(train_setup):
         grad_check(model, data[0], [])
     with pytest.raises(KeyError):
         grad_check(model, data[0], ["ghost"])
+
+
+def test_prefix_cache_layout_and_size(train_setup):
+    cfg, data = train_setup
+    model = ToyTransformer(cfg)
+    cache = PrefixCache(model, data + data[:3])
+    seqs = {tuple(s.tokens()) for s in data}
+    assert set(cache.offsets) == seqs
+    assert cache.data.dtype == np.float64 and cache.data.flags.c_contiguous
+    assert cache.data.nbytes == sum(map(len, seqs)) * cfg.model.d_model * 8
+
+
+@pytest.mark.parametrize("router", [{}, {"pooled": True}, {"static_intra_group": True}])
+@pytest.mark.parametrize("mode", ["adapter", "full"])
+def test_prefix_from_cache_matches_token_path(train_setup, monkeypatch, router, mode):
+    # other chunking than the default, and a batch whose pad rows are zeros
+    cfg, data = train_setup
+    sec = dataclasses.replace
+    cfg = sec(cfg, model=sec(cfg.model, n_layers=2), router=sec(cfg.router, **router),
+              atmoe=sec(cfg.atmoe, lam=0.3))
+    model = ToyTransformer(cfg)
+    jitter_params(model)
+    monkeypatch.setattr(training, "PREFIX_CHUNK", 5)
+    cache = PrefixCache(model, data)
+    batch = data[7:16]
+    tokens, targets, weights = batch_arrays(batch, cfg.model.max_seq_len)
+    mask = training._valid_mask(batch, tokens.shape[1])
+    assert not mask.all()
+    prefix = cache.batch(batch, tokens.shape[1])
+    assert not prefix[mask == 0].any()
+    aid = model.task_adapter_ids[0] if mode == "adapter" else None
+    trainable = model.adapter_param_names(aid) if aid else model.router_param_names()
+    runs = []
+    for pre in (prefix, None):
+        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, mode, aid,
+                                      entropy_bonus=0.1, token_mask=mask, prefix=pre)
+        loss.backward()
+        runs.append((loss.data, [P[n].grad for n in trainable]))
+    (loss, grads), (want_loss, want_grads) = runs
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name, g, want in zip(trainable, grads, want_grads):
+        assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want), name
