@@ -1,15 +1,11 @@
 """Task-adapter mixture with layer-wise grouped routing on a tiny frozen
 transformer, plus its three-stage training pipeline and synthetic benchmark."""
 
-from .adapters import AdapterSet, LoraAdapter, apply, delta_weight, init_adapter
 from .checkpoint import (CheckpointError, LoadedCheckpoint, load_checkpoint,
                          save_checkpoint)
-from .composition import AtMoeLinear, RoutingReport, composed_delta, forward, routing_report
 from .config import Config, ConfigError, load_config, save_config
 from .model import ToyTransformer
-from .router import (GroupSpec, RouterLayerParams, batched_weights, build_groups,
-                     combined_expert_weights, group_weights, init_router_params,
-                     intra_group_weights, slot_mask)
+from .router import GroupSpec, build_groups, routing, slot_mask
 from .taskgen import Sample, TaskCatalog, generate, per_task_split, read_jsonl, write_jsonl
 from .training import (Adam, EvalReport, StageOrderError, TrainReport, evaluate,
                        grad_check, train_expert, train_premerged, train_router)
@@ -17,13 +13,10 @@ from .training import (Adam, EvalReport, StageOrderError, TrainReport, evaluate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "AdapterSet", "AtMoeLinear", "CheckpointError", "Config", "ConfigError",
-    "EvalReport", "GroupSpec", "LoadedCheckpoint", "LoraAdapter", "RouterLayerParams",
-    "RoutingReport", "Sample", "StageOrderError", "TaskCatalog", "ToyTransformer",
-    "TrainReport", "apply", "batched_weights", "build_groups", "combined_expert_weights",
-    "composed_delta", "delta_weight", "evaluate", "forward", "generate", "grad_check",
-    "group_weights", "init_adapter", "init_router_params", "intra_group_weights",
-    "load_checkpoint", "load_config", "per_task_split", "read_jsonl", "routing_report",
-    "save_checkpoint", "save_config", "slot_mask", "train_expert", "train_premerged",
-    "train_router", "write_jsonl",
+    "Adam", "CheckpointError", "Config", "ConfigError", "EvalReport", "GroupSpec",
+    "LoadedCheckpoint", "Sample", "StageOrderError", "TaskCatalog", "ToyTransformer",
+    "TrainReport", "build_groups", "evaluate", "generate", "grad_check", "load_checkpoint",
+    "load_config", "per_task_split", "read_jsonl", "routing", "save_checkpoint",
+    "save_config", "slot_mask", "train_expert", "train_premerged", "train_router",
+    "write_jsonl",
 ]

@@ -1,11 +1,13 @@
 """Self-describing JSON checkpoints.
 
-One document carries the full config, the stage marker, seeds, and every
-named parameter as a flat row-major number list with dtype and shape. A
-sha256 checksum over the canonical serialization (sorted keys, compact
-separators, checksum field excluded) validates on load. f64 storage
-round-trips bit-identically; f32 halves the file at 1e-6-relative fidelity.
-Writes go to a temp file first and rename into place.
+One canonical JSON document (sorted keys, compact separators) carries the full
+config, the stage marker, seeds, and every named parameter as its shape and a
+flat row-major list of float64 values, which round-trip bit-identically. The
+sha256 checksum, verified on load, covers two parts in turn: the canonical
+JSON of the document without ``tensors`` and ``checksum``, then, per tensor
+in sorted name order, the canonical JSON of ``[name, shape]`` and the data as
+little-endian float64 bytes. A load thus hashes the parsed arrays instead of
+re-encoding the document. Writes go to a temp file first and rename into place.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from .config import Config, ConfigError
 from .model import ToyTransformer
 from .training import StageOrderError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 STAGES = ("none", "experts", "premerged", "router")
-DTYPES = {"f64": np.float64, "f32": np.float32}
 
 
 class CheckpointError(RuntimeError):
@@ -40,27 +41,30 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _digest(doc: dict, arrays: dict[str, np.ndarray]) -> str:
+    """The checksum of ``doc`` whose tensors hold ``arrays`` (name -> values)."""
+    head = {k: v for k, v in doc.items() if k not in ("tensors", "checksum")}
+    h = hashlib.sha256(canonical_json(head).encode("utf-8"))
+    for name in sorted(arrays):
+        h.update(canonical_json([name, doc["tensors"][name]["shape"]]).encode("utf-8"))
+        h.update(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def checkpoint_checksum(doc: dict) -> str:
-    body = {k: v for k, v in doc.items() if k != "checksum"}
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+    return _digest(doc, {name: np.asarray(entry["data"], dtype=np.float64)
+                         for name, entry in doc["tensors"].items()})
 
 
 def checkpoint_doc(model: ToyTransformer, stage_completed: str,
-                   seeds: dict | None = None, dtype: str = "f64") -> dict:
+                   seeds: dict | None = None) -> dict:
     stage_index(stage_completed)
-    if dtype not in DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {dtype!r}")
     tensors = {}
     for name in sorted(model.params):
         arr = model.params[name]
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"parameter {name!r} holds non-finite values")
-        stored = arr.astype(DTYPES[dtype])
-        tensors[name] = {
-            "dtype": dtype,
-            "shape": list(arr.shape),
-            "data": [float(v) for v in stored.ravel()],
-        }
+        tensors[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
     doc = {
         "format_version": FORMAT_VERSION,
         "config": model.cfg.to_dict(),
@@ -68,13 +72,13 @@ def checkpoint_doc(model: ToyTransformer, stage_completed: str,
         "seeds": dict(seeds) if seeds else {"config": model.cfg.seed},
         "tensors": tensors,
     }
-    doc["checksum"] = checkpoint_checksum(doc)
+    doc["checksum"] = _digest(doc, model.params)
     return doc
 
 
 def save_checkpoint(path: str | Path, model: ToyTransformer, stage_completed: str,
-                    seeds: dict | None = None, dtype: str = "f64") -> dict:
-    doc = checkpoint_doc(model, stage_completed, seeds, dtype)
+                    seeds: dict | None = None) -> dict:
+    doc = checkpoint_doc(model, stage_completed, seeds)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -111,22 +115,31 @@ def restore_checkpoint(doc: dict) -> LoadedCheckpoint:
             raise CheckpointError(f"checkpoint is missing the {key!r} field")
     if doc["format_version"] != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {doc['format_version']!r}")
-    if checkpoint_checksum(doc) != doc["checksum"]:
+    if not isinstance(doc["tensors"], dict):
+        raise CheckpointError("checkpoint 'tensors' must be a JSON object")
+    flat = {}
+    for name, entry in doc["tensors"].items():
+        if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
+            held = sorted(entry) if isinstance(entry, dict) else type(entry).__name__
+            raise CheckpointError(f"tensor {name!r} holds {held}, not the f64 'shape' and 'data'")
+        try:
+            flat[name] = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"tensor {name!r} data is not a list of numbers") from exc
+    if _digest(doc, flat) != doc["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch (corrupt or edited file)")
+    params = {}
+    for name, data in flat.items():
+        try:
+            params[name] = data.reshape(doc["tensors"][name]["shape"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"tensor {name!r} data disagrees with its shape") from exc
     stage = doc["stage_completed"]
     stage_index(stage)
     try:
         cfg = Config.from_dict(doc["config"])
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
-    params = {}
-    for name, entry in doc["tensors"].items():
-        if entry.get("dtype") not in DTYPES:
-            raise CheckpointError(f"tensor {name!r} has unknown dtype {entry.get('dtype')!r}")
-        arr = np.asarray(entry["data"], dtype=DTYPES[entry["dtype"]])
-        if arr.size != int(np.prod(entry["shape"], dtype=np.int64)):
-            raise CheckpointError(f"tensor {name!r} data length disagrees with its shape")
-        params[name] = arr.reshape(entry["shape"]).astype(np.float64)
     try:
         model = ToyTransformer(cfg, params)
     except (ValueError, KeyError) as exc:

@@ -26,6 +26,7 @@ from .training import (PrefixCache, StageOrderError, evaluate, grad_check, train
 
 CSV_HEADER = ("layer,token_index,group_id,group_name,expert_slot,"
               "adapter_id,group_weight,intra_weight,combined_weight")
+PAD_SLOT = "PAD"  # the adapter_id of a padded slot
 GRAD_TOLERANCE = 1e-4
 
 
@@ -128,7 +129,7 @@ def cmd_train(args) -> int:
         model = _require_ckpt(args.ckpt_in, "router", "premerged", cfg).model
         reports = [train_router(model, samples, cfg)]
 
-    save_checkpoint(args.ckpt_out, model, args.stage, seeds, dtype=args.dtype)
+    save_checkpoint(args.ckpt_out, model, args.stage, seeds)
     report_doc = {
         "stage": args.stage,
         "data": str(train_path),
@@ -155,6 +156,9 @@ def cmd_eval(args) -> int:
     if args.lam is not None and args.mode != "full":
         raise ValueError("--lam applies only to --mode full")
     loaded = load_checkpoint(args.ckpt)
+    if args.adapter_id is not None and args.adapter_id not in loaded.model.adapter_ids:
+        raise ValueError(f"unknown adapter id {args.adapter_id!r}; the checkpoint has "
+                       f"{loaded.model.adapter_ids}")
     data = read_jsonl(args.data)
     _check_seq_len(data, loaded.model.cfg.model.max_seq_len, args.data)
     report = evaluate(loaded.model, data, mode=args.mode,
@@ -175,16 +179,16 @@ def cmd_inspect(args) -> int:
     if not fields:
         raise ValueError("no tokens given")
     tokens = np.asarray([int(t) for t in fields], dtype=np.int64)
-    trace = model.layer_routing_trace(tokens)
     lines = [CSV_HEADER]
-    for layer_i, per_token in enumerate(trace):
-        for t_i, rep in enumerate(per_token):
-            for g, gname in enumerate(rep.group_names):
+    for layer_i, (gw, iw) in enumerate(model.layer_routing_trace(tokens)):
+        for t_i in range(len(tokens)):
+            for spec in model.groups:
+                g = spec.group_id
                 for m in range(model.cfg.max_group_size):
+                    aid = spec.expert_ids[m] if m < spec.size else PAD_SLOT
                     lines.append(
-                        f"{layer_i},{t_i},{g},{gname},{m},{rep.slot_adapter_ids[g][m]},"
-                        f"{rep.group_weights[g]:.9f},{rep.intra_weights[g][m]:.9f},"
-                        f"{rep.combined_weights[g][m]:.9f}")
+                        f"{layer_i},{t_i},{g},{spec.name},{m},{aid},{gw[t_i, g]:.9f},"
+                        f"{iw[t_i, g, m]:.9f},{gw[t_i, g] * iw[t_i, g, m]:.9f}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.out}")
     return 0
@@ -269,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--ckpt-in", default=None)
     t.add_argument("--ckpt-out", required=True)
     t.add_argument("--report", default=None)
-    t.add_argument("--dtype", default="f64", choices=("f64", "f32"))
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+PREMERGED_ID = "premerged"  # the merged-data adapter's id, reserved in groups
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
@@ -45,7 +47,6 @@ class RouterSection:
 @dataclass
 class AtMoeSection:
     lam: float = 0.5  # serialized as "lambda"
-    targets: tuple[str, ...] = ("ffn_down",)
 
 
 @dataclass
@@ -113,11 +114,6 @@ class Config:
     def max_group_size(self) -> int:
         return max(len(g.experts) for g in self.groups)
 
-    def adapter_ids(self) -> list[str]:
-        """Task adapter ids in group order, then the pre-merged id."""
-        ids = [e for g in self.groups for e in g.experts]
-        return ids + ["premerged"]
-
     def validate(self) -> None:
         m = self.model
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len", "rank"):
@@ -149,15 +145,13 @@ class Config:
             raise ConfigError("router temperatures must be positive")
         if not 0.0 <= self.atmoe.lam <= 1.0:
             raise ConfigError("atmoe.lambda must lie in [0, 1]")
-        if tuple(self.atmoe.targets) != ("ffn_down",):
-            raise ConfigError(f"unsupported atmoe.targets: {self.atmoe.targets}")
         if not self.groups:
             raise ConfigError("at least one expert group is required")
         ids = [e for g in self.groups for e in g.experts]
         if len(set(ids)) != len(ids):
             raise ConfigError("expert ids must be unique across groups")
-        if "premerged" in ids:
-            raise ConfigError('"premerged" is reserved for the merged-data adapter')
+        if PREMERGED_ID in ids:
+            raise ConfigError(f"{PREMERGED_ID!r} is reserved for the merged-data adapter")
         if any(len(g.experts) < 1 for g in self.groups):
             raise ConfigError("every group needs at least one expert")
         tg = self.taskgen
@@ -175,7 +169,7 @@ class Config:
             "seed": self.seed,
             "model": dataclasses.asdict(self.model),
             "router": dataclasses.asdict(self.router),
-            "atmoe": {"lambda": self.atmoe.lam, "targets": list(self.atmoe.targets)},
+            "atmoe": {"lambda": self.atmoe.lam},
             "groups": [{"name": g.name, "experts": list(g.experts)} for g in self.groups],
             "taskgen": dataclasses.asdict(self.taskgen),
             "training": {
@@ -199,11 +193,8 @@ class Config:
             cfg.router = _section(RouterSection, doc["router"], "router")
         if "atmoe" in doc:
             a = dict(doc["atmoe"])
-            _reject_unknown(a, {"lambda", "targets"}, "atmoe")
-            cfg.atmoe = AtMoeSection(
-                lam=float(a.get("lambda", 0.5)),
-                targets=tuple(a.get("targets", ("ffn_down",))),
-            )
+            _reject_unknown(a, {"lambda"}, "atmoe")
+            cfg.atmoe = AtMoeSection(lam=float(a.get("lambda", 0.5)))
         if "groups" in doc:
             groups = []
             for g in doc["groups"]:

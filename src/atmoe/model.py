@@ -2,9 +2,9 @@
 is the blended expert layer. The base weights are frozen; adapters and routers
 are the only things any training stage touches.
 
-Parameters live in a flat ``name -> ndarray`` store. Dataclass views from the
-adapter/router/composition modules wrap those arrays without copying, so the
-per-vector reference operations and the batched graph read identical state.
+Parameters live in a flat ``name -> ndarray`` store whose names and shapes
+``param_shapes`` derives from the config; the batched graph of ``build_graph``
+is the one computation over them, for training, evaluation and inspection.
 
 The default frozen base ("coded" init) is a structured reservoir rather than a
 Gaussian soup. Rank-r adapters can only add a rank-r linear map of the FFN
@@ -36,16 +36,15 @@ from typing import Iterable
 import numpy as np
 
 from . import autograd as ag
-from .adapters import PREMERGED_ID, AdapterSet, LoraAdapter
-from .composition import AtMoeLinear, RoutingReport, routing_report
-from .config import Config
+from .config import PREMERGED_ID, Config
 from .numerics import derive_rng
-from .router import RouterLayerParams, build_groups, slot_mask
+from .router import build_groups, routing, slot_mask
 from .taskgen import EOS, PAYLOAD_BASE, PAYLOAD_SIZE, TASK_TOKENS
 
 EMBED_STD = 0.1
 READOUT_STD = 0.02
 ROUTER_STD = 0.02
+ADAPTER_STD = 0.02  # LoRA A factors; B starts at 0, so a fresh adapter is inert
 
 MODES = ("full", "base", "adapter")
 PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.ln1.", "blocks.0.attn.")  # name prefixes
@@ -141,41 +140,48 @@ class ToyTransformer:
         self.groups = build_groups(cfg.groups)
         self.task_adapter_ids = [e for g in self.groups for e in g.expert_ids]
         self.adapter_ids = self.task_adapter_ids + [PREMERGED_ID]
+        self.slot_mask = slot_mask(self.groups, cfg.max_group_size)
         self.params = params if params is not None else self._init_params()
         self._check_param_names()
 
     # ------------------------------------------------------------------ setup
 
-    def expected_param_names(self) -> list[str]:
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's name and shape, in registry order."""
         m = self.cfg.model
-        names = ["tok_emb", "pos_emb"]
+        d, d_ff, G, M = m.d_model, m.d_ff, self.cfg.n_groups, self.cfg.max_group_size
+        S = {"tok_emb": (m.vocab_size, d), "pos_emb": (m.max_seq_len, d)}
         for i in range(m.n_layers):
             b = f"blocks.{i}"
-            names += [f"{b}.ln1.gain", f"{b}.ln1.bias"]
-            names += [f"{b}.attn.{w}" for w in ("wq", "wk", "wv", "wo")]
-            names += [f"{b}.ln2.gain", f"{b}.ln2.bias"]
-            names += [f"{b}.ffn.up_w", f"{b}.ffn.up_b", f"{b}.ffn.down_w0", f"{b}.ffn.down_b0"]
-            names += [f"{b}.moe.wg", f"{b}.moe.wd"]
+            S.update({f"{b}.ln1.gain": (d,), f"{b}.ln1.bias": (d,)})
+            S.update({f"{b}.attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+            S.update({f"{b}.ln2.gain": (d,), f"{b}.ln2.bias": (d,),
+                      f"{b}.ffn.up_w": (d_ff, d), f"{b}.ffn.up_b": (d_ff,),
+                      f"{b}.ffn.down_w0": (d, d_ff), f"{b}.ffn.down_b0": (d,),
+                      f"{b}.moe.wg": (d_ff, G),
+                      f"{b}.moe.wd": (G, M) if self.cfg.router.static_intra_group
+                      else (G, d_ff, M)})
             for aid in self.adapter_ids:
-                names += [f"{b}.moe.experts.{aid}.{p}" for p in ("A", "B", "scale")]
-        names += ["final_ln.gain", "final_ln.bias", "unembed"]
-        return names
+                S.update({f"{b}.moe.experts.{aid}.A": (m.rank, d_ff),
+                          f"{b}.moe.experts.{aid}.B": (d, m.rank)})
+        S.update({"final_ln.gain": (d,), "final_ln.bias": (d,), "unembed": (d, m.vocab_size)})
+        return S
 
     def _init_params(self) -> dict[str, np.ndarray]:
         m = self.cfg.model
-        G, M = self.cfg.n_groups, self.cfg.max_group_size
+        S = self.param_shapes()
         P: dict[str, np.ndarray] = {}
         coded = m.base_init == "coded"
 
-        def draw(name: str, shape: tuple[int, ...], std: float) -> None:
-            P[name] = derive_rng(self.cfg.seed, "init", name).normal(0.0, std, size=shape)
+        def draw(name: str, std: float) -> None:
+            P[name] = derive_rng(self.cfg.seed, "init", name).normal(0.0, std, size=S[name])
 
         if coded:
             P["tok_emb"] = self._coded_tok_emb()
             P["pos_emb"] = self._coded_pos_emb()
         else:
-            draw("tok_emb", (m.vocab_size, m.d_model), EMBED_STD)
-            draw("pos_emb", (m.max_seq_len, m.d_model), EMBED_STD)
+            draw("tok_emb", EMBED_STD)
+            draw("pos_emb", EMBED_STD)
         attn_std = 1.0 / np.sqrt(m.d_model)
         for i in range(m.n_layers):
             b = f"blocks.{i}"
@@ -187,7 +193,7 @@ class ToyTransformer:
                 P[f"{b}.attn.wv"], P[f"{b}.attn.wo"] = wv, wo
             else:
                 for w in ("wq", "wk", "wv", "wo"):
-                    draw(f"{b}.attn.{w}", (m.d_model, m.d_model), attn_std)
+                    draw(f"{b}.attn.{w}", attn_std)
             P[f"{b}.ln2.gain"] = np.ones(m.d_model)
             P[f"{b}.ln2.bias"] = np.zeros(m.d_model)
             if coded:
@@ -201,19 +207,15 @@ class ToyTransformer:
                 P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"] = up_w, up_b
                 P[f"{b}.ffn.down_w0"] = np.zeros((m.d_model, m.d_ff))
             else:
-                draw(f"{b}.ffn.up_w", (m.d_ff, m.d_model), attn_std)
+                draw(f"{b}.ffn.up_w", attn_std)
                 P[f"{b}.ffn.up_b"] = np.zeros(m.d_ff)
-                draw(f"{b}.ffn.down_w0", (m.d_model, m.d_ff), 1.0 / np.sqrt(m.d_ff))
+                draw(f"{b}.ffn.down_w0", 1.0 / np.sqrt(m.d_ff))
             P[f"{b}.ffn.down_b0"] = np.zeros(m.d_model)
-            draw(f"{b}.moe.wg", (m.d_ff, G), ROUTER_STD)
-            if self.cfg.router.static_intra_group:
-                draw(f"{b}.moe.wd", (G, M), ROUTER_STD)
-            else:
-                draw(f"{b}.moe.wd", (G, m.d_ff, M), ROUTER_STD)
+            draw(f"{b}.moe.wg", ROUTER_STD)
+            draw(f"{b}.moe.wd", ROUTER_STD)
             for aid in self.adapter_ids:
-                draw(f"{b}.moe.experts.{aid}.A", (m.rank, m.d_ff), 0.02)
+                draw(f"{b}.moe.experts.{aid}.A", ADAPTER_STD)
                 P[f"{b}.moe.experts.{aid}.B"] = np.zeros((m.d_model, m.rank))
-                P[f"{b}.moe.experts.{aid}.scale"] = np.ones(1)
         P["final_ln.gain"] = np.ones(m.d_model)
         P["final_ln.bias"] = np.zeros(m.d_model)
         if coded:
@@ -227,7 +229,7 @@ class ToyTransformer:
             unembed[_CONST, EOS] += EOS_READOUT
             P["unembed"] = unembed
         else:
-            draw("unembed", (m.d_model, m.vocab_size), READOUT_STD)
+            draw("unembed", READOUT_STD)
         return P
 
     def _clean_token_codes(self) -> np.ndarray:
@@ -318,10 +320,14 @@ class ToyTransformer:
         return wq, wk, wv, wo
 
     def _check_param_names(self) -> None:
-        expected, have = set(self.expected_param_names()), set(self.params)
-        if have != expected:
-            missing, extra = sorted(expected - have), sorted(have - expected)
+        shapes = self.param_shapes()
+        if set(self.params) != set(shapes):
+            missing, extra = sorted(shapes.keys() - self.params), sorted(self.params.keys() - shapes)
             raise ValueError(f"parameter store mismatch: missing={missing} extra={extra}")
+        wrong = [f"{n} {self.params[n].shape} != {s}" for n, s in shapes.items()
+                 if self.params[n].shape != s]
+        if wrong:
+            raise ValueError(f"parameter shape mismatch: {wrong}")
 
     # ------------------------------------------------------------- name sets
 
@@ -335,9 +341,6 @@ class ToyTransformer:
         return [f"blocks.{i}.moe.{p}"
                 for i in range(self.cfg.model.n_layers) for p in ("wg", "wd")]
 
-    def embedding_param_names(self) -> list[str]:
-        return ["tok_emb", "pos_emb"]
-
     def frozen_outside(self, trainable: Iterable[str]) -> list[str]:
         return sorted(set(self.params) - set(trainable))
 
@@ -345,40 +348,6 @@ class ToyTransformer:
         names = sorted(self.params) if names is None else sorted(names)
         return {n: hashlib.sha256(np.ascontiguousarray(self.params[n]).tobytes()).hexdigest()
                 for n in names}
-
-    # ----------------------------------------------------------------- views
-
-    def adapter(self, layer: int, adapter_id: str) -> LoraAdapter:
-        b = f"blocks.{layer}.moe.experts.{adapter_id}"
-        return LoraAdapter(
-            adapter_id=adapter_id,
-            task_id=PREMERGED_ID if adapter_id == PREMERGED_ID else adapter_id,
-            B=self.params[f"{b}.B"],
-            A=self.params[f"{b}.A"],
-            scaling=float(self.params[f"{b}.scale"][0]),
-        )
-
-    def adapter_set(self, layer: int) -> AdapterSet:
-        return AdapterSet({aid: self.adapter(layer, aid) for aid in self.adapter_ids})
-
-    def router_params(self, layer: int) -> RouterLayerParams:
-        return RouterLayerParams(
-            wg=self.params[f"blocks.{layer}.moe.wg"],
-            wd=self.params[f"blocks.{layer}.moe.wd"],
-            tau_g=self.cfg.router.tau_g,
-            tau_d=self.cfg.router.tau_d,
-            mask=slot_mask(self.groups, self.cfg.max_group_size),
-        )
-
-    def moe_layer(self, layer: int) -> AtMoeLinear:
-        return AtMoeLinear(
-            W0=self.params[f"blocks.{layer}.ffn.down_w0"],
-            bias0=self.params[f"blocks.{layer}.ffn.down_b0"],
-            groups=self.groups,
-            experts=self.adapter_set(layer),
-            router=self.router_params(layer),
-            lam=self.cfg.atmoe.lam,
-        )
 
     # ----------------------------------------------------------------- graph
 
@@ -473,23 +442,14 @@ class ToyTransformer:
         return ag.matmul(hf, P["unembed"]), P, aux
 
     def _routing(self, x_route, wg, wd):
-        """Group weights [N, G] and intra-group weights [N or 1, G, M] of the
-        routing input ``x_route`` [N, d_ff], as graph nodes."""
-        G, M = self.cfg.n_groups, self.cfg.max_group_size
         r = self.cfg.router
-        gw = ag.masked_temp_softmax(ag.matmul(x_route, wg), None, r.tau_g)
-        if r.static_intra_group:
-            dl = ag.reshape(wd, (1, G, M))
-        else:
-            flat = ag.reshape(ag.transpose(wd, (1, 0, 2)), (self.cfg.model.d_ff, G * M))
-            dl = ag.reshape(ag.matmul(x_route, flat), (x_route.shape[0], G, M))
-        return gw, ag.masked_temp_softmax(dl, slot_mask(self.groups, M), r.tau_d)
+        return routing(x_route, wg, wd, self.slot_mask, r.tau_g, r.tau_d)
 
     def routing_weights(self, layer: int, x_route: np.ndarray):
         """One layer's group [N, G] and intra-group [N, G, M] weights for the
         routing inputs ``x_route`` [N, d_ff]; no gradients."""
-        wg, wd = (ag.Tensor(self.params[f"blocks.{layer}.moe.{w}"]) for w in ("wg", "wd"))
-        gw, iw = self._routing(ag.Tensor(x_route), wg, wd)
+        b = f"blocks.{layer}.moe"
+        gw, iw = self._routing(x_route, self.params[f"{b}.wg"], self.params[f"{b}.wd"])
         return gw.data, np.broadcast_to(iw.data, (len(gw.data),) + iw.shape[1:])
 
     def _moe(self, u, x_route, P, layer: int, mode: str, adapter_id: str | None,
@@ -502,9 +462,8 @@ class ToyTransformer:
         ids = [adapter_id] if mode == "adapter" else self.adapter_ids
         As = [P[f"{b}.moe.experts.{aid}.A"] for aid in ids]
         Bs = [P[f"{b}.moe.experts.{aid}.B"] for aid in ids]
-        scales = np.array([self.params[f"{b}.moe.experts.{aid}.scale"][0] for aid in ids])
         if mode == "adapter":
-            return ag.add(base, ag.lora_mixture(u, np.broadcast_to(scales, (N, 1)), As, Bs))
+            return ag.add(base, ag.lora_mixture(u, np.ones((N, 1)), As, Bs))
 
         G, M = self.cfg.n_groups, self.cfg.max_group_size
         gw, iw = self._routing(x_route, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"])
@@ -512,15 +471,15 @@ class ToyTransformer:
         aux["iw"].append(np.broadcast_to(iw.data, (N, G, M)))
         comb = ag.mul(ag.reshape(gw, (N, G, 1)), iw)
         # Adapter coefficients in ``adapter_ids`` order: ``pick`` moves slot
-        # (g, m) of the flattened weights to its adapter's column, times
-        # lam * scale, and drops padded slots; the pre-merged column is the
-        # constant (1 - lam) * scale. At lam = 0 ``pick`` is all zeros, so the
-        # router gets an exact zero gradient.
-        slots = [g * M + s for g, spec in enumerate(self.groups) for s in range(spec.size)]
+        # (g, m) of the flattened weights to its adapter's column, times lam,
+        # and drops padded slots; the pre-merged column is the constant
+        # 1 - lam. At lam = 0 ``pick`` is all zeros, so the router gets an
+        # exact zero gradient.
+        slots = np.flatnonzero(self.slot_mask)
         pick = np.zeros((G * M, len(ids)))
-        pick[slots, np.arange(len(slots))] = lam * scales[:-1]
+        pick[slots, np.arange(len(slots))] = lam
         const = np.zeros(len(ids))
-        const[-1] = (1.0 - lam) * scales[-1]
+        const[-1] = 1.0 - lam
         coef = ag.add(ag.matmul(ag.reshape(comb, (N, G * M)), pick), const)
         return ag.add(base, ag.lora_mixture(u, coef, As, Bs))
 
@@ -583,13 +542,9 @@ class ToyTransformer:
         loss, _, _ = self.loss_graph(tokens[None, :], targets, weights)
         return float(loss.data)
 
-    def layer_routing_trace(self, tokens) -> list[list[RoutingReport]]:
-        """Per-layer, per-token routing reports for one token sequence."""
+    def layer_routing_trace(self, tokens) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per layer, the group [T, G] and intra-group [T, G, M] weights the
+        full-mode graph computes for one token sequence."""
         tokens = np.asarray(tokens, dtype=np.int64)
         _, _, aux = self.build_graph(tokens[None, :], (), "full")
-        trace = []
-        for i in range(self.cfg.model.n_layers):
-            layer_view = self.moe_layer(i)
-            rows = aux["x_route"][i]
-            trace.append([routing_report(layer_view, rows[t]) for t in range(tokens.size)])
-        return trace
+        return [(gw.data, iw) for gw, iw in zip(aux["gw_nodes"], aux["iw"])]

@@ -1,59 +1,11 @@
-"""Core numeric kernels: dense products, masked temperature softmax, seeded RNG,
-and a central-difference gradient oracle.
-
-Everything runs in float64. Matrices are plain 2-D ``numpy.ndarray`` in row-major
-order; vectors are 1-D arrays. Logit vectors may contain ``-inf`` to mark slots
-that must not participate in a softmax.
-"""
+"""Seeded random streams and a central-difference gradient oracle, in float64."""
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-Matrix = np.ndarray
-Vector = np.ndarray
-
-
-def as_matrix(rows: int, cols: int, data: Sequence[float]) -> Matrix:
-    """Build a rows x cols float64 matrix from row-major data."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.size != rows * cols:
-        raise ValueError(f"need {rows * cols} entries for {rows}x{cols}, got {arr.size}")
-    return arr.reshape(rows, cols)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit shape check.
-
-    Summation happens in float64 in a fixed order for given shapes, so repeated
-    calls on identical inputs are bit-identical.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def softmax_temp(logits, tau: float) -> Vector:
-    """Temperature softmax over a logit vector that may contain ``-inf``.
-
-    ``-inf`` entries map to exactly 0.0 and are excluded from the normalizer.
-    The maximum finite scaled logit is subtracted before exponentiation.
-    """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    z = np.asarray(logits, dtype=np.float64)
-    finite = np.isfinite(z)
-    if not finite.any():
-        raise ValueError("softmax_temp: all logits are -inf")
-    scaled = np.where(finite, z / tau, -np.inf)
-    c = scaled[finite].max()
-    e = np.exp(scaled - c)  # exp(-inf) == 0.0 exactly
-    return e / e.sum()
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta, h: float) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Adaptive grouped routing: a group-level softmax over expert categories,
-then a per-group softmax over expert slots, with unused slots padded by
-``-inf`` so they carry exactly zero weight.
+then a per-group softmax over expert slots, with unused slots masked out so
+they carry exactly zero weight.
 
 Two intra-group modes exist. The default conditions slot logits on the input
 (``W_D`` is [n_groups, in_dim, max_slots]); the static variant stores the slot
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import softmax_temp
+from . import autograd as ag
 
 
 @dataclass
@@ -54,118 +54,20 @@ def slot_mask(groups: list[GroupSpec], max_slots: int) -> np.ndarray:
     return mask
 
 
-@dataclass
-class RouterLayerParams:
-    """One transformer layer's routing state.
+def routing(x, wg, wd, mask: np.ndarray, tau_g: float, tau_d: float):
+    """Group weights [N, G] and intra-group weights [N, G, M] (static mode:
+    [1, G, M]) of the routing inputs ``x`` [N, in_dim], as graph nodes.
 
-    ``wg`` is [in_dim, n_groups]. ``wd`` is [n_groups, in_dim, max_slots] in
-    conditioned mode or [n_groups, max_slots] in static mode; the mode is
-    carried by the array rank.
+    ``wg`` is [in_dim, G]; ``wd`` is [G, in_dim, M], or [G, M] in static mode.
+    Arguments may be Tensors or arrays; slots where ``mask`` is False get
+    exactly 0.
     """
-
-    wg: np.ndarray
-    wd: np.ndarray
-    tau_g: float
-    tau_d: float
-    mask: np.ndarray  # bool [n_groups, max_slots]
-
-    def __post_init__(self):
-        if self.tau_g <= 0 or self.tau_d <= 0:
-            raise ValueError("router temperatures must be positive")
-        n_groups, max_slots = self.mask.shape
-        if self.wg.shape[1] != n_groups:
-            raise ValueError(f"wg {self.wg.shape} disagrees with {n_groups} groups")
-        if self.static:
-            if self.wd.shape != (n_groups, max_slots):
-                raise ValueError(f"static wd {self.wd.shape} != {(n_groups, max_slots)}")
-        elif self.wd.shape != (n_groups, self.wg.shape[0], max_slots):
-            raise ValueError(f"conditioned wd has shape {self.wd.shape}")
-
-    @property
-    def static(self) -> bool:
-        return self.wd.ndim == 2
-
-    @property
-    def in_dim(self) -> int:
-        return self.wg.shape[0]
-
-    @property
-    def n_groups(self) -> int:
-        return self.wg.shape[1]
-
-    @property
-    def max_slots(self) -> int:
-        return self.mask.shape[1]
-
-
-def init_router_params(groups: list[GroupSpec], in_dim: int, max_slots: int,
-                       tau_g: float, tau_d: float, static: bool,
-                       rng: np.random.Generator, init_std: float = 0.02) -> RouterLayerParams:
-    wg = rng.normal(0.0, init_std, size=(in_dim, len(groups)))
-    if static:
-        wd = rng.normal(0.0, init_std, size=(len(groups), max_slots))
+    x, wg, wd = (t if isinstance(t, ag.Tensor) else ag.Tensor(t) for t in (x, wg, wd))
+    G, M = mask.shape
+    gw = ag.masked_temp_softmax(ag.matmul(x, wg), None, tau_g)
+    if wd.data.ndim == 2:
+        dl = ag.reshape(wd, (1, G, M))
     else:
-        wd = rng.normal(0.0, init_std, size=(len(groups), in_dim, max_slots))
-    return RouterLayerParams(wg=wg, wd=wd, tau_g=tau_g, tau_d=tau_d,
-                             mask=slot_mask(groups, max_slots))
-
-
-def group_weights(params: RouterLayerParams, x: np.ndarray) -> np.ndarray:
-    """Probability over groups for one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.in_dim,):
-        raise ValueError(f"expected input of length {params.in_dim}, got shape {x.shape}")
-    return softmax_temp(x @ params.wg, params.tau_g)
-
-
-def intra_group_weights(params: RouterLayerParams, x: np.ndarray, g: int) -> np.ndarray:
-    """Probability over the expert slots of group ``g``; padded slots are 0."""
-    if not 0 <= g < params.n_groups:
-        raise ValueError(f"group index {g} out of range [0, {params.n_groups})")
-    x = np.asarray(x, dtype=np.float64)
-    if params.static:
-        logits = params.wd[g].astype(np.float64)
-    else:
-        if x.shape != (params.in_dim,):
-            raise ValueError(f"expected input of length {params.in_dim}, got shape {x.shape}")
-        logits = x @ params.wd[g]
-    logits = np.where(params.mask[g], logits, -np.inf)
-    return softmax_temp(logits, params.tau_d)
-
-
-def combined_expert_weights(params: RouterLayerParams, groups: list[GroupSpec],
-                            x: np.ndarray) -> np.ndarray:
-    """Per-expert weights [n_groups, max_slots]; total mass over real slots is 1."""
-    expected = slot_mask(groups, params.max_slots)
-    if not np.array_equal(expected, params.mask):
-        raise ValueError("router mask disagrees with the group specs")
-    gw = group_weights(params, x)
-    out = np.zeros((params.n_groups, params.max_slots))
-    for g in range(params.n_groups):
-        out[g] = gw[g] * intra_group_weights(params, x, g)
-    return out
-
-
-def batched_weights(params: RouterLayerParams, X: np.ndarray):
-    """Vectorized routing over rows of X: (group [N, G], intra [N, G, M], combined).
-
-    Forward-only helper for evaluation and dumps; agrees with the per-vector
-    operations to floating-point noise.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    gw = _rows_softmax(X @ params.wg, None, params.tau_g)
-    if params.static:
-        logits = np.broadcast_to(params.wd, (X.shape[0],) + params.wd.shape)
-    else:
-        logits = np.einsum("nj,gjm->ngm", X, params.wd)
-    iw = _rows_softmax(logits, params.mask, params.tau_d)
-    return gw, iw, gw[:, :, None] * iw
-
-
-def _rows_softmax(z: np.ndarray, mask: np.ndarray | None, tau: float) -> np.ndarray:
-    z = z / tau
-    if mask is not None:
-        z = np.where(mask, z, -np.inf)
-    c = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - c)
-    return e / e.sum(axis=-1, keepdims=True)
+        flat = ag.reshape(ag.transpose(wd, (1, 0, 2)), (wd.shape[1], G * M))
+        dl = ag.reshape(ag.matmul(x, flat), (x.shape[0], G, M))
+    return gw, ag.masked_temp_softmax(dl, mask, tau_d)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import PREMERGED_ID
-from .config import Config
+from .config import PREMERGED_ID, Config
 from .model import ToyTransformer
 from .numerics import derive_rng, finite_diff_grad
 from .taskgen import Sample, batch_arrays

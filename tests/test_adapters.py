@@ -1,115 +1,135 @@
-"""Low-rank adapter algebra: init distribution, zero cold start, dense vs
-factored application, and adapter-set bookkeeping."""
+"""Low-rank adapters as the model stores and runs them: init distribution,
+zero cold start, the graph's single-adapter output against the dense
+``W0 + B A`` oracle, shape checks, and adapter-id bookkeeping."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atmoe.adapters import (
-    ADAPTER_INIT_STD,
-    PREMERGED_ID,
-    AdapterSet,
-    LoraAdapter,
-    apply,
-    delta_weight,
-    init_adapter,
-)
+from atmoe.cli import jitter_params
+from atmoe.config import PREMERGED_ID, ConfigError, GroupDef
+from atmoe.model import ADAPTER_STD, ToyTransformer
 from atmoe.numerics import seeded_rng
+
+from conftest import tiny_config
+
+
+def _tokens(cfg, seed=3):
+    return seeded_rng(seed).integers(0, cfg.model.vocab_size, size=(2, cfg.model.max_seq_len))
 
 
 def test_init_shapes_and_b_zero():
-    a = init_adapter(d=6, k=8, r=3, seed=11, adapter_id="x", task_id="t")
-    assert a.B.shape == (6, 3) and a.A.shape == (3, 8)
-    np.testing.assert_array_equal(a.B, np.zeros((6, 3)))
-    assert a.scaling == 1.0
-    assert a.rank == 3 and a.shape == (6, 8)
+    cfg = tiny_config(n_layers=2)
+    m = ToyTransformer(cfg)
+    r, d, d_ff = cfg.model.rank, cfg.model.d_model, cfg.model.d_ff
+    for aid in m.adapter_ids:
+        for i in range(2):
+            b = f"blocks.{i}.moe.experts.{aid}"
+            assert m.params[f"{b}.A"].shape == (r, d_ff)
+            np.testing.assert_array_equal(m.params[f"{b}.B"], np.zeros((d, r)))
+    assert not any(n.endswith(".scale") for n in m.params)
 
 
 def test_init_a_matches_declared_std():
     # Many draws: the sample std of A must sit near the documented constant.
-    entries = np.concatenate(
-        [init_adapter(32, 32, 8, seed=s).A.ravel() for s in range(40)])
-    assert abs(entries.std() - ADAPTER_INIT_STD) < 0.1 * ADAPTER_INIT_STD
-    assert abs(entries.mean()) < 3 * ADAPTER_INIT_STD / np.sqrt(entries.size) * 5
+    entries = np.concatenate([
+        ToyTransformer(tiny_config(seed=s, d_model=8, d_ff=32, rank=4)).params[
+            f"blocks.0.moe.experts.{aid}.A"].ravel()
+        for s in range(5) for aid in ("identity", "low_range", PREMERGED_ID)])
+    assert abs(entries.std() - ADAPTER_STD) < 0.1 * ADAPTER_STD
+    assert abs(entries.mean()) < 3 * ADAPTER_STD / np.sqrt(entries.size) * 5
 
 
 def test_init_deterministic_per_seed():
-    a1 = init_adapter(4, 5, 2, seed=9)
-    a2 = init_adapter(4, 5, 2, seed=9)
-    a3 = init_adapter(4, 5, 2, seed=10)
-    np.testing.assert_array_equal(a1.A, a2.A)
-    assert not np.array_equal(a1.A, a3.A)
+    name = "blocks.0.moe.experts.reverse.A"
+    a1, a2, a3 = (ToyTransformer(tiny_config(seed=s)).params[name] for s in (9, 9, 10))
+    np.testing.assert_array_equal(a1, a2)
+    assert not np.array_equal(a1, a3)
 
 
 def test_fresh_adapter_is_exact_zero_update():
-    a = init_adapter(5, 7, 2, seed=3)
-    np.testing.assert_array_equal(delta_weight(a), np.zeros((5, 7)))
-    np.testing.assert_array_equal(apply(a, np.ones(7)), np.zeros(5))
+    # B = 0: every mode's expert projection returns the base projection bit
+    # for bit, in every layer
+    m = ToyTransformer(tiny_config(n_layers=2))
+    tokens = _tokens(m.cfg)
+    _, _, base = m.build_graph(tokens, mode="base")
+    for mode, aid in (("full", None), ("adapter", "identity"), ("adapter", PREMERGED_ID)):
+        _, _, aux = m.build_graph(tokens, mode=mode, adapter_id=aid)
+        for y, want in zip(aux["moe_output"], base["moe_output"]):
+            np.testing.assert_array_equal(y, want)
 
 
 def test_apply_matches_dense_delta():
-    rng = seeded_rng(21)
-    a = LoraAdapter("id", "task", B=rng.normal(size=(4, 2)),
-                    A=rng.normal(size=(2, 6)), scaling=1.5)
-    x = rng.normal(size=6)
-    np.testing.assert_allclose(apply(a, x), delta_weight(a) @ x, atol=1e-12)
+    m = ToyTransformer(tiny_config(n_layers=2))
+    jitter_params(m, std=0.5)
+    tokens = _tokens(m.cfg)
+    for aid in m.adapter_ids:
+        _, _, aux = m.build_graph(tokens, mode="adapter", adapter_id=aid)
+        for i in range(2):
+            b = f"blocks.{i}"
+            W = m.params[f"{b}.ffn.down_w0"] + (m.params[f"{b}.moe.experts.{aid}.B"]
+                                                @ m.params[f"{b}.moe.experts.{aid}.A"])
+            want = aux["moe_input"][i] @ W.T + m.params[f"{b}.ffn.down_b0"]
+            assert np.linalg.norm(aux["moe_output"][i] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_apply_rejects_wrong_length():
-    a = init_adapter(4, 6, 2, seed=1)
-    with pytest.raises(ValueError, match="length 6"):
-        apply(a, np.ones(5))
+    # an adapter must read d_ff inputs and write d_model outputs
+    cfg = tiny_config()
+    params = ToyTransformer(cfg).params
+    r, d, d_ff = cfg.model.rank, cfg.model.d_model, cfg.model.d_ff
+    for p, shape in (("A", (r, d_ff - 1)), ("B", (d + 1, r))):
+        bad = dict(params, **{f"blocks.0.moe.experts.identity.{p}": np.zeros(shape)})
+        with pytest.raises(ValueError, match="shape"):
+            ToyTransformer(cfg, bad)
 
 
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(2, 8), k=st.integers(2, 8), data=st.data())
 def test_delta_rank_bounded_by_r(d, k, data):
+    # with W0 = 0 and b0 = 0 the projection is B A u alone: over many rows
+    # its outputs span at most r dimensions
     r = data.draw(st.integers(1, min(d, k)))
-    rng = seeded_rng(d * 100 + k * 10 + r)
-    a = LoraAdapter("id", "task", B=rng.normal(size=(d, r)),
-                    A=rng.normal(size=(r, k)))
-    assert np.linalg.matrix_rank(delta_weight(a)) <= r
+    m = ToyTransformer(tiny_config(seed=d * 100 + k * 10 + r, d_model=d, d_ff=k, rank=r,
+                                   n_heads=1))
+    jitter_params(m, std=1.0)
+    m.params["blocks.0.ffn.down_w0"] = np.zeros((d, k))
+    m.params["blocks.0.ffn.down_b0"] = np.zeros(d)
+    _, _, aux = m.build_graph(_tokens(m.cfg), mode="adapter", adapter_id="increment")
+    assert aux["moe_output"][0].shape == (16, d)
+    assert np.linalg.matrix_rank(aux["moe_output"][0]) <= r
 
 
 def test_rank_and_scaling_validation():
-    with pytest.raises(ValueError, match="rank mismatch"):
-        LoraAdapter("i", "t", B=np.zeros((4, 2)), A=np.zeros((3, 5)))
-    with pytest.raises(ValueError, match="out of range"):
-        LoraAdapter("i", "t", B=np.zeros((4, 5)), A=np.zeros((5, 4)))
-    with pytest.raises(ValueError, match="scaling"):
-        LoraAdapter("i", "t", B=np.zeros((4, 2)), A=np.zeros((2, 5)),
-                    scaling=0.0)
-
-
-def _make_set():
-    ads = {
-        "e_a": init_adapter(4, 4, 2, seed=1, adapter_id="e_a", task_id="a"),
-        "e_b": init_adapter(4, 4, 2, seed=2, adapter_id="e_b", task_id="b"),
-        "pm": init_adapter(4, 4, 2, seed=3, adapter_id="pm",
-                           task_id=PREMERGED_ID),
-    }
-    return AdapterSet(ads)
+    with pytest.raises(ConfigError, match="rank"):
+        tiny_config(rank=5)  # d_model is 4
+    cfg = tiny_config()
+    params = ToyTransformer(cfg).params
+    r, d = cfg.model.rank, cfg.model.d_model
+    bad = dict(params, **{"blocks.0.moe.experts.identity.B": np.zeros((d, r + 1))})
+    with pytest.raises(ValueError, match="shape"):
+        ToyTransformer(cfg, bad)
 
 
 def test_adapter_set_premerged_and_task_ids():
-    s = _make_set()
-    assert s.premerged().adapter_id == "pm"
-    assert s.task_ids() == ["e_a", "e_b"]
-    assert "e_a" in s and "nope" not in s
+    m = ToyTransformer(tiny_config())
+    experts = [e for g in m.cfg.groups for e in g.experts]
+    assert m.task_adapter_ids == experts
+    assert m.adapter_ids == experts + [PREMERGED_ID]
     with pytest.raises(KeyError, match="unknown adapter id"):
-        s["nope"]
+        m.adapter_param_names("nope")
+    with pytest.raises(KeyError, match="unknown adapter id"):
+        m.build_graph(_tokens(m.cfg), mode="adapter", adapter_id="nope")
 
 
 def test_adapter_set_requires_exactly_one_premerged():
-    ads = {"e_a": init_adapter(4, 4, 2, seed=1, adapter_id="e_a", task_id="a")}
-    with pytest.raises(ValueError, match="pre-merged"):
-        AdapterSet(ads)
-    ads = {
-        "p1": init_adapter(4, 4, 2, seed=1, adapter_id="p1",
-                           task_id=PREMERGED_ID),
-        "p2": init_adapter(4, 4, 2, seed=2, adapter_id="p2",
-                           task_id=PREMERGED_ID),
-    }
-    with pytest.raises(ValueError, match="pre-merged"):
-        AdapterSet(ads)
+    # the pre-merged id is reserved, so a config cannot name a second one
+    cfg = tiny_config()
+    for groups in ((GroupDef("a", (PREMERGED_ID,)),),
+                   (GroupDef("a", ("x",)), GroupDef("b", ("y", PREMERGED_ID)))):
+        with pytest.raises(ConfigError, match="reserved"):
+            dataclasses.replace(cfg, groups=groups).validate()
+    assert ToyTransformer(cfg).adapter_ids.count(PREMERGED_ID) == 1

@@ -1,6 +1,7 @@
 """JSON checkpoints: bit-exact roundtrip, checksum tamper detection, stage
 ordering metadata, and canonical serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_doc_structure_and_checksum(model):
     assert doc["stage_completed"] == "none"
     assert set(doc["tensors"]) == set(model.params)
     entry = doc["tensors"]["tok_emb"]
-    assert entry["dtype"] == "f64"
+    assert set(entry) == {"shape", "data"}
     assert entry["shape"] == list(model.params["tok_emb"].shape)
     assert len(entry["data"]) == model.params["tok_emb"].size
     assert doc["checksum"] == checkpoint_checksum(doc)
@@ -79,6 +80,9 @@ def test_missing_fields_and_bad_version(model):
     bad = dict(doc)
     del bad["tensors"]
     with pytest.raises(CheckpointError, match="missing"):
+        restore_checkpoint(bad)
+    bad["tensors"] = []
+    with pytest.raises(CheckpointError, match="tensors"):
         restore_checkpoint(bad)
     bad = json.loads(canonical_json(doc))
     bad["format_version"] = "v999"
@@ -125,9 +129,73 @@ def test_restore_rejects_mangled_tensor_shape(model):
         restore_checkpoint(doc)
 
 
+def test_checksum_hashes_header_then_raw_tensor_bytes(model):
+    doc = checkpoint_doc(model, "experts")
+    head = {k: v for k, v in doc.items() if k not in ("tensors", "checksum")}
+    h = hashlib.sha256(canonical_json(head).encode())
+    for name in sorted(model.params):
+        h.update(json.dumps([name, list(model.params[name].shape)],
+                            separators=(",", ":")).encode())
+        h.update(model.params[name].astype("<f8").tobytes())
+    assert doc["checksum"] == h.hexdigest()
+
+
+@pytest.mark.parametrize("edit", ["stage", "config", "shape", "version", "seeds", "name"])
+def test_edits_without_a_new_checksum_fail(model, tmp_path, edit):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model, "experts")
+    doc = json.loads(path.read_text())
+    tensors = doc["tensors"]
+    if edit == "stage":
+        doc["stage_completed"] = "router"
+    elif edit == "config":
+        doc["config"]["atmoe"]["lambda"] = 0.25
+    elif edit == "shape":  # same data, transposed
+        tensors["blocks.0.moe.wg"]["shape"].reverse()
+    elif edit == "version":
+        doc["format_version"] = FORMAT_VERSION + 1
+        doc["checksum"] = checkpoint_checksum(doc)
+    elif edit == "seeds":
+        doc["seeds"]["config"] += 1
+    else:
+        tensors["blocks.0.moe.wx"] = tensors.pop("blocks.0.moe.wg")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="version" if edit == "version" else "checksum"):
+        load_checkpoint(path)
+
+
+def _reshaped(model, edits: dict) -> dict:
+    """A checkpoint document of ``model`` with tensors replaced (same data
+    length where the test says so) and a valid checksum."""
+    doc = json.loads(canonical_json(checkpoint_doc(model, "none")))
+    for name, shape in edits.items():
+        doc["tensors"][name] = {"shape": list(shape),
+                                "data": [0.5] * int(np.prod(shape))}
+    doc["checksum"] = checkpoint_checksum(doc)
+    return doc
+
+
+def test_restore_rejects_mis_shaped_tensors(model):
+    cfg = model.cfg
+    G, M, d, d_ff, r = (cfg.n_groups, cfg.max_group_size, cfg.model.d_model,
+                        cfg.model.d_ff, cfg.model.rank)
+    for edits in ({"blocks.0.moe.wd": (d_ff, G, M)},         # transposed, same length
+                  {"blocks.0.moe.wg": (G, d_ff)},
+                  {"blocks.0.moe.experts.identity.A": (d_ff, r)},
+                  {"blocks.0.moe.experts.premerged.B": (r, d)}):
+        with pytest.raises(CheckpointError, match="shape mismatch"):
+            restore_checkpoint(_reshaped(model, edits))
+    # a config whose n_layers disagrees with the stored blocks
+    doc = _reshaped(model, {})
+    doc["config"]["model"]["n_layers"] = 2
+    doc["checksum"] = checkpoint_checksum(doc)
+    with pytest.raises(CheckpointError, match="missing"):
+        restore_checkpoint(doc)
+
+
 def test_restore_rejects_unknown_dtype(model):
     doc = json.loads(canonical_json(checkpoint_doc(model, "none")))
-    doc["tensors"]["tok_emb"]["dtype"] = "f13"
+    doc["tensors"]["tok_emb"]["dtype"] = "f32"  # v2 stores f64 only
     doc["checksum"] = checkpoint_checksum(doc)
     with pytest.raises(CheckpointError, match="dtype"):
         restore_checkpoint(doc)

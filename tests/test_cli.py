@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from atmoe import cli
-from atmoe.checkpoint import load_checkpoint
+from atmoe.checkpoint import canonical_json, checkpoint_checksum, load_checkpoint
 from atmoe.cli import CSV_HEADER, main
 from atmoe.config import Config, save_config
 from atmoe.model import ToyTransformer
@@ -171,6 +171,45 @@ def test_eval_rejects_flags_its_mode_does_not_use(workdir, tmp_path, monkeypatch
     out = tmp_path / "eval.json"
     assert main(["eval", "--ckpt", str(root / "router.json"),
                  "--data", str(data / "eval_multi.jsonl"), *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_eval_rejects_adapter_id_the_checkpoint_lacks(workdir, tmp_path, monkeypatch):
+    root, _, _, data = workdir
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached data reading or evaluation")
+
+    for name in ("read_jsonl", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(root / "router.json"),
+                 "--data", str(data / "eval_multi.jsonl"), "--mode", "adapter",
+                 "--adapter-id", "bogus", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_eval_rejects_mis_shaped_checkpoint_before_reading_data(workdir, tmp_path,
+                                                                 monkeypatch):
+    # blocks.0.moe.wd stored transposed: same data length, valid checksum
+    root, cfg, _, data = workdir
+    doc = json.loads((root / "router.json").read_text())
+    entry = doc["tensors"]["blocks.0.moe.wd"]
+    G, M = cfg.n_groups, cfg.max_group_size
+    assert entry["shape"] == [G, cfg.model.d_ff, M]
+    entry["shape"] = [cfg.model.d_ff, G, M]
+    doc["checksum"] = checkpoint_checksum(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_json(doc))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached data reading or evaluation")
+
+    for name in ("read_jsonl", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(bad), "--data", str(data / "eval_single.jsonl"),
+                 "--out", str(out)]) == 4
     assert not out.exists()
 
 

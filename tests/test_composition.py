@@ -1,137 +1,132 @@
-"""Blended projection layer: factored forward vs the dense composed matrix,
-balance-parameter endpoints, pinned weights, and routing reports."""
+"""The blended expert projection as the graph computes it (``aux["moe_output"]``)
+against the dense per-vector oracle: the composition, the balance-parameter
+endpoints, a separate (pooled) routing input, and the routing trace."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from atmoe import adapters as lora
-from atmoe.adapters import PREMERGED_ID, AdapterSet, LoraAdapter
-from atmoe.composition import (
-    PAD_SLOT,
-    AtMoeLinear,
-    composed_delta,
-    forward,
-    routing_report,
-)
+import oracle
+from atmoe.cli import jitter_params
+from atmoe.config import PREMERGED_ID, ConfigError
+from atmoe.model import ToyTransformer
 from atmoe.numerics import seeded_rng
-from atmoe.router import GroupSpec, combined_expert_weights, init_router_params
+
+from conftest import tiny_config
 
 
-def _random_layer(seed, d=5, k=6, r=2, sizes=(2, 3), lam=0.6, bias=True):
-    rng = seeded_rng(seed)
-    groups, ads = [], {}
-    nxt = 0
-    for g, n in enumerate(sizes):
-        ids = []
-        for _ in range(n):
-            eid = f"e{nxt}"
-            nxt += 1
-            ads[eid] = LoraAdapter(eid, f"task{nxt}",
-                                   B=rng.normal(size=(d, r)),
-                                   A=rng.normal(size=(r, k)))
-            ids.append(eid)
-        groups.append(GroupSpec(g, f"g{g}", tuple(ids)))
-    ads["pm"] = LoraAdapter("pm", PREMERGED_ID, B=rng.normal(size=(d, r)),
-                            A=rng.normal(size=(r, k)))
-    router = init_router_params(groups, k, max(sizes), 0.9, 1.1, False, rng)
-    return AtMoeLinear(W0=rng.normal(size=(d, k)),
-                       bias0=rng.normal(size=d) if bias else None,
-                       groups=groups, experts=AdapterSet(ads),
-                       router=router, lam=lam)
+def _model(seed=0, lam=0.6, **router):
+    sec = dataclasses.replace
+    cfg = tiny_config(seed=seed, n_layers=2)
+    cfg = sec(cfg, router=sec(cfg.router, tau_g=0.9, tau_d=1.1, **router),
+              atmoe=sec(cfg.atmoe, lam=lam))
+    model = ToyTransformer(cfg)
+    jitter_params(model, std=0.5)
+    return model
+
+
+def _tokens(cfg, seed=0):
+    return seeded_rng(seed + 100).integers(0, cfg.model.vocab_size, size=(2, 6))
+
+
+def _check_against_oracle(model, aux, lam):
+    for i in range(model.cfg.model.n_layers):
+        for u, x_route, y in zip(aux["moe_input"][i], aux["x_route"][i], aux["moe_output"][i]):
+            want = oracle.blend(model, i, u, x_route, lam)
+            np.testing.assert_allclose(y, want, rtol=1e-9, atol=1e-12)
 
 
 def test_forward_matches_dense_composition():
     for seed in range(8):
-        layer = _random_layer(seed)
-        x = seeded_rng(seed + 100).normal(size=6)
-        dense = (layer.W0 + composed_delta(layer, x)) @ x + layer.bias0
-        np.testing.assert_allclose(forward(layer, x), dense, rtol=1e-9,
-                                   atol=1e-12)
+        model = _model(seed, static_intra_group=bool(seed % 2))
+        _, _, aux = model.build_graph(_tokens(model.cfg, seed))
+        _check_against_oracle(model, aux, 0.6)
+
+
+def _reroll(model, names, seed):
+    """A copy of ``model`` with ``names`` redrawn."""
+    rng = seeded_rng(seed)
+    params = dict(model.params)
+    for n in names:
+        params[n] = rng.normal(size=params[n].shape)
+    return ToyTransformer(model.cfg, params)
 
 
 def test_lambda_zero_is_premerged_only():
-    layer = _random_layer(1, lam=0.0)
-    x = seeded_rng(50).normal(size=6)
-    expected = layer.W0 @ x + lora.apply(layer.experts.premerged(), x) + layer.bias0
-    np.testing.assert_array_equal(forward(layer, x), expected)
+    model = _model(1)
+    tokens = _tokens(model.cfg, 1)
+    _, _, aux = model.build_graph(tokens, lam_override=0.0)
+    _check_against_oracle(model, aux, 0.0)
+    # the router cannot move a single bit of the output
+    _, _, other = _reroll(model, model.router_param_names(), 7).build_graph(tokens, lam_override=0.0)
+    for y, want in zip(aux["moe_output"], other["moe_output"]):
+        np.testing.assert_array_equal(y, want)
 
 
 def test_lambda_one_is_routed_only():
-    layer = _random_layer(2, lam=1.0)
-    x = seeded_rng(51).normal(size=6)
-    w = combined_expert_weights(layer.router, layer.groups, x)
-    routed = np.zeros(5)
-    for g, spec in enumerate(layer.groups):
-        for m in range(spec.size):
-            routed += w[g, m] * lora.apply(layer.slot_adapter(g, m), x)
-    np.testing.assert_allclose(forward(layer, x),
-                               layer.W0 @ x + routed + layer.bias0,
-                               atol=1e-12)
+    model = _model(2)
+    tokens = _tokens(model.cfg, 2)
+    _, _, aux = model.build_graph(tokens, lam_override=1.0)
+    _check_against_oracle(model, aux, 1.0)
+    # nor can the pre-merged adapter
+    rerolled = _reroll(model, model.adapter_param_names(PREMERGED_ID), 8)
+    _, _, other = rerolled.build_graph(tokens, lam_override=1.0)
+    for y, want in zip(aux["moe_output"], other["moe_output"]):
+        np.testing.assert_array_equal(y, want)
 
 
 def test_separate_routing_input():
-    layer = _random_layer(3)
-    rng = seeded_rng(52)
-    x, xr = rng.normal(size=6), rng.normal(size=6)
-    dense = (layer.W0 + composed_delta(layer, xr)) @ x + layer.bias0
-    np.testing.assert_allclose(forward(layer, x, x_routing=xr), dense,
-                               rtol=1e-9, atol=1e-12)
-    assert not np.allclose(forward(layer, x, x_routing=xr),
-                           forward(layer, x))
-
-
-def test_pinned_weights_bypass_router():
-    layer = _random_layer(4, sizes=(2, 2))
-    x = seeded_rng(53).normal(size=6)
-    w = np.array([[1.0, 0.0], [0.0, 0.0]])  # everything on group 0, slot 0
-    out = forward(layer, x, weights=w)
-    expected = (layer.W0 @ x + layer.bias0
-                + layer.lam * lora.apply(layer.slot_adapter(0, 0), x)
-                + (1 - layer.lam) * lora.apply(layer.experts.premerged(), x))
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_no_bias_layer():
-    layer = _random_layer(5, bias=False)
-    x = seeded_rng(54).normal(size=6)
-    dense = (layer.W0 + composed_delta(layer, x)) @ x
-    np.testing.assert_allclose(forward(layer, x), dense, rtol=1e-9, atol=1e-12)
+    # pooled routing: every row routes by its sequence's mean activation
+    model = _model(3, pooled=True)
+    tokens = _tokens(model.cfg, 3)
+    mask = np.ones(tokens.shape)
+    mask[1, 4:] = 0.0
+    _, _, aux = model.build_graph(tokens, token_mask=mask)
+    _check_against_oracle(model, aux, 0.6)
+    u, x_route, y = aux["moe_input"][0], aux["x_route"][0], aux["moe_output"][0]
+    np.testing.assert_allclose(x_route[6:10], np.tile(u[6:10].mean(axis=0), (4, 1)),
+                               rtol=1e-12)
+    assert not np.allclose(y[0], oracle.blend(model, 0, u[0], u[0], 0.6))
 
 
 def test_forward_rejects_wrong_length():
-    layer = _random_layer(6)
-    with pytest.raises(ValueError, match="length 6"):
-        forward(layer, np.ones(5))
+    model = _model(4)
+    T, V = model.cfg.model.max_seq_len, model.cfg.model.vocab_size
+    for tokens in (np.zeros(5, dtype=int), np.zeros((1, T + 1), dtype=int),
+                   np.full((1, 3), V)):
+        with pytest.raises(ValueError):
+            model.build_graph(tokens)
 
 
 def test_layer_validation():
-    layer = _random_layer(7)
-    with pytest.raises(ValueError, match="lambda"):
-        AtMoeLinear(layer.W0, layer.bias0, layer.groups, layer.experts,
-                    layer.router, lam=1.5)
-    bad_groups = [GroupSpec(0, "g0", ("missing",))]
+    cfg = tiny_config()
+    with pytest.raises(ConfigError, match="lambda"):
+        dataclasses.replace(cfg, atmoe=dataclasses.replace(cfg.atmoe, lam=1.5)).validate()
+    model = ToyTransformer(cfg)
     with pytest.raises(KeyError, match="unknown adapter"):
-        AtMoeLinear(layer.W0, layer.bias0, bad_groups, layer.experts,
-                    layer.router, lam=0.5)
+        model.build_graph(_tokens(cfg), mode="adapter", adapter_id="missing")
+    with pytest.raises(ValueError, match="mode"):
+        model.build_graph(_tokens(cfg), mode="dense")
 
 
 def test_routing_report_consistency():
-    layer = _random_layer(8, sizes=(2, 3))
-    x = seeded_rng(55).normal(size=6)
-    rep = routing_report(layer, x)
-    assert rep.group_names == ["g0", "g1"]
-    assert rep.slot_adapter_ids[0] == ["e0", "e1", PAD_SLOT]
-    assert rep.slot_adapter_ids[1] == ["e2", "e3", "e4"]
-    np.testing.assert_allclose(rep.group_weights.sum(), 1.0, atol=1e-12)
-    np.testing.assert_allclose(
-        rep.combined_weights,
-        rep.group_weights[:, None] * rep.intra_weights, atol=1e-12)
-    np.testing.assert_allclose(
-        rep.combined_weights,
-        combined_expert_weights(layer.router, layer.groups, x), atol=1e-12)
-    # padded slot carries exactly zero in both weight views
-    assert rep.intra_weights[0, 2] == 0.0
-    assert rep.combined_weights[0, 2] == 0.0
-    d = rep.to_dict()
-    assert set(d) == {"group_names", "slot_adapter_ids", "group_weights",
-                      "intra_weights", "combined_weights"}
+    model = _model(8)
+    cfg = model.cfg
+    tokens = _tokens(cfg, 8)[0]
+    trace = model.layer_routing_trace(tokens)
+    _, _, aux = model.build_graph(tokens[None, :])
+    mask = oracle.slot_mask(cfg)
+    assert len(trace) == cfg.model.n_layers
+    for i, (gw, iw) in enumerate(trace):
+        assert gw.shape == (len(tokens), cfg.n_groups)
+        assert iw.shape == (len(tokens), cfg.n_groups, cfg.max_group_size)
+        np.testing.assert_allclose(gw.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose((gw[:, :, None] * iw).sum(axis=(1, 2)), 1.0, atol=1e-12)
+        # padded slots carry exactly zero
+        assert (iw[:, ~mask] == 0.0).all()
+        wg, wd = (model.params[f"blocks.{i}.moe.{w}"] for w in ("wg", "wd"))
+        for t, x_route in enumerate(aux["x_route"][i]):
+            want_gw, want_iw, _ = oracle.route(x_route, wg, wd, mask, 0.9, 1.1)
+            np.testing.assert_allclose(gw[t], want_gw, atol=1e-12)
+            np.testing.assert_allclose(iw[t], want_iw, atol=1e-12)

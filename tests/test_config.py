@@ -30,7 +30,7 @@ def test_defaults_validate_and_describe_the_benchmark():
     assert [g.name for g in cfg.groups] == ["function", "domain", "style"]
     assert [len(g.experts) for g in cfg.groups] == [3, 2, 2]
     assert cfg.n_groups == 3 and cfg.max_group_size == 3
-    assert cfg.atmoe.targets == ("ffn_down",)
+    assert cfg.to_dict()["atmoe"] == {"lambda": cfg.atmoe.lam}
     assert 0.0 <= cfg.atmoe.lam <= 1.0
     assert cfg.taskgen.multi_intent_fraction == 0.3
     assert cfg.taskgen.n_train == 2000

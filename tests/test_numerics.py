@@ -1,12 +1,20 @@
-"""Shared numeric helpers: temperature softmax, finite differences, seeding."""
+"""Shared numeric helpers: the temperature softmax (``masked_temp_softmax``,
+the one softmax the model runs), finite differences, seeding."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atmoe.numerics import (as_matrix, derive_rng, finite_diff_grad, matmul,
-                            mix_seed, seeded_rng, softmax_temp)
+from atmoe import autograd as ag
+from atmoe.config import Config, ConfigError
+from atmoe.numerics import derive_rng, finite_diff_grad, mix_seed, seeded_rng
+
+
+def softmax_temp(z, tau):
+    return ag.masked_temp_softmax(ag.Tensor(z), None, tau).data
 
 
 def test_softmax_temp_matches_hand_computation():
@@ -36,8 +44,13 @@ def test_softmax_temp_large_logits_stay_finite():
 
 
 def test_softmax_temp_rejects_bad_tau():
-    with pytest.raises(ValueError):
-        softmax_temp(np.array([1.0, 2.0]), 0.0)
+    # a temperature reaches the softmax only from the router config
+    for field in ("tau_g", "tau_d"):
+        for tau in (0.0, -1.0):
+            cfg = Config()
+            cfg = dataclasses.replace(cfg, router=dataclasses.replace(cfg.router, **{field: tau}))
+            with pytest.raises(ConfigError, match="temperatures"):
+                cfg.validate()
 
 
 @settings(max_examples=100, deadline=None)
@@ -52,14 +65,7 @@ def test_softmax_temp_is_a_distribution(logits, tau):
 def test_matmul_agrees_with_numpy():
     rng = seeded_rng(0)
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
-    np.testing.assert_allclose(matmul(a, b), a @ b, rtol=1e-12)
-
-
-def test_as_matrix_shapes_and_rejects_bad_length():
-    m = as_matrix(2, 3, [1, 2, 3, 4, 5, 6])
-    assert m.shape == (2, 3) and m[1, 2] == 6.0
-    with pytest.raises(ValueError):
-        as_matrix(2, 3, [1.0, 2.0])
+    np.testing.assert_allclose(ag.matmul(a, b).data, a @ b, rtol=1e-12)
 
 
 def test_finite_diff_grad_quadratic_oracle():

@@ -1,23 +1,21 @@
-"""Grouped routing: two-level softmax normalization, padded-slot zeros,
-hand-computed oracles, temperature behavior, static vs conditioned modes."""
+"""Grouped routing (``router.routing``, the kernel training and evaluation
+run): two-level softmax normalization, padded-slot zeros, hand-computed
+oracles, temperature behavior, static vs conditioned modes."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atmoe.numerics import seeded_rng, softmax_temp
-from atmoe.router import (
-    GroupSpec,
-    RouterLayerParams,
-    batched_weights,
-    build_groups,
-    combined_expert_weights,
-    group_weights,
-    init_router_params,
-    intra_group_weights,
-    slot_mask,
-)
+import oracle
+from atmoe.config import ConfigError, GroupDef
+from atmoe.model import ROUTER_STD, ToyTransformer
+from atmoe.numerics import seeded_rng
+from atmoe.router import GroupSpec, build_groups, routing, slot_mask
+
+from conftest import tiny_config
 
 
 def _groups(sizes):
@@ -30,110 +28,108 @@ def _groups(sizes):
     return out
 
 
-def _params(sizes, in_dim, seed=0, static=False, tau_g=1.0, tau_d=1.0):
-    groups = _groups(sizes)
+def _router(sizes, in_dim, seed=0, static=False, std=0.02):
+    """(wg, wd, mask) of a router over groups of the given sizes."""
     rng = seeded_rng(seed)
-    params = init_router_params(groups, in_dim, max(sizes), tau_g, tau_d,
-                                static, rng)
-    return groups, params
+    G, M = len(sizes), max(sizes)
+    wg = rng.normal(0.0, std, size=(in_dim, G))
+    wd = rng.normal(0.0, std, size=(G, M) if static else (G, in_dim, M))
+    return wg, wd, slot_mask(_groups(sizes), M)
+
+
+def _route(x, wg, wd, mask, tau_g=1.0, tau_d=1.0):
+    """routing() of the rows of x as arrays: group [N, G], intra [N, G, M]."""
+    x = np.atleast_2d(x)
+    gw, iw = routing(x, wg, wd, mask, tau_g, tau_d)
+    return gw.data, np.broadcast_to(iw.data, (len(x),) + mask.shape)
 
 
 def test_group_weights_match_plain_softmax():
-    groups, params = _params([2, 3], in_dim=5, seed=1, tau_g=0.8)
+    wg, wd, mask = _router([2, 3], in_dim=5, seed=1)
     x = seeded_rng(2).normal(size=5)
-    gw = group_weights(params, x)
-    np.testing.assert_allclose(gw, softmax_temp(x @ params.wg, 0.8),
-                               atol=1e-12)
-    np.testing.assert_allclose(gw.sum(), 1.0, atol=1e-12)
+    gw, _ = _route(x, wg, wd, mask, tau_g=0.8)
+    e = np.exp((x @ wg) / 0.8)
+    np.testing.assert_allclose(gw[0], e / e.sum(), atol=1e-12)
+    np.testing.assert_allclose(gw[0].sum(), 1.0, atol=1e-12)
 
 
 def test_intra_group_weights_hand_oracle():
-    groups, params = _params([2, 3], in_dim=4, seed=3, tau_d=1.3)
+    wg, wd, mask = _router([2, 3], in_dim=4, seed=3)
     x = seeded_rng(4).normal(size=4)
+    _, iw = _route(x, wg, wd, mask, tau_d=1.3)
     # group 0 has 2 of 3 slots live: softmax over the live logits only
-    iw = intra_group_weights(params, x, 0)
-    live = softmax_temp((x @ params.wd[0])[:2], 1.3)
-    np.testing.assert_allclose(iw[:2], live, atol=1e-12)
-    assert iw[2] == 0.0
+    e = np.exp((x @ wd[0])[:2] / 1.3)
+    np.testing.assert_allclose(iw[0, 0, :2], e / e.sum(), atol=1e-12)
+    assert iw[0, 0, 2] == 0.0
 
 
 def test_combined_weights_factor_exactly():
-    groups, params = _params([3, 1, 2], in_dim=6, seed=5)
+    sizes = [3, 1, 2]
+    wg, wd, mask = _router(sizes, in_dim=6, seed=5)
     x = seeded_rng(6).normal(size=6)
-    gw = group_weights(params, x)
-    combined = combined_expert_weights(params, groups, x)
-    for g, spec in enumerate(groups):
-        iw = intra_group_weights(params, x, g)
-        np.testing.assert_allclose(combined[g], gw[g] * iw, atol=1e-12)
-        np.testing.assert_allclose(combined[g, :spec.size].sum(), gw[g],
-                                   atol=1e-12)
+    gw, iw = _route(x, wg, wd, mask)
+    combined = gw[0][:, None] * iw[0]
+    _, _, want = oracle.route(x, wg, wd, mask, 1.0, 1.0)
+    np.testing.assert_allclose(combined, want, atol=1e-12)
+    for g, size in enumerate(sizes):
+        np.testing.assert_allclose(combined[g, :size].sum(), gw[0, g], atol=1e-12)
     np.testing.assert_allclose(combined.sum(), 1.0, atol=1e-12)
 
 
 def test_singleton_group_gets_full_intra_mass():
-    groups, params = _params([1, 2], in_dim=4, seed=7)
-    x = seeded_rng(8).normal(size=4)
-    iw = intra_group_weights(params, x, 0)
-    np.testing.assert_allclose(iw[0], 1.0, atol=1e-12)
-    np.testing.assert_array_equal(iw[1:], 0.0)
+    wg, wd, mask = _router([1, 2], in_dim=4, seed=7)
+    _, iw = _route(seeded_rng(8).normal(size=4), wg, wd, mask)
+    assert iw[0, 0, 0] == 1.0
+    np.testing.assert_array_equal(iw[0, 0, 1:], 0.0)
 
 
 def test_static_mode_ignores_input():
-    groups, params = _params([2, 2], in_dim=4, seed=9, static=True)
-    assert params.static
-    rng = seeded_rng(10)
-    iw1 = intra_group_weights(params, rng.normal(size=4), 0)
-    iw2 = intra_group_weights(params, rng.normal(size=4), 0)
-    np.testing.assert_array_equal(iw1, iw2)
+    wg, wd, mask = _router([2, 2], in_dim=4, seed=9, static=True)
+    assert wd.shape == (2, 2)
+    X = seeded_rng(10).normal(size=(2, 4))
+    gw, iw = _route(X, wg, wd, mask)
+    np.testing.assert_array_equal(iw[0], iw[1])
     # group mixing still conditions on the input
-    gw1 = group_weights(params, rng.normal(size=4))
-    gw2 = group_weights(params, rng.normal(size=4))
-    assert not np.array_equal(gw1, gw2)
+    assert not np.array_equal(gw[0], gw[1])
 
 
 def test_low_temperature_concentrates_mass():
-    groups = _groups([3, 2])
-    rng = seeded_rng(11)
-    base = init_router_params(groups, 8, 3, 1.0, 1.0, False, rng)
+    wg, wd, mask = _router([3, 2], in_dim=8, seed=11)
     x = seeded_rng(12).normal(size=8) * 3.0
-    sharp = RouterLayerParams(base.wg, base.wd, 1e-3, 1e-3, base.mask)
-    combined = combined_expert_weights(sharp, groups, x)
-    assert combined.max() > 0.999
-    soft = combined_expert_weights(base, groups, x)
-    assert soft.max() < combined.max()
+    gw, iw = _route(x, wg, wd, mask, 1e-3, 1e-3)
+    sharp = (gw[0][:, None] * iw[0]).max()
+    assert sharp > 0.999
+    gw, iw = _route(x, wg, wd, mask)
+    assert (gw[0][:, None] * iw[0]).max() < sharp
 
 
 def test_batched_weights_agree_with_per_token():
-    groups, params = _params([2, 3, 1], in_dim=5, seed=13)
-    X = seeded_rng(14).normal(size=(7, 5))
-    gw, iw, combined = batched_weights(params, X)
-    for t in range(7):
-        np.testing.assert_allclose(gw[t], group_weights(params, X[t]),
-                                   atol=1e-12)
-        np.testing.assert_allclose(
-            combined[t], combined_expert_weights(params, groups, X[t]),
-            atol=1e-12)
-        for g in range(len(groups)):
-            np.testing.assert_allclose(
-                iw[t, g], intra_group_weights(params, X[t], g), atol=1e-12)
+    # one batched call against the per-vector oracle, row by row
+    for static in (False, True):
+        wg, wd, mask = _router([2, 3, 1], in_dim=5, seed=13, static=static, std=1.0)
+        X = seeded_rng(14).normal(size=(7, 5))
+        gw, iw = _route(X, wg, wd, mask, 0.7, 1.3)
+        for t in range(7):
+            want_gw, want_iw, _ = oracle.route(X[t], wg, wd, mask, 0.7, 1.3)
+            np.testing.assert_allclose(gw[t], want_gw, atol=1e-12)
+            np.testing.assert_allclose(iw[t], want_iw, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
        in_dim=st.integers(2, 16), seed=st.integers(0, 10_000))
 def test_normalization_properties(sizes, in_dim, seed):
-    groups, params = _params(sizes, in_dim, seed=seed)
+    wg, wd, mask = _router(sizes, in_dim, seed=seed)
     x = seeded_rng(seed + 1).normal(size=in_dim) * 5.0
-    gw = group_weights(params, x)
-    combined = combined_expert_weights(params, groups, x)
+    gw, iw = _route(x, wg, wd, mask)
+    combined = gw[0][:, None] * iw[0]
     np.testing.assert_allclose(gw.sum(), 1.0, atol=1e-9)
     np.testing.assert_allclose(combined.sum(), 1.0, atol=1e-9)
     assert (gw >= 0).all() and (combined >= 0).all()
-    for g, spec in enumerate(groups):
-        iw = intra_group_weights(params, x, g)
-        np.testing.assert_allclose(iw[:spec.size].sum(), 1.0, atol=1e-9)
-        np.testing.assert_array_equal(iw[spec.size:], 0.0)
-        np.testing.assert_array_equal(combined[g, spec.size:], 0.0)
+    for g, size in enumerate(sizes):
+        np.testing.assert_allclose(iw[0, g, :size].sum(), 1.0, atol=1e-9)
+        np.testing.assert_array_equal(iw[0, g, size:], 0.0)
+        np.testing.assert_array_equal(combined[g, size:], 0.0)
 
 
 def test_slot_mask_layout():
@@ -152,33 +148,32 @@ def test_group_spec_validation():
 
 
 def test_build_groups_rejects_cross_group_reuse():
-    from atmoe.config import GroupDef
-
     with pytest.raises(ValueError):
         build_groups([GroupDef("g0", ("a", "b")), GroupDef("g1", ("b", "c"))])
 
 
 def test_router_params_validation():
-    mask = slot_mask(_groups([2, 2]), 2)
-    wg = np.zeros((4, 2))
-    wd = np.zeros((2, 4, 2))
-    with pytest.raises(ValueError, match="temperatures"):
-        RouterLayerParams(wg, wd, 0.0, 1.0, mask)
-    with pytest.raises(ValueError, match="disagrees"):
-        RouterLayerParams(np.zeros((4, 3)), wd, 1.0, 1.0, mask)
-    with pytest.raises(ValueError, match="conditioned"):
-        RouterLayerParams(wg, np.zeros((2, 5, 2)), 1.0, 1.0, mask)
-    with pytest.raises(ValueError, match="static"):
-        RouterLayerParams(wg, np.zeros((2, 3)), 1.0, 1.0, mask)
+    # temperatures are checked with the config, router shapes with the
+    # model's parameter table
+    cfg = tiny_config()
+    with pytest.raises(ConfigError, match="temperatures"):
+        dataclasses.replace(cfg, router=dataclasses.replace(cfg.router, tau_d=0.0)).validate()
+    params = ToyTransformer(cfg).params
+    G, M, d_ff = cfg.n_groups, cfg.max_group_size, cfg.model.d_ff
+    for name, shape in (("blocks.0.moe.wg", (d_ff, G + 1)),
+                        ("blocks.0.moe.wd", (G, d_ff + 1, M)),
+                        ("blocks.0.moe.wd", (G, M))):
+        bad = dict(params, **{name: np.zeros(shape)})
+        with pytest.raises(ValueError, match="shape"):
+            ToyTransformer(cfg, bad)
 
 
 def test_init_router_params_statistics_and_mask():
-    groups = _groups([2, 3])
-    rng = seeded_rng(15)
-    params = init_router_params(groups, 64, 3, 1.0, 1.0, False, rng,
-                                init_std=0.02)
-    assert params.wg.shape == (64, 2)
-    assert params.wd.shape == (2, 64, 3)
-    np.testing.assert_array_equal(params.mask, slot_mask(groups, 3))
-    pooled = np.concatenate([params.wg.ravel(), params.wd.ravel()])
-    assert abs(pooled.std() - 0.02) < 0.004
+    cfg = tiny_config(d_ff=64, d_model=8)
+    model = ToyTransformer(cfg)
+    G, M = cfg.n_groups, cfg.max_group_size
+    wg, wd = model.params["blocks.0.moe.wg"], model.params["blocks.0.moe.wd"]
+    assert wg.shape == (64, G) and wd.shape == (G, 64, M)
+    np.testing.assert_array_equal(model.slot_mask, oracle.slot_mask(cfg))
+    pooled = np.concatenate([wg.ravel(), wd.ravel()])
+    assert abs(pooled.std() - ROUTER_STD) < 0.2 * ROUTER_STD

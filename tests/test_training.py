@@ -6,10 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracle
 from atmoe.cli import jitter_params
 from atmoe.model import ToyTransformer
 from atmoe.numerics import seeded_rng
-from atmoe.router import batched_weights
 from atmoe.taskgen import TaskCatalog, batch_arrays, generate, per_task_split
 from atmoe import training
 from atmoe.training import (
@@ -229,13 +229,14 @@ def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
         b_idx, t_idx = np.nonzero(weights)
         rows = b_idx * tokens.shape[1] + t_idx
         for i in range(cfg.model.n_layers):
-            params = model.router_params(i)
+            wg, wd = (model.params[f"blocks.{i}.moe.{w}"] for w in ("wg", "wd"))
             for row, b in zip(rows, b_idx):
-                gw, iw, _ = batched_weights(params, aux["x_route"][i][row][None, :])
+                gw, iw, _ = oracle.route(aux["x_route"][i][row], wg, wd, oracle.slot_mask(cfg),
+                                         cfg.router.tau_g, cfg.router.tau_d)
                 ent -= float((gw * np.log(gw)).sum())
                 n += 1
                 for spec in model.groups:
-                    slot = iw[0, spec.group_id, : spec.size].argmax()
+                    slot = iw[spec.group_id, : spec.size].argmax()
                     hits[spec.name] += spec.expert_ids[slot] in \
                         batch[b].relevant_experts.get(spec.name, ())
     assert n == cfg.model.n_layers * rep.n_scored_tokens
