@@ -14,8 +14,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-ArrayLike = "np.ndarray | float | int"
-
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the shape of its source."""
@@ -75,23 +73,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _wrap(x) -> Tensor:
@@ -252,13 +233,6 @@ def reduce_sum(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    def bwd(g):
-        a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), bwd)
 
 
 _GELU_K = math.sqrt(2.0 / math.pi)

@@ -92,8 +92,6 @@ def save_checkpoint(path: str | Path, model: ToyTransformer, stage_completed: st
 class LoadedCheckpoint:
     model: ToyTransformer
     stage_completed: str
-    seeds: dict
-    doc: dict
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
@@ -144,8 +142,7 @@ def restore_checkpoint(doc: dict) -> LoadedCheckpoint:
         model = ToyTransformer(cfg, params)
     except (ValueError, KeyError) as exc:
         raise CheckpointError(f"checkpoint tensors do not form a model: {exc}") from exc
-    return LoadedCheckpoint(model=model, stage_completed=stage,
-                            seeds=dict(doc.get("seeds", {})), doc=doc)
+    return LoadedCheckpoint(model=model, stage_completed=stage)
 
 
 def require_stage(have: str, needed: str, about_to_run: str) -> None:

@@ -83,12 +83,20 @@ def _check_config_matches(loaded: LoadedCheckpoint, cfg: Config) -> None:
         raise ConfigError("config file disagrees with the checkpoint's embedded config")
 
 
-def _check_seq_len(samples, max_seq_len: int, source: str | Path) -> None:
-    """Reject data the model cannot take before any step runs."""
-    longest = max((len(s.tokens()) for s in samples), default=0)
-    if longest > max_seq_len:
-        raise ValueError(f"{source}: a sequence of {longest} tokens exceeds "
-                         f"model.max_seq_len {max_seq_len}")
+def _check_samples(samples, m: ModelSection, source: str | Path) -> None:
+    """Reject data the model cannot take before any work runs: each sample
+    must fit ``max_seq_len``, hold only ids in [0, vocab_size) and have a
+    target token to score."""
+    for n, s in enumerate(samples, 1):
+        seq = s.tokens()
+        if len(seq) > m.max_seq_len:
+            raise ValueError(f"{source}: sample {n} has {len(seq)} tokens, above "
+                             f"model.max_seq_len {m.max_seq_len}")
+        if not 0 <= min(seq) <= max(seq) < m.vocab_size:
+            raise ValueError(f"{source}: sample {n} holds a token id outside "
+                             f"[0, {m.vocab_size})")
+        if not s.target_tokens:
+            raise ValueError(f"{source}: sample {n} has no target token")
 
 
 def _require_ckpt(path: str | None, about: str, needed: str, cfg: Config) -> LoadedCheckpoint:
@@ -105,7 +113,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     train_path = Path(args.data) / "train.jsonl"
     samples = read_jsonl(train_path)
-    _check_seq_len(samples, cfg.model.max_seq_len, train_path)
+    _check_samples(samples, cfg.model, train_path)
     seeds = {"config": cfg.seed, "taskgen": cfg.taskgen.seed}
 
     if args.stage == "experts":
@@ -160,7 +168,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"unknown adapter id {args.adapter_id!r}; the checkpoint has "
                        f"{loaded.model.adapter_ids}")
     data = read_jsonl(args.data)
-    _check_seq_len(data, loaded.model.cfg.model.max_seq_len, args.data)
+    _check_samples(data, loaded.model.cfg.model, args.data)
     report = evaluate(loaded.model, data, mode=args.mode,
                       adapter_id=args.adapter_id, lam_override=args.lam)
     doc = report.to_dict()

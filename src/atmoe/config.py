@@ -40,8 +40,6 @@ class ModelSection:
 class RouterSection:
     tau_g: float = 1.0
     tau_d: float = 1.0
-    static_intra_group: bool = False
-    pooled: bool = False
 
 
 @dataclass
@@ -85,7 +83,6 @@ class TrainingSection:
     experts: StageSection = field(default_factory=lambda: StageSection(60, 32, 1e-2))
     premerged: StageSection = field(default_factory=lambda: StageSection(10, 32, 1e-2))
     router: StageSection = field(default_factory=lambda: StageSection(15, 32, 1e-2))
-    entropy_bonus: float = 0.0
 
 
 def default_groups() -> tuple[GroupDef, ...]:
@@ -147,6 +144,9 @@ class Config:
             raise ConfigError("atmoe.lambda must lie in [0, 1]")
         if not self.groups:
             raise ConfigError("at least one expert group is required")
+        names = [g.name for g in self.groups]
+        if len(set(names)) != len(names):
+            raise ConfigError("group names must be unique")
         ids = [e for g in self.groups for e in g.experts]
         if len(set(ids)) != len(ids):
             raise ConfigError("expert ids must be unique across groups")
@@ -161,8 +161,9 @@ class Config:
             raise ConfigError("taskgen payload bounds must satisfy 1 <= min <= max")
         for stage_name in ("experts", "premerged", "router"):
             st = getattr(self.training, stage_name)
-            if st.epochs < 0 or st.batch_size < 1 or st.learning_rate < 0:
-                raise ConfigError(f"training.{stage_name} has invalid hyperparameters")
+            if st.epochs < 1 or st.batch_size < 1 or st.learning_rate < 0:
+                raise ConfigError(f"training.{stage_name} needs epochs >= 1, batch_size >= 1 "
+                                  "and learning_rate >= 0")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -176,7 +177,6 @@ class Config:
                 "experts": dataclasses.asdict(self.training.experts),
                 "premerged": dataclasses.asdict(self.training.premerged),
                 "router": dataclasses.asdict(self.training.router),
-                "entropy_bonus": self.training.entropy_bonus,
             },
         }
 
@@ -205,8 +205,8 @@ class Config:
             cfg.taskgen = _section(TaskGenSection, doc["taskgen"], "taskgen")
         if "training" in doc:
             t = dict(doc["training"])
-            _reject_unknown(t, {"experts", "premerged", "router", "entropy_bonus"}, "training")
-            tr = TrainingSection(entropy_bonus=float(t.get("entropy_bonus", 0.0)))
+            _reject_unknown(t, {"experts", "premerged", "router"}, "training")
+            tr = TrainingSection()
             for stage_name in ("experts", "premerged", "router"):
                 if stage_name in t:
                     setattr(tr, stage_name, _section(StageSection, t[stage_name], f"training.{stage_name}"))
@@ -238,9 +238,6 @@ def _section(cls, doc: dict, where: str):
             value = int(value)
         elif f.type in ("float",):
             value = float(value)
-        elif f.type in ("bool",):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where}.{name} must be a boolean")
         kwargs[name] = value
     return cls(**kwargs)
 

@@ -158,9 +158,7 @@ class ToyTransformer:
             S.update({f"{b}.ln2.gain": (d,), f"{b}.ln2.bias": (d,),
                       f"{b}.ffn.up_w": (d_ff, d), f"{b}.ffn.up_b": (d_ff,),
                       f"{b}.ffn.down_w0": (d, d_ff), f"{b}.ffn.down_b0": (d,),
-                      f"{b}.moe.wg": (d_ff, G),
-                      f"{b}.moe.wd": (G, M) if self.cfg.router.static_intra_group
-                      else (G, d_ff, M)})
+                      f"{b}.moe.wg": (d_ff, G), f"{b}.moe.wd": (G, d_ff, M)})
             for aid in self.adapter_ids:
                 S.update({f"{b}.moe.experts.{aid}.A": (m.rank, d_ff),
                           f"{b}.moe.experts.{aid}.B": (d, m.rank)})
@@ -380,7 +378,6 @@ class ToyTransformer:
     def build_graph(self, tokens: np.ndarray, trainable: Iterable[str] = (),
                     mode: str = "full", adapter_id: str | None = None,
                     lam_override: float | None = None,
-                    token_mask: np.ndarray | None = None,
                     rows: np.ndarray | None = None,
                     prefix: np.ndarray | None = None):
         """Batched forward graph; returns (logits Tensor, leaf dict, aux).
@@ -393,12 +390,11 @@ class ToyTransformer:
         attention, the final norm and the unembedding run on them only, and
         the logits are [len(rows), vocab] (``None``: all B*T). Earlier blocks
         and the last attention see every position, as each feeds later keys
-        and values; pooled routing reads every position too, so there the
-        rows are picked after FFN-up. The pick is a ``getitem``, whose backward
-        ``ga[rows] += g`` is right only because no index repeats.
+        and values. The pick is a ``getitem``, whose backward ``ga[rows] += g``
+        is right only because no index repeats.
 
         ``aux`` carries per-layer arrays: ``moe_input`` (the activation entering
-        the expert projection), ``x_route`` (the routing input) and
+        the expert projection, which is also the routing input) and
         ``moe_output`` (what the projection returns), plus in full mode
         ``gw_nodes`` (group weight nodes) and ``iw`` (intra-group weights
         [N, G, M]). The last layer's arrays hold ``rows`` only.
@@ -410,30 +406,22 @@ class ToyTransformer:
         tokens = self._validate_tokens(tokens)
         B, T = tokens.shape
         m = self.cfg.model
-        pooled = self.cfg.router.pooled
         P = ag.parameters(self.params, trainable)
         if prefix is not None and any(P[n].requires_grad for n in P if n.startswith(PREFIX_PARAMS)):
             raise ValueError("a prefix needs frozen embeddings and block 0 attention")
         lam = self.cfg.atmoe.lam if lam_override is None else float(lam_override)
-        if token_mask is None:
-            token_mask = np.ones((B, T))
-        aux: dict = {"moe_input": [], "moe_output": [], "x_route": [], "gw_nodes": [], "iw": []}
+        aux: dict = {"moe_input": [], "moe_output": [], "gw_nodes": [], "iw": []}
 
         h = self._prefix(tokens, P) if prefix is None else ag.Tensor(prefix)
         for i in range(m.n_layers):
             b = f"blocks.{i}"
             h = ag.reshape(h if i == 0 else self._attend(h, P, i), (B * T, m.d_model))
-            pick = rows is not None and i == m.n_layers - 1
-            if pick and not pooled:
+            if rows is not None and i == m.n_layers - 1:
                 h = ag.getitem(h, rows)
             x = ag.layer_norm(h, P[f"{b}.ln2.gain"], P[f"{b}.ln2.bias"])
             u = ag.gelu(ag.linear(x, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
-            x_route = self._pooled(u, B, T, token_mask) if pooled else u
-            if pick and pooled:
-                h, u, x_route = (ag.getitem(t, rows) for t in (h, u, x_route))
             aux["moe_input"].append(u.data)
-            aux["x_route"].append(x_route.data)
-            y = self._moe(u, x_route, P, i, mode, adapter_id, lam, aux)
+            y = self._moe(u, P, i, mode, adapter_id, lam, aux)
             aux["moe_output"].append(y.data)
             h = ag.add(h, y)
             if i < m.n_layers - 1:
@@ -441,18 +429,18 @@ class ToyTransformer:
         hf = ag.layer_norm(h, P["final_ln.gain"], P["final_ln.bias"])
         return ag.matmul(hf, P["unembed"]), P, aux
 
-    def _routing(self, x_route, wg, wd):
+    def _routing(self, u, wg, wd):
         r = self.cfg.router
-        return routing(x_route, wg, wd, self.slot_mask, r.tau_g, r.tau_d)
+        return routing(u, wg, wd, self.slot_mask, r.tau_g, r.tau_d)
 
-    def routing_weights(self, layer: int, x_route: np.ndarray):
+    def routing_weights(self, layer: int, u: np.ndarray):
         """One layer's group [N, G] and intra-group [N, G, M] weights for the
-        routing inputs ``x_route`` [N, d_ff]; no gradients."""
+        expert inputs ``u`` [N, d_ff]; no gradients."""
         b = f"blocks.{layer}.moe"
-        gw, iw = self._routing(x_route, self.params[f"{b}.wg"], self.params[f"{b}.wd"])
-        return gw.data, np.broadcast_to(iw.data, (len(gw.data),) + iw.shape[1:])
+        gw, iw = self._routing(u, self.params[f"{b}.wg"], self.params[f"{b}.wd"])
+        return gw.data, iw.data
 
-    def _moe(self, u, x_route, P, layer: int, mode: str, adapter_id: str | None,
+    def _moe(self, u, P, layer: int, mode: str, adapter_id: str | None,
              lam: float, aux: dict):
         b = f"blocks.{layer}"
         base = ag.linear(u, P[f"{b}.ffn.down_w0"], P[f"{b}.ffn.down_b0"])
@@ -466,9 +454,9 @@ class ToyTransformer:
             return ag.add(base, ag.lora_mixture(u, np.ones((N, 1)), As, Bs))
 
         G, M = self.cfg.n_groups, self.cfg.max_group_size
-        gw, iw = self._routing(x_route, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"])
+        gw, iw = self._routing(u, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"])
         aux["gw_nodes"].append(gw)
-        aux["iw"].append(np.broadcast_to(iw.data, (N, G, M)))
+        aux["iw"].append(iw.data)
         comb = ag.mul(ag.reshape(gw, (N, G, 1)), iw)
         # Adapter coefficients in ``adapter_ids`` order: ``pick`` moves slot
         # (g, m) of the flattened weights to its adapter's column, times lam,
@@ -483,34 +471,19 @@ class ToyTransformer:
         coef = ag.add(ag.matmul(ag.reshape(comb, (N, G * M)), pick), const)
         return ag.add(base, ag.lora_mixture(u, coef, As, Bs))
 
-    def _pooled(self, u, B: int, T: int, token_mask: np.ndarray):
-        d_ff = self.cfg.model.d_ff
-        counts = token_mask.sum(axis=1, keepdims=True)[:, :, None]  # [B,1,1]
-        x3 = ag.reshape(u, (B, T, d_ff))
-        mean = ag.mul(ag.reduce_sum(ag.mul(x3, token_mask[:, :, None]), 1, True), 1.0 / counts)
-        return ag.reshape(ag.add(mean, np.zeros((B, T, 1))), (B * T, d_ff))
-
     # ------------------------------------------------------------- inference
 
     def loss_graph(self, tokens, targets, weights, trainable: Iterable[str] = (),
                    mode: str = "full", adapter_id: str | None = None,
-                   lam_override: float | None = None, entropy_bonus: float = 0.0,
-                   token_mask: np.ndarray | None = None, prefix: np.ndarray | None = None):
+                   lam_override: float | None = None, prefix: np.ndarray | None = None):
         """Scored-position cross entropy; returns (loss Tensor, leaf dict, aux).
         Only the rows with a nonzero weight reach the head (see ``build_graph``)."""
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         rows = np.flatnonzero(weights)
         logits, P, aux = self.build_graph(
-            tokens, trainable, mode, adapter_id, lam_override, token_mask, rows, prefix
+            tokens, trainable, mode, adapter_id, lam_override, rows, prefix
         )
         loss = ag.cross_entropy(logits, np.asarray(targets).reshape(-1)[rows], weights[rows])
-        gws = aux["gw_nodes"]
-        if entropy_bonus > 0.0 and gws:
-            # reward spread-out group weights over every layer's scored rows
-            # (the last layer holds only those); experimental, off by default
-            picked = [ag.getitem(gw, rows) for gw in gws[:-1]] + gws[-1:]
-            total = sum(ag.reduce_sum(ag.reduce_sum(ag.mul(gw, ag.log(gw)), 1), 0) for gw in picked)
-            loss = ag.add(loss, ag.mul(total, entropy_bonus / (len(gws) * len(rows))))
         return loss, P, aux
 
     def forward_logits(self, tokens, mode: str = "full",

@@ -1,10 +1,6 @@
 """Adaptive grouped routing: a group-level softmax over expert categories,
 then a per-group softmax over expert slots, with unused slots masked out so
-they carry exactly zero weight.
-
-Two intra-group modes exist. The default conditions slot logits on the input
-(``W_D`` is [n_groups, in_dim, max_slots]); the static variant stores the slot
-logits directly (``W_D`` is [n_groups, max_slots]) and ignores the input.
+they carry exactly zero weight. Both levels condition on the input.
 """
 
 from __future__ import annotations
@@ -55,19 +51,15 @@ def slot_mask(groups: list[GroupSpec], max_slots: int) -> np.ndarray:
 
 
 def routing(x, wg, wd, mask: np.ndarray, tau_g: float, tau_d: float):
-    """Group weights [N, G] and intra-group weights [N, G, M] (static mode:
-    [1, G, M]) of the routing inputs ``x`` [N, in_dim], as graph nodes.
+    """Group weights [N, G] and intra-group weights [N, G, M] of the routing
+    inputs ``x`` [N, in_dim], as graph nodes.
 
-    ``wg`` is [in_dim, G]; ``wd`` is [G, in_dim, M], or [G, M] in static mode.
-    Arguments may be Tensors or arrays; slots where ``mask`` is False get
-    exactly 0.
+    ``wg`` is [in_dim, G] and ``wd`` [G, in_dim, M]. Arguments may be Tensors
+    or arrays; slots where ``mask`` is False get exactly 0.
     """
     x, wg, wd = (t if isinstance(t, ag.Tensor) else ag.Tensor(t) for t in (x, wg, wd))
     G, M = mask.shape
     gw = ag.masked_temp_softmax(ag.matmul(x, wg), None, tau_g)
-    if wd.data.ndim == 2:
-        dl = ag.reshape(wd, (1, G, M))
-    else:
-        flat = ag.reshape(ag.transpose(wd, (1, 0, 2)), (wd.shape[1], G * M))
-        dl = ag.reshape(ag.matmul(x, flat), (x.shape[0], G, M))
+    flat = ag.reshape(ag.transpose(wd, (1, 0, 2)), (wd.shape[1], G * M))
+    dl = ag.reshape(ag.matmul(x, flat), (x.shape[0], G, M))
     return gw, ag.masked_temp_softmax(dl, mask, tau_d)

@@ -152,7 +152,7 @@ class PrefixCache:
 
 def _run_stage(model: ToyTransformer, samples: list[Sample], trainable: list[str],
                mode: str, adapter_id: str | None, stage, seed: int, stage_tag: str,
-               entropy_bonus: float = 0.0, cache: PrefixCache | None = None) -> list[float]:
+               cache: PrefixCache | None = None) -> list[float]:
     """Epoch loop shared by the three stages; returns per-epoch mean losses."""
     cache = cache or PrefixCache(model, samples)
     opt = Adam(model.params, trainable, stage.learning_rate,
@@ -167,9 +167,7 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], trainable: list[str
             tokens, targets, weights = batch_arrays(batch, max_len)
             loss, P, _ = model.loss_graph(
                 tokens, targets, weights, trainable=trainable, mode=mode,
-                adapter_id=adapter_id, entropy_bonus=entropy_bonus,
-                token_mask=_valid_mask(batch, tokens.shape[1]),
-                prefix=cache.batch(batch, tokens.shape[1]),
+                adapter_id=adapter_id, prefix=cache.batch(batch, tokens.shape[1]),
             )
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"non-finite loss in stage {stage_tag!r}")
@@ -217,8 +215,7 @@ def train_router(model: ToyTransformer, data: list[Sample], cfg: Config) -> Trai
     _require_trained_adapters(model)
     stage = cfg.training.router
     losses = _run_stage(model, data, model.router_param_names(), "full", None,
-                        stage, cfg.seed, "router",
-                        entropy_bonus=cfg.training.entropy_bonus)
+                        stage, cfg.seed, "router")
     return TrainReport("router", None, len(data), stage.epochs,
                        stage.batch_size, stage.learning_rate, losses)
 
@@ -262,8 +259,7 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
         batch = data[start : start + EVAL_BATCH]
         tokens, targets, weights = batch_arrays(batch, cfg.model.max_seq_len)
         rows = np.flatnonzero(weights)
-        logits_t, _, aux = model.build_graph(tokens, (), mode, adapter_id, lam_override,
-                                             _valid_mask(batch, tokens.shape[1]), rows)
+        logits_t, _, aux = model.build_graph(tokens, (), mode, adapter_id, lam_override, rows)
         tg = targets.reshape(-1)[rows]
         z = logits_t.data
         c = z.max(axis=-1, keepdims=True)
@@ -278,8 +274,8 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
             at = rows if i < L - 1 else slice(None)
             if mode == "full":
                 gw, iw = aux["gw_nodes"][i].data[at], aux["iw"][i][at]
-            else:  # the graph did not route; route its hidden states here
-                gw, iw = model.routing_weights(i, aux["x_route"][i][at])
+            else:  # the graph did not route; route its expert inputs here
+                gw, iw = model.routing_weights(i, aux["moe_input"][i][at])
             ent_sum += float(_entropy_rows(gw).sum())
             ent_n += len(rows)
             for spec in model.groups:

@@ -11,6 +11,11 @@ from atmoe.numerics import derive_rng
 from atmoe.taskgen import TaskCatalog, generate
 
 
+# router temperature settings the graph-vs-reference checks run over: the
+# defaults, then one level sharper and the other flatter, each way round
+ROUTERS = [{}, {"tau_g": 0.5, "tau_d": 2.0}, {"tau_g": 2.0, "tau_d": 0.5}]
+
+
 def tiny_config(seed: int = 7, **model_overrides) -> Config:
     cfg = Config(seed=seed)
     fields = dict(vocab_size=8, d_model=4, n_layers=1, n_heads=2, d_ff=8,

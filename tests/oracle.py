@@ -5,8 +5,8 @@ batched graph the tests check against it:
     w[g, m] = softmax_g(x W_G / tau_G)[g] * softmax_m(l_g / tau_D)[m]
     y = (W0 + lam * sum_{g,m} w[g, m] B_gm A_gm + (1 - lam) B_pre A_pre) u + b0
 
-with slot logits ``l_g = x W_D[g]`` (``W_D[g]`` itself in static mode) and
-``-inf`` in the padded slots.
+with routing input ``x = u``, slot logits ``l_g = x W_D[g]`` and ``-inf`` in
+the padded slots.
 """
 
 import numpy as np
@@ -32,18 +32,17 @@ def route(x, wg, wd, mask, tau_g, tau_d):
     gw = softmax(x @ wg, tau_g)
     iw = np.zeros(mask.shape)
     for g in range(mask.shape[0]):
-        logits = wd[g] if wd.ndim == 2 else x @ wd[g]
-        iw[g] = softmax(np.where(mask[g], logits, -np.inf), tau_d)
+        iw[g] = softmax(np.where(mask[g], x @ wd[g], -np.inf), tau_d)
     return gw, iw, gw[:, None] * iw
 
 
-def blend(model, layer: int, u, x_route, lam: float):
-    """Block ``layer``'s blended projection of one activation ``u``, routed by
-    ``x_route``, from ``model``'s parameters and config."""
+def blend(model, layer: int, u, lam: float):
+    """Block ``layer``'s blended projection of one activation ``u``, which is
+    also its routing input, from ``model``'s parameters and config."""
     cfg, b = model.cfg, f"blocks.{layer}"
     P = model.params
     mask = slot_mask(cfg)
-    _, _, w = route(x_route, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"], mask,
+    _, _, w = route(u, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"], mask,
                     cfg.router.tau_g, cfg.router.tau_d)
 
     def delta(aid):

@@ -350,3 +350,85 @@ def test_train_and_eval_reject_overlong_data(workdir, tmp_path, monkeypatch):
     assert main(["eval", "--ckpt", str(root / "router.json"),
                  "--data", str(data / "eval_multi.jsonl"), "--out", str(eval_out)]) == 2
     assert not eval_out.exists()
+
+
+@pytest.mark.parametrize("stage", ["experts", "premerged", "router"])
+def test_train_rejects_zero_epochs_before_any_work(workdir, tmp_path, monkeypatch, stage):
+    # zero epochs leave no loss to report; the config is refused up front
+    root, cfg, _, data = workdir
+    sec = dataclasses.replace
+    st = getattr(cfg.training, stage)
+    cfg = sec(cfg, training=sec(cfg.training, **{stage: sec(st, epochs=0)}))
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached data reading or training")
+
+    for name in ("read_jsonl", "load_checkpoint", "PrefixCache", "train_expert",
+                 "train_premerged", "train_router"):
+        monkeypatch.setattr(cli, name, no_work)
+    prev = {"experts": None, "premerged": "experts", "router": "premerged"}[stage]
+    ckpt_out = tmp_path / "out.json"
+    argv = ["train", "--stage", stage, "--config", str(cfg_path), "--data", str(data),
+            "--ckpt-out", str(ckpt_out)]
+    if prev:
+        argv += ["--ckpt-in", str(root / f"{prev}.json")]
+    assert main(argv) == 2
+    assert not ckpt_out.exists()
+
+
+def _bad_samples(data, defect, vocab_size):
+    """150 training samples, three eval batches' worth, with sample 141 (in
+    the third batch) broken."""
+    samples = (read_jsonl(data / "train.jsonl") * 4)[:150]
+    bad = dataclasses.replace(samples[140])
+    if defect == "out_of_vocab":
+        bad.input_tokens = [vocab_size] + bad.input_tokens[1:]
+    else:
+        bad.target_tokens = []
+    samples[140] = bad
+    return samples
+
+
+@pytest.mark.parametrize("defect", ["out_of_vocab", "no_target"])
+def test_train_and_eval_reject_bad_samples_before_any_work(workdir, tmp_path, monkeypatch,
+                                                           capsys, defect):
+    root, cfg, cfg_path, data = workdir
+    write_jsonl(tmp_path / "train.jsonl", _bad_samples(data, defect, cfg.model.vocab_size))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the prefix cache, training or evaluation")
+
+    for name in ("PrefixCache", "train_expert", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    ckpt_out = tmp_path / "experts.json"
+    assert main(["train", "--stage", "experts", "--config", str(cfg_path),
+                 "--data", str(tmp_path), "--ckpt-out", str(ckpt_out)]) == 2
+    assert not ckpt_out.exists()
+    eval_out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(root / "router.json"),
+                 "--data", str(tmp_path / "train.jsonl"), "--out", str(eval_out)]) == 2
+    assert not eval_out.exists()
+    assert capsys.readouterr().err.count("sample 141") == 2
+
+
+def test_eval_rejects_checkpoint_with_removed_config_keys(workdir, tmp_path, monkeypatch):
+    # a checkpoint written while the config had these keys, re-checksummed
+    root, _, _, data = workdir
+    doc = json.loads((root / "router.json").read_text())
+    doc["config"]["router"].update(pooled=False, static_intra_group=False)
+    doc["config"]["training"]["entropy_bonus"] = 0.0
+    doc["checksum"] = checkpoint_checksum(doc)
+    old = tmp_path / "old.json"
+    old.write_text(canonical_json(doc))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached data reading or evaluation")
+
+    for name in ("read_jsonl", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(old), "--data", str(data / "eval_single.jsonl"),
+                 "--out", str(out)]) == 4
+    assert not out.exists()

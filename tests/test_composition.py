@@ -1,6 +1,6 @@
 """The blended expert projection as the graph computes it (``aux["moe_output"]``)
 against the dense per-vector oracle: the composition, the balance-parameter
-endpoints, a separate (pooled) routing input, and the routing trace."""
+endpoints, and the routing trace."""
 
 import dataclasses
 
@@ -16,10 +16,10 @@ from atmoe.numerics import seeded_rng
 from conftest import tiny_config
 
 
-def _model(seed=0, lam=0.6, **router):
+def _model(seed=0, lam=0.6):
     sec = dataclasses.replace
     cfg = tiny_config(seed=seed, n_layers=2)
-    cfg = sec(cfg, router=sec(cfg.router, tau_g=0.9, tau_d=1.1, **router),
+    cfg = sec(cfg, router=sec(cfg.router, tau_g=0.9, tau_d=1.1),
               atmoe=sec(cfg.atmoe, lam=lam))
     model = ToyTransformer(cfg)
     jitter_params(model, std=0.5)
@@ -32,14 +32,14 @@ def _tokens(cfg, seed=0):
 
 def _check_against_oracle(model, aux, lam):
     for i in range(model.cfg.model.n_layers):
-        for u, x_route, y in zip(aux["moe_input"][i], aux["x_route"][i], aux["moe_output"][i]):
-            want = oracle.blend(model, i, u, x_route, lam)
+        for u, y in zip(aux["moe_input"][i], aux["moe_output"][i]):
+            want = oracle.blend(model, i, u, lam)
             np.testing.assert_allclose(y, want, rtol=1e-9, atol=1e-12)
 
 
 def test_forward_matches_dense_composition():
     for seed in range(8):
-        model = _model(seed, static_intra_group=bool(seed % 2))
+        model = _model(seed)
         _, _, aux = model.build_graph(_tokens(model.cfg, seed))
         _check_against_oracle(model, aux, 0.6)
 
@@ -74,20 +74,6 @@ def test_lambda_one_is_routed_only():
     _, _, other = rerolled.build_graph(tokens, lam_override=1.0)
     for y, want in zip(aux["moe_output"], other["moe_output"]):
         np.testing.assert_array_equal(y, want)
-
-
-def test_separate_routing_input():
-    # pooled routing: every row routes by its sequence's mean activation
-    model = _model(3, pooled=True)
-    tokens = _tokens(model.cfg, 3)
-    mask = np.ones(tokens.shape)
-    mask[1, 4:] = 0.0
-    _, _, aux = model.build_graph(tokens, token_mask=mask)
-    _check_against_oracle(model, aux, 0.6)
-    u, x_route, y = aux["moe_input"][0], aux["x_route"][0], aux["moe_output"][0]
-    np.testing.assert_allclose(x_route[6:10], np.tile(u[6:10].mean(axis=0), (4, 1)),
-                               rtol=1e-12)
-    assert not np.allclose(y[0], oracle.blend(model, 0, u[0], u[0], 0.6))
 
 
 def test_forward_rejects_wrong_length():
@@ -126,7 +112,7 @@ def test_routing_report_consistency():
         # padded slots carry exactly zero
         assert (iw[:, ~mask] == 0.0).all()
         wg, wd = (model.params[f"blocks.{i}.moe.{w}"] for w in ("wg", "wd"))
-        for t, x_route in enumerate(aux["x_route"][i]):
-            want_gw, want_iw, _ = oracle.route(x_route, wg, wd, mask, 0.9, 1.1)
+        for t, u in enumerate(aux["moe_input"][i]):
+            want_gw, want_iw, _ = oracle.route(u, wg, wd, mask, 0.9, 1.1)
             np.testing.assert_allclose(gw[t], want_gw, atol=1e-12)
             np.testing.assert_allclose(iw[t], want_iw, atol=1e-12)

@@ -63,6 +63,13 @@ def test_unknown_keys_rejected():
         Config.from_dict({"model": {"d_modle": 32}})
     with pytest.raises(ConfigError, match="unknown"):
         Config.from_dict({"training": {"mystery": 1}})
+    # the sequence-mean routing input, the input-independent slot logits and
+    # the group-entropy bonus are gone, not ignored
+    for section, key, value in (("router", "pooled", False),
+                                ("router", "static_intra_group", False),
+                                ("training", "entropy_bonus", 0.0)):
+        with pytest.raises(ConfigError, match=f"unknown keys in {section}: \\['{key}'\\]"):
+            Config.from_dict({section: {key: value}})
 
 
 def test_validate_rejects_inconsistent_models():
@@ -105,6 +112,11 @@ def test_validate_rejects_bad_groups():
     cfg = dataclasses.replace(Config(), groups=(
         GroupDef("a", ("premerged",)),))
     with pytest.raises(ConfigError, match="reserved"):
+        cfg.validate()
+    # two groups under one name would share one routing_accuracy entry
+    cfg = dataclasses.replace(Config(), groups=(
+        GroupDef("a", ("x",)), GroupDef("a", ("y",))))
+    with pytest.raises(ConfigError, match="group names must be unique"):
         cfg.validate()
 
 

@@ -12,10 +12,10 @@ from atmoe import autograd as ag
 from atmoe import model as M
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config
-from atmoe.numerics import finite_diff_grad, seeded_rng
+from atmoe.numerics import seeded_rng
 from atmoe.taskgen import PAYLOAD_BASE, TASK_TOKENS
 
-from conftest import tiny_config
+from conftest import ROUTERS, tiny_config
 
 
 def jitter_adapters(model, seed=99, std=0.05):
@@ -193,15 +193,12 @@ def test_build_graph_exposes_routing_internals(tiny_model, tiny_tokens):
     assert logits.data.shape == (len(tiny_tokens),
                                  tiny_model.cfg.model.vocab_size)
     assert set(P) == set(tiny_model.params)
-    assert "x_route" in aux and "gw_nodes" in aux
+    assert set(aux) == {"moe_input", "moe_output", "gw_nodes", "iw"}
     assert len(aux["gw_nodes"]) == tiny_model.cfg.model.n_layers
 
 
-ROUTERS = [{}, {"pooled": True}, {"static_intra_group": True}]
-
-
 def _routed_model(router, n_layers=2):
-    """A jittered model with the given router settings."""
+    """A jittered model with the given router temperatures."""
     sec = dataclasses.replace
     cfg = tiny_config(n_layers=n_layers)
     cfg = sec(cfg, router=sec(cfg.router, **router), atmoe=sec(cfg.atmoe, lam=0.3))
@@ -211,16 +208,13 @@ def _routed_model(router, n_layers=2):
 
 
 def _scored_batch(cfg, seed=21):
-    """Tokens [3, 6] with one padded row; scored positions are a minority,
-    and no padded position is scored."""
+    """Tokens [3, 6] whose scored positions are a minority."""
     rng = seeded_rng(seed)
     tokens = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
     targets = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
-    token_mask = np.ones((3, 6))
-    token_mask[1, 4:] = 0.0
     weights = np.zeros((3, 6))
     weights[0, 2:5] = weights[1, 1:3] = weights[2, 5] = 1.0
-    return tokens, targets, weights, token_mask
+    return tokens, targets, weights
 
 
 def _grads(P, names, params):
@@ -235,14 +229,13 @@ def _close(a, b, tol=1e-12):
 @pytest.mark.parametrize("router", ROUTERS)
 def test_graph_moe_output_matches_blend_equation(router):
     # every row of each layer's batched MoE output against the per-vector
-    # blend equation, fed the same activation and routing input
+    # blend equation, fed the same activation
     model = _routed_model(router)
-    tokens, _, _, token_mask = _scored_batch(model.cfg)
-    _, _, aux = model.build_graph(tokens, token_mask=token_mask)
+    tokens, _, _ = _scored_batch(model.cfg)
+    _, _, aux = model.build_graph(tokens)
     for i in range(model.cfg.model.n_layers):
-        rows = zip(aux["moe_input"][i], aux["x_route"][i], aux["moe_output"][i])
-        for u, x_route, y in rows:
-            want = oracle.blend(model, i, u, x_route, model.cfg.atmoe.lam)
+        for u, y in zip(aux["moe_input"][i], aux["moe_output"][i]):
+            want = oracle.blend(model, i, u, model.cfg.atmoe.lam)
             assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -254,7 +247,7 @@ def test_loss_graph_on_scored_rows_matches_full_row_graph(router, lam, stage):
     # scored rows only; the reference runs every row and lets the zero
     # weights drop the rest inside the cross entropy
     model = _routed_model(router)
-    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    tokens, targets, weights = _scored_batch(model.cfg)
     mode, aid, trainable = {
         "base": ("base", None, sorted(model.params)),
         "expert": ("adapter", model.task_adapter_ids[1],
@@ -263,10 +256,9 @@ def test_loss_graph_on_scored_rows_matches_full_row_graph(router, lam, stage):
         "router": ("full", None, model.router_param_names()),
         "all": ("full", None, sorted(model.params)),
     }[stage]
-    loss, P, aux = model.loss_graph(tokens, targets, weights, trainable, mode, aid, lam,
-                                    token_mask=token_mask)
+    loss, P, aux = model.loss_graph(tokens, targets, weights, trainable, mode, aid, lam)
     loss.backward()
-    logits, P_ref, _ = model.build_graph(tokens, trainable, mode, aid, lam, token_mask)
+    logits, P_ref, _ = model.build_graph(tokens, trainable, mode, aid, lam)
     ref = ag.cross_entropy(logits, targets.reshape(-1), weights.reshape(-1))
     ref.backward()
     assert aux["moe_output"][-1].shape[0] == int(weights.sum())
@@ -274,57 +266,6 @@ def test_loss_graph_on_scored_rows_matches_full_row_graph(router, lam, stage):
     for name, g, want in zip(trainable, _grads(P, trainable, model.params),
                              _grads(P_ref, trainable, model.params)):
         assert _close(g, want), name
-
-
-@pytest.mark.parametrize("router", ROUTERS)
-def test_entropy_bonus_adds_mean_negative_group_entropy(router):
-    model = _routed_model(router)
-    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
-    bonus = 0.5
-    ce, _, _ = model.loss_graph(tokens, targets, weights, token_mask=token_mask)
-    loss, _, aux = model.loss_graph(tokens, targets, weights, entropy_bonus=bonus,
-                                    token_mask=token_mask)
-    # every layer averages over the scored rows; the last layer holds only those
-    rows = np.flatnonzero(weights)
-    gws = [gw.data for gw in aux["gw_nodes"]]
-    assert [len(gw) for gw in gws] == [tokens.size, len(rows)]
-    gws[0] = gws[0][rows]
-    neg_ent = [float((gw * np.log(gw)).sum()) / len(rows) for gw in gws]
-    want = float(ce.data) + bonus * sum(neg_ent) / len(neg_ent)
-    assert abs(float(loss.data) - want) <= 1e-12 * abs(want)
-
-
-def test_entropy_bonus_router_gradient_matches_finite_differences():
-    model = _routed_model({})
-    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
-    names = model.router_param_names()
-
-    def grad(bonus):
-        loss, P, _ = model.loss_graph(tokens, targets, weights, names,
-                                      entropy_bonus=bonus, token_mask=token_mask)
-        loss.backward()
-        return np.concatenate([g.ravel() for g in _grads(P, names, model.params)])
-
-    originals = {n: model.params[n] for n in names}
-
-    def f(theta):
-        off = 0
-        for n in names:
-            size = originals[n].size
-            model.params[n] = theta[off: off + size].reshape(originals[n].shape)
-            off += size
-        loss, _, _ = model.loss_graph(tokens, targets, weights, entropy_bonus=0.5,
-                                      token_mask=token_mask)
-        return float(loss.data)
-
-    analytic = grad(0.5)
-    try:
-        fd = finite_diff_grad(f, np.concatenate([originals[n].ravel() for n in names]), 1e-5)
-    finally:
-        model.params.update(originals)
-    # the bonus moves the router gradient, and the moved gradient is right
-    assert np.linalg.norm(analytic - grad(0.0)) > 1e-3 * np.linalg.norm(analytic)
-    assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_structured_base_token_rows_share_norm():
@@ -394,14 +335,14 @@ def _stage_setup(model, stage):
 def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
     # the frozen prefix as a constant against the graph from token ids
     model = _routed_model(router, n_layers)
-    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    tokens, targets, weights = _scored_batch(model.cfg)
     mode, aid, trainable = _stage_setup(model, stage)
     prefix = model.frozen_prefix(tokens)
     assert prefix.shape == tokens.shape + (model.cfg.model.d_model,)
     runs = []
     for pre in (prefix, None):
         loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, mode, aid, lam,
-                                      0.1, token_mask, pre)
+                                      pre)
         loss.backward()
         runs.append((loss.data, _grads(P, trainable, model.params)))
     (loss, grads), (want_loss, want_grads) = runs
@@ -416,23 +357,22 @@ def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
 def test_prefix_rejects_trainable_prefix_parameter(name):
     model = _routed_model({})
     assert name.startswith(M.PREFIX_PARAMS) and name in model.params
-    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    tokens, targets, weights = _scored_batch(model.cfg)
     with pytest.raises(ValueError):
         model.loss_graph(tokens, targets, weights, [name, "unembed"],
-                         token_mask=token_mask, prefix=model.frozen_prefix(tokens))
+                         prefix=model.frozen_prefix(tokens))
 
 
 @pytest.mark.parametrize("router", ROUTERS)
 def test_pad_columns_leave_loss_and_router_gradient_unchanged(router):
-    # with the entropy bonus on, every layer must average over scored rows
+    # unscored positions appended after every sequence change nothing
     model = _routed_model(router)
-    tokens, targets, weights, token_mask = _scored_batch(model.cfg)
+    tokens, targets, weights = _scored_batch(model.cfg)
     names = model.router_param_names()
     runs = []
     for pad in (0, 2):
-        wide = [np.pad(a, ((0, 0), (0, pad))) for a in (tokens, targets, weights, token_mask)]
-        loss, P, _ = model.loss_graph(*wide[:3], names, entropy_bonus=0.1,
-                                      token_mask=wide[3])
+        wide = [np.pad(a, ((0, 0), (0, pad))) for a in (tokens, targets, weights)]
+        loss, P, _ = model.loss_graph(*wide, names)
         loss.backward()
         runs.append((loss.data, _grads(P, names, model.params)))
     (loss, grads), (want_loss, want_grads) = runs

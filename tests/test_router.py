@@ -1,6 +1,6 @@
 """Grouped routing (``router.routing``, the kernel training and evaluation
 run): two-level softmax normalization, padded-slot zeros, hand-computed
-oracles, temperature behavior, static vs conditioned modes."""
+oracles, temperature behavior."""
 
 import dataclasses
 
@@ -28,20 +28,19 @@ def _groups(sizes):
     return out
 
 
-def _router(sizes, in_dim, seed=0, static=False, std=0.02):
+def _router(sizes, in_dim, seed=0, std=0.02):
     """(wg, wd, mask) of a router over groups of the given sizes."""
     rng = seeded_rng(seed)
     G, M = len(sizes), max(sizes)
     wg = rng.normal(0.0, std, size=(in_dim, G))
-    wd = rng.normal(0.0, std, size=(G, M) if static else (G, in_dim, M))
+    wd = rng.normal(0.0, std, size=(G, in_dim, M))
     return wg, wd, slot_mask(_groups(sizes), M)
 
 
 def _route(x, wg, wd, mask, tau_g=1.0, tau_d=1.0):
     """routing() of the rows of x as arrays: group [N, G], intra [N, G, M]."""
-    x = np.atleast_2d(x)
-    gw, iw = routing(x, wg, wd, mask, tau_g, tau_d)
-    return gw.data, np.broadcast_to(iw.data, (len(x),) + mask.shape)
+    gw, iw = routing(np.atleast_2d(x), wg, wd, mask, tau_g, tau_d)
+    return gw.data, iw.data
 
 
 def test_group_weights_match_plain_softmax():
@@ -83,16 +82,6 @@ def test_singleton_group_gets_full_intra_mass():
     np.testing.assert_array_equal(iw[0, 0, 1:], 0.0)
 
 
-def test_static_mode_ignores_input():
-    wg, wd, mask = _router([2, 2], in_dim=4, seed=9, static=True)
-    assert wd.shape == (2, 2)
-    X = seeded_rng(10).normal(size=(2, 4))
-    gw, iw = _route(X, wg, wd, mask)
-    np.testing.assert_array_equal(iw[0], iw[1])
-    # group mixing still conditions on the input
-    assert not np.array_equal(gw[0], gw[1])
-
-
 def test_low_temperature_concentrates_mass():
     wg, wd, mask = _router([3, 2], in_dim=8, seed=11)
     x = seeded_rng(12).normal(size=8) * 3.0
@@ -105,14 +94,13 @@ def test_low_temperature_concentrates_mass():
 
 def test_batched_weights_agree_with_per_token():
     # one batched call against the per-vector oracle, row by row
-    for static in (False, True):
-        wg, wd, mask = _router([2, 3, 1], in_dim=5, seed=13, static=static, std=1.0)
-        X = seeded_rng(14).normal(size=(7, 5))
-        gw, iw = _route(X, wg, wd, mask, 0.7, 1.3)
-        for t in range(7):
-            want_gw, want_iw, _ = oracle.route(X[t], wg, wd, mask, 0.7, 1.3)
-            np.testing.assert_allclose(gw[t], want_gw, atol=1e-12)
-            np.testing.assert_allclose(iw[t], want_iw, atol=1e-12)
+    wg, wd, mask = _router([2, 3, 1], in_dim=5, seed=13, std=1.0)
+    X = seeded_rng(14).normal(size=(7, 5))
+    gw, iw = _route(X, wg, wd, mask, 0.7, 1.3)
+    for t in range(7):
+        want_gw, want_iw, _ = oracle.route(X[t], wg, wd, mask, 0.7, 1.3)
+        np.testing.assert_allclose(gw[t], want_gw, atol=1e-12)
+        np.testing.assert_allclose(iw[t], want_iw, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -25,7 +25,7 @@ from atmoe.training import (
     train_router,
 )
 
-from conftest import tiny_config
+from conftest import ROUTERS, tiny_config
 
 
 def _shrunk(cfg, epochs=2, batch=16, lr=1e-2):
@@ -201,11 +201,11 @@ def test_evaluate_modes_agree_on_fresh_model(train_setup):
 
 
 @pytest.mark.parametrize("mode", ["full", "base"])
-@pytest.mark.parametrize("router", [{}, {"pooled": True}, {"static_intra_group": True}])
+@pytest.mark.parametrize("router", ROUTERS)
 def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
     # evaluate reads the routing weights the graph computed on scored rows
-    # (or routes the graph's hidden states in a mode that does not route);
-    # the oracle routes the full-row graph's routing inputs per vector
+    # (or routes the graph's expert inputs in a mode that does not route);
+    # the oracle routes the full-row graph's expert inputs per vector
     cfg, data = train_setup
     sec = dataclasses.replace
     cfg = sec(cfg, model=sec(cfg.model, n_layers=2),
@@ -222,16 +222,13 @@ def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
     for start in range(0, len(data), 64):
         batch = data[start: start + 64]
         tokens, _, weights = batch_arrays(batch, cfg.model.max_seq_len)
-        mask = np.zeros(tokens.shape)
-        for b, s in enumerate(batch):
-            mask[b, : len(s.tokens())] = 1.0
-        _, _, aux = model.build_graph(tokens, mode=mode, token_mask=mask)
+        _, _, aux = model.build_graph(tokens, mode=mode)
         b_idx, t_idx = np.nonzero(weights)
         rows = b_idx * tokens.shape[1] + t_idx
         for i in range(cfg.model.n_layers):
             wg, wd = (model.params[f"blocks.{i}.moe.{w}"] for w in ("wg", "wd"))
             for row, b in zip(rows, b_idx):
-                gw, iw, _ = oracle.route(aux["x_route"][i][row], wg, wd, oracle.slot_mask(cfg),
+                gw, iw, _ = oracle.route(aux["moe_input"][i][row], wg, wd, oracle.slot_mask(cfg),
                                          cfg.router.tau_g, cfg.router.tau_d)
                 ent -= float((gw * np.log(gw)).sum())
                 n += 1
@@ -279,7 +276,7 @@ def test_prefix_cache_layout_and_size(train_setup):
     assert cache.data.nbytes == sum(map(len, seqs)) * cfg.model.d_model * 8
 
 
-@pytest.mark.parametrize("router", [{}, {"pooled": True}, {"static_intra_group": True}])
+@pytest.mark.parametrize("router", ROUTERS)
 @pytest.mark.parametrize("mode", ["adapter", "full"])
 def test_prefix_from_cache_matches_token_path(train_setup, monkeypatch, router, mode):
     # other chunking than the default, and a batch whose pad rows are zeros
@@ -302,7 +299,7 @@ def test_prefix_from_cache_matches_token_path(train_setup, monkeypatch, router, 
     runs = []
     for pre in (prefix, None):
         loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, mode, aid,
-                                      entropy_bonus=0.1, token_mask=mask, prefix=pre)
+                                      prefix=pre)
         loss.backward()
         runs.append((loss.data, [P[n].grad for n in trainable]))
     (loss, grads), (want_loss, want_grads) = runs
