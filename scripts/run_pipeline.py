@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Run the full desk experiment: data generation, the three training stages,
-evaluation on both eval splits, and a routing CSV dump.
+"""Run the full desk experiment: data generation, the training stages in
+pipeline order, evaluation on both eval splits, and a routing CSV dump.
 
 Everything goes through the CLI entry points, so this doubles as an
 end-to-end exercise of the command surface. Each command's wall time is
@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 from atmoe.cli import main as cli
+from atmoe.config import STAGES
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -41,14 +42,10 @@ def main() -> int:
     t0 = time.time()
 
     run(["gen-data", "--config", args.config, "--out", str(data)])
-    run(["train", "--stage", "experts", "--config", args.config, "--data", str(data),
-         "--ckpt-out", str(work / "ckpt_experts.json")])
-    run(["train", "--stage", "premerged", "--config", args.config, "--data", str(data),
-         "--ckpt-in", str(work / "ckpt_experts.json"),
-         "--ckpt-out", str(work / "ckpt_premerged.json")])
-    run(["train", "--stage", "router", "--config", args.config, "--data", str(data),
-         "--ckpt-in", str(work / "ckpt_premerged.json"),
-         "--ckpt-out", str(work / "ckpt_router.json")])
+    for i, stage in enumerate(STAGES):
+        ckpt_in = ["--ckpt-in", str(work / f"ckpt_{STAGES[i - 1]}.json")] if i else []
+        run(["train", "--stage", stage, "--config", args.config, "--data", str(data),
+             *ckpt_in, "--ckpt-out", str(work / f"ckpt_{stage}.json")])
 
     ckpt = str(work / "ckpt_router.json")
     run(["eval", "--ckpt", ckpt, "--data", str(data / "eval_single.jsonl"),

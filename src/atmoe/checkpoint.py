@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError
+from .config import STAGES as TRAINING_STAGES, Config, ConfigError
 from .model import ToyTransformer
 from .training import StageOrderError
 
 FORMAT_VERSION = 2
-STAGES = ("none", "experts", "premerged", "router")
+STAGES = ("none",) + TRAINING_STAGES  # stage_completed markers, in pipeline order
 
 
 class CheckpointError(RuntimeError):

@@ -8,6 +8,7 @@ checkpoint, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -15,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (CheckpointError, LoadedCheckpoint, canonical_json,
-                         load_checkpoint, require_stage, save_checkpoint)
+from .checkpoint import (STAGES, CheckpointError, canonical_json, load_checkpoint,
+                         require_stage, save_checkpoint)
 from .config import Config, ConfigError, ModelSection, load_config
 from .model import MODES, ToyTransformer
 from .numerics import derive_rng, mix_seed
-from .taskgen import TaskCatalog, generate, per_task_split, read_jsonl, write_jsonl
-from .training import (PrefixCache, StageOrderError, evaluate, grad_check, train_expert,
-                       train_premerged, train_router)
+from .taskgen import TaskCatalog, generate, read_jsonl, write_jsonl
+from .training import StageOrderError, evaluate, grad_check, train_stage
 
 CSV_HEADER = ("layer,token_index,group_id,group_name,expert_slot,"
               "adapter_id,group_weight,intra_weight,combined_weight")
@@ -78,11 +78,6 @@ def cmd_gen_data(args) -> int:
 
 # --------------------------------------------------------------------- train
 
-def _check_config_matches(loaded: LoadedCheckpoint, cfg: Config) -> None:
-    if canonical_json(loaded.model.cfg.to_dict()) != canonical_json(cfg.to_dict()):
-        raise ConfigError("config file disagrees with the checkpoint's embedded config")
-
-
 def _check_samples(samples, m: ModelSection, source: str | Path) -> None:
     """Reject data the model cannot take before any work runs: each sample
     must fit ``max_seq_len``, hold only ids in [0, vocab_size) and have a
@@ -99,16 +94,6 @@ def _check_samples(samples, m: ModelSection, source: str | Path) -> None:
             raise ValueError(f"{source}: sample {n} has no target token")
 
 
-def _require_ckpt(path: str | None, about: str, needed: str, cfg: Config) -> LoadedCheckpoint:
-    if not path:
-        raise StageOrderError(
-            f"stage {about!r} needs --ckpt-in from a run with stage_completed >= {needed!r}")
-    loaded = load_checkpoint(path)
-    require_stage(loaded.stage_completed, needed, about)
-    _check_config_matches(loaded, cfg)
-    return loaded
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     train_path = Path(args.data) / "train.jsonl"
@@ -116,33 +101,26 @@ def cmd_train(args) -> int:
     _check_samples(samples, cfg.model, train_path)
     seeds = {"config": cfg.seed, "taskgen": cfg.taskgen.seed}
 
-    if args.stage == "experts":
-        if args.ckpt_in:
-            loaded = load_checkpoint(args.ckpt_in)
-            _check_config_matches(loaded, cfg)
-            model = loaded.model
-        else:
-            model = ToyTransformer(cfg)
-        buckets = per_task_split(samples)
-        empty = [tid for tid in model.task_adapter_ids if not buckets.get(tid)]
-        if empty:
-            raise ValueError(f"{train_path}: empty data bucket for task(s) {empty}")
-        cache = PrefixCache(model, samples)
-        reports = [train_expert(model, tid, buckets[tid], cfg, cache)
-                   for tid in model.task_adapter_ids]
-    elif args.stage == "premerged":
-        model = _require_ckpt(args.ckpt_in, "premerged", "experts", cfg).model
-        reports = [train_premerged(model, samples, cfg)]
+    needed = STAGES[STAGES.index(args.stage) - 1]  # the stage this one builds on
+    if args.ckpt_in:
+        loaded = load_checkpoint(args.ckpt_in)
+        require_stage(loaded.stage_completed, needed, args.stage)
+        if canonical_json(loaded.model.cfg.to_dict()) != canonical_json(cfg.to_dict()):
+            raise ConfigError("config file disagrees with the checkpoint's embedded config")
+        model = loaded.model
+    elif needed != "none":
+        raise StageOrderError(f"stage {args.stage!r} needs --ckpt-in from a run with "
+                              f"stage_completed >= {needed!r}")
     else:
-        model = _require_ckpt(args.ckpt_in, "router", "premerged", cfg).model
-        reports = [train_router(model, samples, cfg)]
+        model = ToyTransformer(cfg)
+    reports = train_stage(model, args.stage, samples, cfg)
 
     save_checkpoint(args.ckpt_out, model, args.stage, seeds)
     report_doc = {
         "stage": args.stage,
         "data": str(train_path),
         "n_samples": len(samples),
-        "reports": [r.to_dict() for r in reports],
+        "reports": [dataclasses.asdict(r) for r in reports],
     }
     report_path = args.report or f"{args.ckpt_out}.report.json"
     _write_json(report_path, report_doc)
@@ -171,7 +149,7 @@ def cmd_eval(args) -> int:
     _check_samples(data, loaded.model.cfg.model, args.data)
     report = evaluate(loaded.model, data, mode=args.mode,
                       adapter_id=args.adapter_id, lam_override=args.lam)
-    doc = report.to_dict()
+    doc = dataclasses.asdict(report)
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
         _write_json(args.out, doc)
@@ -190,12 +168,11 @@ def cmd_inspect(args) -> int:
     lines = [CSV_HEADER]
     for layer_i, (gw, iw) in enumerate(model.layer_routing_trace(tokens)):
         for t_i in range(len(tokens)):
-            for spec in model.groups:
-                g = spec.group_id
+            for g, group in enumerate(model.groups):
                 for m in range(model.cfg.max_group_size):
-                    aid = spec.expert_ids[m] if m < spec.size else PAD_SLOT
+                    aid = group.experts[m] if m < len(group.experts) else PAD_SLOT
                     lines.append(
-                        f"{layer_i},{t_i},{g},{spec.name},{m},{aid},{gw[t_i, g]:.9f},"
+                        f"{layer_i},{t_i},{g},{group.name},{m},{aid},{gw[t_i, g]:.9f},"
                         f"{iw[t_i, g, m]:.9f},{gw[t_i, g] * iw[t_i, g, m]:.9f}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.out}")
@@ -275,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="run one training stage")
-    t.add_argument("--stage", required=True, choices=("experts", "premerged", "router"))
+    t.add_argument("--stage", required=True, choices=STAGES[1:])
     t.add_argument("--config", required=True)
     t.add_argument("--data", required=True, help="directory holding train.jsonl")
     t.add_argument("--ckpt-in", default=None)

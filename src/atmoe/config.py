@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 PREMERGED_ID = "premerged"  # the merged-data adapter's id, reserved in groups
+STAGES = ("experts", "premerged", "router")  # the training pipeline, in run order
 
 
 class ConfigError(ValueError):
@@ -69,20 +71,17 @@ class StageSection:
     epochs: int
     batch_size: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-@dataclass
-class TrainingSection:
-    # Low-rank adapters start from B = 0, so the product B A needs an
-    # aggressive learning rate and enough steps to escape the cold start;
-    # the expert buckets are small (hundreds of samples), hence the high
-    # epoch count. Values validated on the seed-42 benchmark run.
-    experts: StageSection = field(default_factory=lambda: StageSection(60, 32, 1e-2))
-    premerged: StageSection = field(default_factory=lambda: StageSection(10, 32, 1e-2))
-    router: StageSection = field(default_factory=lambda: StageSection(15, 32, 1e-2))
+# One StageSection per entry of STAGES, named after it. Low-rank adapters
+# start from B = 0, so the product B A needs an aggressive learning rate and
+# enough steps to escape the cold start; the expert buckets are small
+# (hundreds of samples), hence the high epoch count. Values validated on the
+# seed-42 benchmark run.
+TrainingSection = dataclasses.make_dataclass("TrainingSection", [
+    (stage, StageSection, field(default_factory=lambda d=defaults: StageSection(*d)))
+    for stage, defaults in zip(STAGES, ((60, 32, 1e-2), (10, 32, 1e-2), (15, 32, 1e-2)))
+])
 
 
 def default_groups() -> tuple[GroupDef, ...]:
@@ -159,10 +158,10 @@ class Config:
             raise ConfigError("taskgen.multi_intent_fraction must lie in [0, 1]")
         if not 1 <= tg.payload_min <= tg.payload_max:
             raise ConfigError("taskgen payload bounds must satisfy 1 <= min <= max")
-        for stage_name in ("experts", "premerged", "router"):
-            st = getattr(self.training, stage_name)
+        for stage in STAGES:
+            st = getattr(self.training, stage)
             if st.epochs < 1 or st.batch_size < 1 or st.learning_rate < 0:
-                raise ConfigError(f"training.{stage_name} needs epochs >= 1, batch_size >= 1 "
+                raise ConfigError(f"training.{stage} needs epochs >= 1, batch_size >= 1 "
                                   "and learning_rate >= 0")
 
     def to_dict(self) -> dict[str, Any]:
@@ -173,44 +172,40 @@ class Config:
             "atmoe": {"lambda": self.atmoe.lam},
             "groups": [{"name": g.name, "experts": list(g.experts)} for g in self.groups],
             "taskgen": dataclasses.asdict(self.taskgen),
-            "training": {
-                "experts": dataclasses.asdict(self.training.experts),
-                "premerged": dataclasses.asdict(self.training.premerged),
-                "router": dataclasses.asdict(self.training.router),
-            },
+            "training": dataclasses.asdict(self.training),
         }
 
     @staticmethod
     def from_dict(doc: dict[str, Any]) -> "Config":
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
-        known = {"seed", "model", "router", "atmoe", "groups", "taskgen", "training"}
-        _reject_unknown(doc, known, "top level")
-        cfg = Config(seed=int(doc.get("seed", 42)))
+        _reject_unknown(_object(doc, "config document"), {
+            "seed", "model", "router", "atmoe", "groups", "taskgen", "training"}, "top level")
+        cfg = Config(seed=_typed(doc.get("seed", 42), "int", "seed"))
         if "model" in doc:
             cfg.model = _section(ModelSection, doc["model"], "model")
         if "router" in doc:
             cfg.router = _section(RouterSection, doc["router"], "router")
         if "atmoe" in doc:
-            a = dict(doc["atmoe"])
-            _reject_unknown(a, {"lambda"}, "atmoe")
-            cfg.atmoe = AtMoeSection(lam=float(a.get("lambda", 0.5)))
+            _reject_unknown(_object(doc["atmoe"], "atmoe"), {"lambda"}, "atmoe")
+            cfg.atmoe = AtMoeSection(lam=_typed(doc["atmoe"].get("lambda", 0.5), "float",
+                                                "atmoe.lambda"))
         if "groups" in doc:
+            if not isinstance(doc["groups"], list):
+                raise ConfigError("groups must be a JSON list")
             groups = []
             for g in doc["groups"]:
-                _reject_unknown(dict(g), {"name", "experts"}, "groups[]")
-                groups.append(GroupDef(str(g["name"]), tuple(str(e) for e in g["experts"])))
+                if set(_object(g, "groups[]")) != {"name", "experts"} or \
+                        not isinstance(g["experts"], list):
+                    raise ConfigError('each group needs exactly a "name" and a list of "experts"')
+                groups.append(GroupDef(_typed(g["name"], "str", "groups[].name"), tuple(
+                    _typed(e, "str", "groups[].experts[]") for e in g["experts"])))
             cfg.groups = tuple(groups)
         if "taskgen" in doc:
             cfg.taskgen = _section(TaskGenSection, doc["taskgen"], "taskgen")
         if "training" in doc:
-            t = dict(doc["training"])
-            _reject_unknown(t, {"experts", "premerged", "router"}, "training")
-            tr = TrainingSection()
-            for stage_name in ("experts", "premerged", "router"):
-                if stage_name in t:
-                    setattr(tr, stage_name, _section(StageSection, t[stage_name], f"training.{stage_name}"))
-            cfg.training = tr
+            _reject_unknown(_object(doc["training"], "training"), set(STAGES), "training")
+            cfg.training = TrainingSection(**{
+                stage: _section(StageSection, sec, f"training.{stage}")
+                for stage, sec in doc["training"].items()})
         cfg.validate()
         return cfg
 
@@ -221,25 +216,36 @@ def _reject_unknown(doc: dict, known: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _section(cls, doc: dict, where: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    _reject_unknown(dict(doc), set(fields), where)
-    required = [f.name for f in fields.values()
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return doc
+
+
+def _typed(value, kind: str, where: str):
+    """``value`` as a field of type ``kind`` ("int", "float" or "str"); a null,
+    a bool, a fraction in an int field or a non-finite number is an error."""
+    if kind == "str" and isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind == "int" and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if kind == "float" and abs(value) <= sys.float_info.max:
+            return float(value)
+    want = {"int": "an integer", "float": "a finite number", "str": "a string"}[kind]
+    raise ConfigError(f"{where} must be {want}, got {json.dumps(value)}")
+
+
+def _section(cls, doc, where: str):
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    _reject_unknown(_object(doc, where), set(fields), where)
+    required = [f.name for f in dataclasses.fields(cls)
                 if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     missing = [n for n in required if n not in doc]
     if missing:
         raise ConfigError(f"missing keys in {where}: {missing}")
-    kwargs = {}
-    for name, f in fields.items():
-        if name not in doc:
-            continue
-        value = doc[name]
-        if f.type in ("int",):
-            value = int(value)
-        elif f.type in ("float",):
-            value = float(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**{name: _typed(value, fields[name], f"{where}.{name}")
+                  for name, value in doc.items()})
 
 
 def load_config(path: str | Path) -> Config:

@@ -38,7 +38,7 @@ import numpy as np
 from . import autograd as ag
 from .config import PREMERGED_ID, Config
 from .numerics import derive_rng
-from .router import build_groups, routing, slot_mask
+from .router import routing, slot_mask
 from .taskgen import EOS, PAYLOAD_BASE, PAYLOAD_SIZE, TASK_TOKENS
 
 EMBED_STD = 0.1
@@ -137,10 +137,10 @@ class ToyTransformer:
     def __init__(self, cfg: Config, params: dict[str, np.ndarray] | None = None):
         cfg.validate()
         self.cfg = cfg
-        self.groups = build_groups(cfg.groups)
-        self.task_adapter_ids = [e for g in self.groups for e in g.expert_ids]
+        self.groups = cfg.groups
+        self.task_adapter_ids = [e for g in self.groups for e in g.experts]
         self.adapter_ids = self.task_adapter_ids + [PREMERGED_ID]
-        self.slot_mask = slot_mask(self.groups, cfg.max_group_size)
+        self.slot_mask = slot_mask(self.groups)
         self.params = params if params is not None else self._init_params()
         self._check_param_names()
 

@@ -5,48 +5,18 @@ they carry exactly zero weight. Both levels condition on the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autograd as ag
+from .config import GroupDef
 
 
-@dataclass
-class GroupSpec:
-    """A named expert category and the ordered adapter ids it contains."""
-
-    group_id: int
-    name: str
-    expert_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.expert_ids) < 1:
-            raise ValueError(f"group {self.name!r} has no experts")
-        if len(set(self.expert_ids)) != len(self.expert_ids):
-            raise ValueError(f"group {self.name!r} repeats expert ids")
-
-    @property
-    def size(self) -> int:
-        return len(self.expert_ids)
-
-
-def build_groups(defs) -> list[GroupSpec]:
-    """GroupSpecs from (name, expert_ids) pairs, checking cross-group uniqueness."""
-    groups = [GroupSpec(i, g.name, tuple(g.experts)) for i, g in enumerate(defs)]
-    all_ids = [e for g in groups for e in g.expert_ids]
-    if len(set(all_ids)) != len(all_ids):
-        raise ValueError("expert ids must be unique across groups")
-    return groups
-
-
-def slot_mask(groups: list[GroupSpec], max_slots: int) -> np.ndarray:
-    """Boolean [n_groups, max_slots]; True where a slot holds a real expert."""
-    mask = np.zeros((len(groups), max_slots), dtype=bool)
-    for g in groups:
-        if g.size > max_slots:
-            raise ValueError(f"group {g.name!r} exceeds {max_slots} slots")
-        mask[g.group_id, : g.size] = True
+def slot_mask(groups: tuple[GroupDef, ...]) -> np.ndarray:
+    """Boolean [n_groups, largest group size]; True where a slot holds a real
+    expert."""
+    mask = np.zeros((len(groups), max(len(g.experts) for g in groups)), dtype=bool)
+    for i, g in enumerate(groups):
+        mask[i, : len(g.experts)] = True
     return mask
 
 

@@ -179,13 +179,26 @@ def sample_to_dict(s: Sample) -> dict:
     }
 
 
+def _list_of(doc: dict, key: str, kind: type) -> list:
+    value = doc.get(key)
+    if not isinstance(value, list) or any(type(v) is not kind for v in value):
+        raise ValueError(f"{key!r} must be a list of {kind.__name__}")
+    return value
+
+
 def sample_from_dict(doc: dict) -> Sample:
+    """The sample of one JSONL record; a missing key or a value of the wrong
+    JSON type is a ValueError."""
+    rel = doc.get("relevant_experts") if isinstance(doc, dict) else None
+    if not isinstance(rel, dict) or type(doc.get("intent_count")) is not int:
+        raise ValueError("a sample must be a JSON object with an object 'relevant_experts' "
+                         "and an int 'intent_count'")
     return Sample(
-        instruction_tokens=[int(t) for t in doc["instruction"]],
-        input_tokens=[int(t) for t in doc["input"]],
-        target_tokens=[int(t) for t in doc["target"]],
-        relevant_experts={k: [str(e) for e in v] for k, v in doc["relevant_experts"].items()},
-        intent_count=int(doc["intent_count"]),
+        instruction_tokens=_list_of(doc, "instruction", int),
+        input_tokens=_list_of(doc, "input", int),
+        target_tokens=_list_of(doc, "target", int),
+        relevant_experts={k: _list_of(rel, k, str) for k in rel},
+        intent_count=doc["intent_count"],
     )
 
 
@@ -200,12 +213,16 @@ def write_jsonl(path: str | Path, samples: list[Sample]) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[Sample]:
+    """The samples of a JSONL file; a line that is not a sample is a ValueError
+    naming the file and the line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                samples.append(sample_from_dict(json.loads(line)))
+        for n, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    samples.append(sample_from_dict(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {n}: {exc}") from None
     return samples
 
 

@@ -1,11 +1,11 @@
-"""Three-stage pipeline over the frozen base model.
+"""The training stages (``config.STAGES``) over the frozen base model.
 
-Stage 1 fits each task expert alone on its data bucket (plain single-adapter
-forward). Stage 2 fits the pre-merged adapter the same way on the merged
-dataset. Stage 3 trains only the per-layer routers through the full blended
-forward; every adapter and base weight stays untouched. Evaluation reports
-loss, token accuracy, and routing diagnostics against the ground-truth
-expert-relevance labels carried with each sample.
+``experts`` fits each task expert alone on its data bucket (plain
+single-adapter forward). ``premerged`` fits the pre-merged adapter the same
+way on the merged dataset. ``router`` trains only the per-layer routers
+through the full blended forward; every adapter and base weight stays
+untouched. Evaluation reports loss, token accuracy, and routing diagnostics
+against the ground-truth expert-relevance labels carried with each sample.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PREMERGED_ID, Config
+from .config import PREMERGED_ID, STAGES, Config
 from .model import ToyTransformer
 from .numerics import derive_rng, finite_diff_grad
-from .taskgen import Sample, batch_arrays
+from .taskgen import Sample, batch_arrays, per_task_split
 
 EVAL_BATCH = 64
 PREFIX_CHUNK = 64
@@ -32,14 +32,17 @@ class StageOrderError(RuntimeError):
 class Adam:
     """Adaptive-moment optimizer over a named array store (updates in place)."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], names, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    # decay rates of the first and second moment estimates, and the
+    # denominator's offset
+    DECAY_M, DECAY_V, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, arrays: dict[str, np.ndarray], names, learning_rate: float):
         self.arrays = arrays
         self.names = list(names)
         unknown = [n for n in self.names if n not in arrays]
         if unknown:
             raise KeyError(f"unknown parameters: {unknown}")
-        self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.lr = learning_rate
         self.t = 0
         self.m = {n: np.zeros_like(arrays[n]) for n in self.names}
         self.v = {n: np.zeros_like(arrays[n]) for n in self.names}
@@ -48,13 +51,13 @@ class Adam:
         if self.lr == 0.0:
             return  # degenerate step must leave parameters bit-identical
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.DECAY_M ** self.t
+        bc2 = 1.0 - self.DECAY_V ** self.t
         for n in self.names:
             g = grads[n]
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
-            step = (self.m[n] / bc1) / (np.sqrt(self.v[n] / bc2) + self.eps)
+            self.m[n] = self.DECAY_M * self.m[n] + (1.0 - self.DECAY_M) * g
+            self.v[n] = self.DECAY_V * self.v[n] + (1.0 - self.DECAY_V) * g * g
+            step = (self.m[n] / bc1) / (np.sqrt(self.v[n] / bc2) + self.EPS)
             self.arrays[n] = self.arrays[n] - self.lr * step
 
 
@@ -78,17 +81,6 @@ class TrainReport:
     def final_loss(self) -> float:
         return self.epoch_losses[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "adapter_id": self.adapter_id,
-            "n_samples": self.n_samples,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "epoch_losses": list(self.epoch_losses),
-        }
-
 
 @dataclass
 class EvalReport:
@@ -102,18 +94,6 @@ class EvalReport:
     routing_accuracy: dict[str, float]  # group name -> argmax hit rate
     mean_group_entropy: float
     mean_group_kl: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_samples": self.n_samples,
-            "n_scored_tokens": self.n_scored_tokens,
-            "mean_loss": self.mean_loss,
-            "token_accuracy": self.token_accuracy,
-            "routing_accuracy": dict(self.routing_accuracy),
-            "mean_group_entropy": self.mean_group_entropy,
-            "mean_group_kl": self.mean_group_kl,
-        }
 
 
 def _valid_mask(batch: list[Sample], T: int) -> np.ndarray:
@@ -150,13 +130,15 @@ class PrefixCache:
         return out
 
 
-def _run_stage(model: ToyTransformer, samples: list[Sample], trainable: list[str],
-               mode: str, adapter_id: str | None, stage, seed: int, stage_tag: str,
-               cache: PrefixCache | None = None) -> list[float]:
-    """Epoch loop shared by the three stages; returns per-epoch mean losses."""
-    cache = cache or PrefixCache(model, samples)
-    opt = Adam(model.params, trainable, stage.learning_rate,
-               stage.beta1, stage.beta2, stage.eps)
+def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | None,
+               stage, seed: int, stage_tag: str, cache: PrefixCache) -> list[float]:
+    """Epoch loop fitting one adapter, or the routers when ``adapter_id`` is
+    None; returns per-epoch mean losses."""
+    if adapter_id:
+        trainable, mode = model.adapter_param_names(adapter_id), "adapter"
+    else:
+        trainable, mode = model.router_param_names(), "full"
+    opt = Adam(model.params, trainable, stage.learning_rate)
     max_len = model.cfg.model.max_seq_len
     losses = []
     for epoch in range(stage.epochs):
@@ -182,42 +164,35 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], trainable: list[str
     return losses
 
 
-def train_expert(model: ToyTransformer, task_id: str, data: list[Sample],
-                 cfg: Config, cache: PrefixCache | None = None) -> TrainReport:
-    """Stage 1: fit one task adapter on its bucket; everything else frozen."""
-    if task_id not in model.task_adapter_ids:
-        raise KeyError(f"unknown task adapter: {task_id!r}")
-    if not data:
-        raise ValueError(f"empty data bucket for task {task_id!r}")
-    stage = cfg.training.experts
-    losses = _run_stage(model, data, model.adapter_param_names(task_id),
-                        "adapter", task_id, stage, cfg.seed, f"expert:{task_id}", cache=cache)
-    return TrainReport("experts", task_id, len(data), stage.epochs,
-                       stage.batch_size, stage.learning_rate, losses)
-
-
-def train_premerged(model: ToyTransformer, merged_data: list[Sample],
-                    cfg: Config) -> TrainReport:
-    """Stage 2: fit the pre-merged adapter on the union of all task data."""
-    if not merged_data:
-        raise ValueError("empty merged dataset")
-    stage = cfg.training.premerged
-    losses = _run_stage(model, merged_data, model.adapter_param_names(PREMERGED_ID),
-                        "adapter", PREMERGED_ID, stage, cfg.seed, "premerged")
-    return TrainReport("premerged", PREMERGED_ID, len(merged_data), stage.epochs,
-                       stage.batch_size, stage.learning_rate, losses)
-
-
-def train_router(model: ToyTransformer, data: list[Sample], cfg: Config) -> TrainReport:
-    """Stage 3: fit all layers' routing parameters with every adapter frozen."""
-    if not data:
-        raise ValueError("empty router-training dataset")
-    _require_trained_adapters(model)
-    stage = cfg.training.router
-    losses = _run_stage(model, data, model.router_param_names(), "full", None,
-                        stage, cfg.seed, "router")
-    return TrainReport("router", None, len(data), stage.epochs,
-                       stage.batch_size, stage.learning_rate, losses)
+def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],
+                cfg: Config) -> list[TrainReport]:
+    """Run one pipeline stage on the training set ``samples``: each task expert
+    on its bucket (the samples relevant to it), the pre-merged adapter on all
+    of them, or the routers with every adapter frozen. Every run shares one
+    frozen-prefix cache."""
+    if stage not in STAGES:
+        raise KeyError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    if not samples:
+        raise ValueError(f"empty training dataset for stage {stage!r}")
+    if stage == "experts":
+        buckets = per_task_split(samples)
+        empty = [tid for tid in model.task_adapter_ids if not buckets.get(tid)]
+        if empty:
+            raise ValueError(f"empty data bucket for task(s) {empty}")
+        runs = [(tid, buckets[tid], f"expert:{tid}") for tid in model.task_adapter_ids]
+    elif stage == "premerged":
+        runs = [(PREMERGED_ID, samples, "premerged")]
+    else:
+        _require_trained_adapters(model)
+        runs = [(None, samples, "router")]
+    st = getattr(cfg.training, stage)
+    cache = PrefixCache(model, samples)
+    reports = []
+    for aid, data, tag in runs:
+        losses = _run_stage(model, data, aid, st, cfg.seed, tag, cache)
+        reports.append(TrainReport(stage, aid, len(data), st.epochs, st.batch_size,
+                                   st.learning_rate, losses))
+    return reports
 
 
 def _require_trained_adapters(model: ToyTransformer) -> None:
@@ -278,13 +253,13 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
                 gw, iw = model.routing_weights(i, aux["moe_input"][i][at])
             ent_sum += float(_entropy_rows(gw).sum())
             ent_n += len(rows)
-            for spec in model.groups:
-                slots = iw[:, spec.group_id, : spec.size].argmax(axis=-1)
-                relevant = [t.get(spec.name, ()) for t in truth]
-                hits[spec.name] += sum(
-                    spec.expert_ids[s] in rel for s, rel in zip(slots, relevant)
+            for g, group in enumerate(model.groups):
+                slots = iw[:, g, : len(group.experts)].argmax(axis=-1)
+                relevant = [t.get(group.name, ()) for t in truth]
+                hits[group.name] += sum(
+                    group.experts[s] in rel for s, rel in zip(slots, relevant)
                 )
-                tries[spec.name] += len(rows)
+                tries[group.name] += len(rows)
 
     mean_h = ent_sum / ent_n
     return EvalReport(

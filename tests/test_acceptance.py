@@ -19,10 +19,10 @@ import pytest
 import oracle
 from atmoe.checkpoint import load_checkpoint
 from atmoe.cli import CSV_HEADER, jitter_params, main, parameter_classes
-from atmoe.config import PREMERGED_ID, Config
+from atmoe.config import PREMERGED_ID, Config, GroupDef
 from atmoe.model import ToyTransformer
 from atmoe.numerics import seeded_rng
-from atmoe.router import GroupSpec, routing, slot_mask
+from atmoe.router import routing, slot_mask
 from atmoe.taskgen import read_jsonl, per_task_split
 from atmoe.training import evaluate, grad_check
 
@@ -63,14 +63,13 @@ def pipeline(tmp_path_factory):
             "model": load_checkpoint(run1 / "ckpt_router.json").model}
 
 
-def _random_group_specs(rng, n_groups, max_size):
-    specs, nxt = [], 0
+def _random_groups(rng, n_groups, max_size):
+    groups, nxt = [], 0
     for g in range(n_groups):
         n = int(rng.integers(1, max_size + 1))
-        specs.append(GroupSpec(g, f"g{g}",
-                               tuple(f"e{nxt + i}" for i in range(n))))
+        groups.append(GroupDef(f"g{g}", tuple(f"e{nxt + i}" for i in range(n))))
         nxt += n
-    return specs
+    return tuple(groups)
 
 
 def test_a1_routing_normalization():
@@ -79,9 +78,9 @@ def test_a1_routing_normalization():
     worst = worst_oracle = 0.0
     for _ in range(1000):
         d = int(rng.integers(2, 33))
-        specs = _random_group_specs(rng, int(rng.integers(1, 5)), 4)
-        G, M = len(specs), max(s.size for s in specs)
-        mask = slot_mask(specs, M)
+        groups = _random_groups(rng, int(rng.integers(1, 5)), 4)
+        mask = slot_mask(groups)
+        G, M = mask.shape
         tau_g, tau_d = float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 3.0))
         wg = rng.normal(0.0, 0.5, size=(d, G))
         wd = rng.normal(0.0, 0.5, size=(G, d, M))
@@ -92,11 +91,12 @@ def test_a1_routing_normalization():
         worst = max(worst, abs(gw.sum() - 1.0), abs(combined.sum() - 1.0))
         assert abs(gw.sum() - 1.0) <= 1e-9
         assert abs(combined.sum() - 1.0) <= 1e-9
-        for g, spec in enumerate(specs):
-            worst = max(worst, abs(iw[g, :spec.size].sum() - 1.0))
-            assert abs(iw[g, :spec.size].sum() - 1.0) <= 1e-9
-            assert (iw[g, spec.size:] == 0.0).all()
-            assert (combined[g, spec.size:] == 0.0).all()
+        for g, group in enumerate(groups):
+            size = len(group.experts)
+            worst = max(worst, abs(iw[g, :size].sum() - 1.0))
+            assert abs(iw[g, :size].sum() - 1.0) <= 1e-9
+            assert (iw[g, size:] == 0.0).all()
+            assert (combined[g, size:] == 0.0).all()
         want_gw, want_iw, want = oracle.route(x[0], wg, wd, mask, tau_g, tau_d)
         dev = max(np.abs(gw - want_gw).max(), np.abs(iw - want_iw).max(),
                   np.abs(combined - want).max())
@@ -148,7 +148,7 @@ def _random_layer(rng):
     and every tensor redrawn, plus tokens to run it on."""
     d = int(rng.integers(2, 10))
     k = int(rng.integers(2, 10))
-    specs = _random_group_specs(rng, int(rng.integers(1, 4)), 3)
+    groups = _random_groups(rng, int(rng.integers(1, 4)), 3)
     cfg = Config.from_dict({
         "seed": int(rng.integers(1 << 30)),
         "model": {"vocab_size": 8, "d_model": d, "n_layers": 1, "n_heads": 1, "d_ff": k,
@@ -156,7 +156,7 @@ def _random_layer(rng):
                   "base_init": "random"},
         "router": {"tau_g": float(rng.uniform(0.2, 2.0)), "tau_d": float(rng.uniform(0.2, 2.0))},
         "atmoe": {"lambda": float(rng.uniform(0.0, 1.0))},
-        "groups": [{"name": s.name, "experts": list(s.expert_ids)} for s in specs],
+        "groups": [{"name": g.name, "experts": list(g.experts)} for g in groups],
     })
     model = ToyTransformer(cfg)
     for name, v in model.params.items():
@@ -279,12 +279,12 @@ def test_a7_low_temperature_sharpening():
     rng = seeded_rng(7007)
     worst = 1.0
     for _ in range(200):
-        specs = _random_group_specs(rng, int(rng.integers(2, 5)), 4)
+        mask = slot_mask(_random_groups(rng, int(rng.integers(2, 5)), 4))
         d = int(rng.integers(4, 17))
-        G, M = len(specs), max(s.size for s in specs)
+        G, M = mask.shape
         wg = rng.normal(0.0, 1.0, size=(d, G))
         wd = rng.normal(0.0, 1.0, size=(G, d, M))
-        gw, iw = routing(rng.normal(size=(1, d)), wg, wd, slot_mask(specs, M), 1e-3, 1e-3)
+        gw, iw = routing(rng.normal(size=(1, d)), wg, wd, mask, 1e-3, 1e-3)
         top = (gw.data[0][:, None] * iw.data[0]).max()
         worst = min(worst, float(top))
         assert top > 0.999

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atmoe import cli
+from atmoe import cli, training
 from atmoe.checkpoint import canonical_json, checkpoint_checksum, load_checkpoint
 from atmoe.cli import CSV_HEADER, main
 from atmoe.config import Config, save_config
@@ -96,7 +96,16 @@ def test_train_router_without_ckpt_in_fails(workdir, tmp_path):
     root, _, cfg_path, data = workdir
     rc = main(["train", "--stage", "router", "--config", str(cfg_path),
                "--data", str(data), "--ckpt-out", str(tmp_path / "r.json")])
-    assert rc != 0
+    assert rc == 3
+
+
+def test_train_premerged_without_ckpt_in_fails(workdir, tmp_path):
+    root, _, cfg_path, data = workdir
+    ckpt_out = tmp_path / "p.json"
+    rc = main(["train", "--stage", "premerged", "--config", str(cfg_path),
+               "--data", str(data), "--ckpt-out", str(ckpt_out)])
+    assert rc == 3
+    assert not ckpt_out.exists()
 
 
 def test_train_router_from_experts_checkpoint_fails(workdir, tmp_path):
@@ -189,6 +198,12 @@ def test_eval_rejects_adapter_id_the_checkpoint_lacks(workdir, tmp_path, monkeyp
     assert not out.exists()
 
 
+def _rechecksummed(doc: dict, path: Path) -> Path:
+    doc["checksum"] = checkpoint_checksum(doc)
+    path.write_text(canonical_json(doc))
+    return path
+
+
 def test_eval_rejects_mis_shaped_checkpoint_before_reading_data(workdir, tmp_path,
                                                                  monkeypatch):
     # blocks.0.moe.wd stored transposed: same data length, valid checksum
@@ -198,9 +213,7 @@ def test_eval_rejects_mis_shaped_checkpoint_before_reading_data(workdir, tmp_pat
     G, M = cfg.n_groups, cfg.max_group_size
     assert entry["shape"] == [G, cfg.model.d_ff, M]
     entry["shape"] = [cfg.model.d_ff, G, M]
-    doc["checksum"] = checkpoint_checksum(doc)
-    bad = tmp_path / "bad.json"
-    bad.write_text(canonical_json(doc))
+    bad = _rechecksummed(doc, tmp_path / "bad.json")
 
     def no_work(*args, **kwargs):
         raise AssertionError("reached data reading or evaluation")
@@ -296,9 +309,9 @@ def test_train_experts_rejects_empty_task_bucket(workdir, tmp_path, monkeypatch)
     write_jsonl(tmp_path / "train.jsonl", samples)
 
     def no_work(*args, **kwargs):
-        raise AssertionError("reached expert training")
+        raise AssertionError("reached the prefix cache or expert training")
 
-    monkeypatch.setattr(cli, "train_expert", no_work)
+    monkeypatch.setattr(training, "PrefixCache", no_work)
     ckpt_out = tmp_path / "experts.json"
     assert main(["train", "--stage", "experts", "--config", str(cfg_path),
                  "--data", str(tmp_path), "--ckpt-out", str(ckpt_out)]) == 2
@@ -340,7 +353,7 @@ def test_train_and_eval_reject_overlong_data(workdir, tmp_path, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("reached training or evaluation")
 
-    for name in ("train_expert", "train_premerged", "train_router", "evaluate"):
+    for name in ("train_stage", "evaluate"):
         monkeypatch.setattr(cli, name, no_work)
     ckpt_out = tmp_path / "experts.json"
     assert main(["train", "--stage", "experts", "--config", str(cfg_path),
@@ -365,8 +378,7 @@ def test_train_rejects_zero_epochs_before_any_work(workdir, tmp_path, monkeypatc
     def no_work(*args, **kwargs):
         raise AssertionError("reached data reading or training")
 
-    for name in ("read_jsonl", "load_checkpoint", "PrefixCache", "train_expert",
-                 "train_premerged", "train_router"):
+    for name in ("read_jsonl", "load_checkpoint", "train_stage"):
         monkeypatch.setattr(cli, name, no_work)
     prev = {"experts": None, "premerged": "experts", "router": "premerged"}[stage]
     ckpt_out = tmp_path / "out.json"
@@ -400,7 +412,7 @@ def test_train_and_eval_reject_bad_samples_before_any_work(workdir, tmp_path, mo
     def no_work(*args, **kwargs):
         raise AssertionError("reached the prefix cache, training or evaluation")
 
-    for name in ("PrefixCache", "train_expert", "evaluate"):
+    for name in ("train_stage", "evaluate"):
         monkeypatch.setattr(cli, name, no_work)
     ckpt_out = tmp_path / "experts.json"
     assert main(["train", "--stage", "experts", "--config", str(cfg_path),
@@ -414,21 +426,104 @@ def test_train_and_eval_reject_bad_samples_before_any_work(workdir, tmp_path, mo
 
 
 def test_eval_rejects_checkpoint_with_removed_config_keys(workdir, tmp_path, monkeypatch):
-    # a checkpoint written while the config had these keys, re-checksummed
+    # checkpoints written while the config had these keys, re-checksummed:
+    # the router and bonus knobs of one change, the Adam constants of another
     root, _, _, data = workdir
-    doc = json.loads((root / "router.json").read_text())
-    doc["config"]["router"].update(pooled=False, static_intra_group=False)
-    doc["config"]["training"]["entropy_bonus"] = 0.0
-    doc["checksum"] = checkpoint_checksum(doc)
-    old = tmp_path / "old.json"
-    old.write_text(canonical_json(doc))
 
     def no_work(*args, **kwargs):
         raise AssertionError("reached data reading or evaluation")
 
     for name in ("read_jsonl", "evaluate"):
         monkeypatch.setattr(cli, name, no_work)
-    out = tmp_path / "eval.json"
-    assert main(["eval", "--ckpt", str(old), "--data", str(data / "eval_single.jsonl"),
-                 "--out", str(out)]) == 4
-    assert not out.exists()
+    for removed in ("router", "adam"):
+        doc = json.loads((root / "router.json").read_text())
+        if removed == "router":
+            doc["config"]["router"].update(pooled=False, static_intra_group=False)
+            doc["config"]["training"]["entropy_bonus"] = 0.0
+        else:
+            for stage in doc["config"]["training"].values():
+                stage.update(beta1=0.9, beta2=0.999, eps=1e-8)
+        old = _rechecksummed(doc, tmp_path / f"old_{removed}.json")
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--ckpt", str(old), "--data", str(data / "eval_single.jsonl"),
+                     "--out", str(out)]) == 4
+        assert not out.exists()
+
+
+# (path into the config document, value), each of a JSON type the field
+# does not take
+BAD_CONFIG_VALUES = {
+    "seed_null": (("seed",), None),
+    "section_not_object": (("atmoe",), 5),
+    "section_list": (("model",), [1]),
+    "int_null": (("model", "d_model"), None),
+    "int_fraction": (("model", "d_model"), 32.7),
+    "int_bool": (("model", "rank"), True),
+    "float_string": (("router", "tau_g"), "1"),
+    "float_not_a_number": (("atmoe", "lambda"), "x"),
+    "groups_null": (("groups",), None),
+    "group_not_object": (("groups", 1), "domain"),
+    "group_name_null": (("groups", 0, "name"), None),
+    "experts_not_list": (("groups", 0, "experts"), 5),
+    "expert_id_not_string": (("groups", 0, "experts", 0), 1),
+    "stage_null": (("training", "router"), None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_VALUES)
+def test_config_value_of_wrong_json_type_is_rejected(workdir, tmp_path, monkeypatch, case):
+    # an input error (2) in a config file, a corrupt checkpoint (4) inside one
+    root, _, cfg_path, data = workdir
+    path, value = BAD_CONFIG_VALUES[case]
+
+    def set_value(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    cfg_doc = json.loads(cfg_path.read_text())
+    set_value(cfg_doc)
+    bad_cfg = tmp_path / "cfg.json"
+    bad_cfg.write_text(json.dumps(cfg_doc))
+    assert main(["gen-data", "--config", str(bad_cfg), "--out", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "d").exists()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached data reading or evaluation")
+
+    for name in ("read_jsonl", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    doc = json.loads((root / "router.json").read_text())
+    set_value(doc["config"])
+    bad = _rechecksummed(doc, tmp_path / "bad.json")
+    assert main(["eval", "--ckpt", str(bad), "--data", str(data / "eval_single.jsonl")]) == 4
+
+
+BAD_DATA_LINES = {
+    "instruction_int": lambda r: dict(r, instruction=5),
+    "instruction_null_token": lambda r: dict(r, instruction=[None]),
+    "line_is_list": lambda r: list(r.values()),
+    "relevant_experts_list": lambda r: dict(r, relevant_experts=[1]),
+}
+
+
+@pytest.mark.parametrize("defect", BAD_DATA_LINES)
+def test_train_and_eval_reject_data_of_wrong_json_type(workdir, tmp_path, monkeypatch,
+                                                       capsys, defect):
+    root, _, cfg_path, data = workdir
+    lines = (data / "train.jsonl").read_text().splitlines()
+    lines[6] = json.dumps(BAD_DATA_LINES[defect](json.loads(lines[6])))
+    bad = tmp_path / "train.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the prefix cache or evaluation")
+
+    monkeypatch.setattr(training, "PrefixCache", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    ckpt_out = tmp_path / "experts.json"
+    assert main(["train", "--stage", "experts", "--config", str(cfg_path),
+                 "--data", str(tmp_path), "--ckpt-out", str(ckpt_out)]) == 2
+    assert not ckpt_out.exists()
+    assert main(["eval", "--ckpt", str(root / "router.json"), "--data", str(bad)]) == 2
+    assert capsys.readouterr().err.count(f"{bad}: line 7: ") == 2

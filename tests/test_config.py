@@ -63,13 +63,23 @@ def test_unknown_keys_rejected():
         Config.from_dict({"model": {"d_modle": 32}})
     with pytest.raises(ConfigError, match="unknown"):
         Config.from_dict({"training": {"mystery": 1}})
-    # the sequence-mean routing input, the input-independent slot logits and
-    # the group-entropy bonus are gone, not ignored
+    # the sequence-mean routing input, the input-independent slot logits,
+    # the group-entropy bonus and the per-stage Adam constants are gone, not
+    # ignored
+    stage = {"epochs": 1, "batch_size": 1, "learning_rate": 0.1}
     for section, key, value in (("router", "pooled", False),
                                 ("router", "static_intra_group", False),
-                                ("training", "entropy_bonus", 0.0)):
+                                ("training", "entropy_bonus", 0.0),
+                                ("training.experts", "beta1", 0.9),
+                                ("training.premerged", "beta2", 0.999),
+                                ("training.router", "eps", 1e-8)):
+        doc = {key: value}
+        if section.startswith("training."):
+            doc = {"training": {section.split(".")[1]: dict(stage, **doc)}}
+        else:
+            doc = {section: doc}
         with pytest.raises(ConfigError, match=f"unknown keys in {section}: \\['{key}'\\]"):
-            Config.from_dict({section: {key: value}})
+            Config.from_dict(doc)
 
 
 def test_validate_rejects_inconsistent_models():
@@ -109,6 +119,13 @@ def test_validate_rejects_bad_groups():
         GroupDef("a", ("x", "y")), GroupDef("b", ("y",))))
     with pytest.raises(ConfigError, match="unique"):
         cfg.validate()
+    cfg = dataclasses.replace(Config(), groups=(GroupDef("a", ("x", "x")),))
+    with pytest.raises(ConfigError, match="expert ids must be unique"):
+        cfg.validate()
+    cfg = dataclasses.replace(Config(), groups=(
+        GroupDef("a", ("x",)), GroupDef("empty", ())))
+    with pytest.raises(ConfigError, match="at least one expert"):
+        cfg.validate()
     cfg = dataclasses.replace(Config(), groups=(
         GroupDef("a", ("premerged",)),))
     with pytest.raises(ConfigError, match="reserved"):
@@ -134,6 +151,11 @@ def test_validate_rejects_bad_scalars():
             Config().taskgen, multi_intent_fraction=-0.1))
     with pytest.raises(ConfigError, match="multi_intent_fraction"):
         cfg.validate()
+    # a non-finite number passes every range check above, so the loader
+    # refuses it
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="router.tau_g must be a finite number"):
+            Config.from_dict({"router": {"tau_g": value}})
 
 
 def test_from_dict_partial_overrides_keep_other_defaults():

@@ -13,7 +13,7 @@ import oracle
 from atmoe.config import ConfigError, GroupDef
 from atmoe.model import ROUTER_STD, ToyTransformer
 from atmoe.numerics import seeded_rng
-from atmoe.router import GroupSpec, build_groups, routing, slot_mask
+from atmoe.router import routing, slot_mask
 
 from conftest import tiny_config
 
@@ -24,8 +24,8 @@ def _groups(sizes):
     for g, n in enumerate(sizes):
         ids = tuple(f"e{next_id + i}" for i in range(n))
         next_id += n
-        out.append(GroupSpec(g, f"g{g}", ids))
-    return out
+        out.append(GroupDef(f"g{g}", ids))
+    return tuple(out)
 
 
 def _router(sizes, in_dim, seed=0, std=0.02):
@@ -34,7 +34,7 @@ def _router(sizes, in_dim, seed=0, std=0.02):
     G, M = len(sizes), max(sizes)
     wg = rng.normal(0.0, std, size=(in_dim, G))
     wd = rng.normal(0.0, std, size=(G, in_dim, M))
-    return wg, wd, slot_mask(_groups(sizes), M)
+    return wg, wd, slot_mask(_groups(sizes))
 
 
 def _route(x, wg, wd, mask, tau_g=1.0, tau_d=1.0):
@@ -121,23 +121,11 @@ def test_normalization_properties(sizes, in_dim, seed):
 
 
 def test_slot_mask_layout():
-    mask = slot_mask(_groups([3, 1, 2]), 3)
+    mask = slot_mask(_groups([3, 1, 2]))
     expected = np.array([[True, True, True],
                          [True, False, False],
                          [True, True, False]])
     np.testing.assert_array_equal(mask, expected)
-
-
-def test_group_spec_validation():
-    with pytest.raises(ValueError, match="no experts"):
-        GroupSpec(0, "empty", ())
-    with pytest.raises(ValueError, match="repeats"):
-        GroupSpec(0, "dup", ("a", "a"))
-
-
-def test_build_groups_rejects_cross_group_reuse():
-    with pytest.raises(ValueError):
-        build_groups([GroupDef("g0", ("a", "b")), GroupDef("g1", ("b", "c"))])
 
 
 def test_router_params_validation():

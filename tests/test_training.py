@@ -1,4 +1,4 @@
-"""Three-stage training: optimizer oracle, freeze locality per stage, stage
+"""The training stages: optimizer oracle, freeze locality per stage, stage
 ordering guard, evaluation metrics, and the gradient-check harness."""
 
 import dataclasses
@@ -20,9 +20,7 @@ from atmoe.training import (
     TrainReport,
     evaluate,
     grad_check,
-    train_expert,
-    train_premerged,
-    train_router,
+    train_stage,
 )
 
 from conftest import ROUTERS, tiny_config
@@ -95,15 +93,30 @@ def train_setup():
     return cfg, data
 
 
-def test_train_expert_touches_only_its_adapter(train_setup):
+def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch):
+    # each expert's run trains that adapter alone, on its bucket, in
+    # task_adapter_ids order; together they touch the task adapters only
     cfg, data = train_setup
     model = ToyTransformer(cfg)
+    runs = []
+    loss_graph = ToyTransformer.loss_graph
+
+    def spying_loss_graph(self, tokens, targets, weights, trainable, mode, adapter_id, **kw):
+        runs.append((adapter_id, mode, tuple(trainable)))
+        return loss_graph(self, tokens, targets, weights, trainable, mode, adapter_id, **kw)
+
+    monkeypatch.setattr(ToyTransformer, "loss_graph", spying_loss_graph)
     before = model.param_checksums()
-    split = per_task_split(data)
-    report = train_expert(model, "reverse", split["reverse"], cfg)
+    reports = train_stage(model, "experts", data, cfg)
     after = model.param_checksums()
+    ids = model.task_adapter_ids
+    assert list(dict.fromkeys(runs)) == [
+        (aid, "adapter", tuple(model.adapter_param_names(aid))) for aid in ids]
     touched = {n for n in before if before[n] != after[n]}
-    assert touched == set(model.adapter_param_names("reverse"))
+    assert touched == {n for aid in ids for n in model.adapter_param_names(aid)}
+    split = per_task_split(data)
+    assert [(r.adapter_id, r.n_samples) for r in reports] == [(aid, len(split[aid])) for aid in ids]
+    report = reports[ids.index("reverse")]
     assert isinstance(report, TrainReport)
     assert report.stage == "experts" and report.adapter_id == "reverse"
     assert len(report.epoch_losses) == cfg.training.experts.epochs
@@ -116,8 +129,8 @@ def test_training_reduces_loss(train_setup):
     cfg, data = train_setup
     cfg5 = _shrunk(cfg, epochs=5)
     model = ToyTransformer(cfg5)
-    split = per_task_split(data)
-    report = train_expert(model, "identity", split["identity"], cfg5)
+    reports = train_stage(model, "experts", data, cfg5)
+    report = reports[model.task_adapter_ids.index("identity")]
     assert report.final_loss < report.initial_loss
 
 
@@ -125,52 +138,59 @@ def test_train_premerged_touches_only_premerged(train_setup):
     cfg, data = train_setup
     model = ToyTransformer(cfg)
     before = model.param_checksums()
-    report = train_premerged(model, data, cfg)
+    (report,) = train_stage(model, "premerged", data, cfg)
     after = model.param_checksums()
     touched = {n for n in before if before[n] != after[n]}
     assert touched == set(model.adapter_param_names("premerged"))
-    assert report.stage == "premerged"
+    assert report.stage == "premerged" and report.adapter_id == "premerged"
 
 
 def test_router_stage_requires_earlier_stages(train_setup):
     cfg, data = train_setup
     model = ToyTransformer(cfg)
     with pytest.raises(StageOrderError, match="expert"):
-        train_router(model, data, cfg)
-    split = per_task_split(data)
-    for task in model.task_adapter_ids:
-        train_expert(model, task, split[task], cfg)
+        train_stage(model, "router", data, cfg)
+    train_stage(model, "experts", data, cfg)
     with pytest.raises(StageOrderError, match="pre-merged"):
-        train_router(model, data, cfg)
-    train_premerged(model, data, cfg)
+        train_stage(model, "router", data, cfg)
+    train_stage(model, "premerged", data, cfg)
     before = model.param_checksums()
-    report = train_router(model, data, cfg)
+    (report,) = train_stage(model, "router", data, cfg)
     after = model.param_checksums()
     touched = {n for n in before if before[n] != after[n]}
     assert touched == set(model.router_param_names())
-    assert report.stage == "router"
+    assert report.stage == "router" and report.adapter_id is None
 
 
 def test_stage_runs_are_seed_deterministic(train_setup):
     cfg, data = train_setup
-    split = per_task_split(data)
     runs = []
     for _ in range(2):
         model = ToyTransformer(cfg)
-        rep = train_expert(model, "increment", split["increment"], cfg)
-        runs.append((rep.epoch_losses,
+        reps = train_stage(model, "experts", data, cfg)
+        runs.append(([r.epoch_losses for r in reps],
                      model.param_checksums(
                          model.adapter_param_names("increment"))))
     assert runs[0] == runs[1]
 
 
-def test_empty_bucket_and_unknown_task_rejected(train_setup):
-    cfg, _ = train_setup
+def test_empty_bucket_and_unknown_stage_rejected(train_setup, monkeypatch):
+    # both before any prefix is computed
+    cfg, data = train_setup
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the prefix cache")
+
+    monkeypatch.setattr(training, "PrefixCache", no_work)
     model = ToyTransformer(cfg)
-    with pytest.raises(KeyError):
-        train_expert(model, "ghost", [], cfg)
-    with pytest.raises(ValueError):
-        train_expert(model, "reverse", [], cfg)
+    with pytest.raises(KeyError, match="unknown stage"):
+        train_stage(model, "ghost", data, cfg)
+    for stage in ("experts", "premerged", "router"):
+        with pytest.raises(ValueError, match="empty training dataset"):
+            train_stage(model, stage, [], cfg)
+    no_echo = [s for s in data if "echo_first" not in s.relevant_experts["style"]]
+    with pytest.raises(ValueError, match=r"empty data bucket for task\(s\) \['echo_first'\]"):
+        train_stage(model, "experts", no_echo, cfg)
 
 
 def test_evaluate_report_fields(train_setup):
@@ -185,7 +205,7 @@ def test_evaluate_report_fields(train_setup):
     assert set(rep.routing_accuracy) == {g.name for g in model.groups}
     assert np.isfinite(rep.mean_group_entropy)
     assert np.isfinite(rep.mean_group_kl)
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     assert d["mode"] == "base" and d["n_samples"] == 20
 
 
@@ -232,10 +252,10 @@ def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
                                          cfg.router.tau_g, cfg.router.tau_d)
                 ent -= float((gw * np.log(gw)).sum())
                 n += 1
-                for spec in model.groups:
-                    slot = iw[spec.group_id, : spec.size].argmax()
-                    hits[spec.name] += spec.expert_ids[slot] in \
-                        batch[b].relevant_experts.get(spec.name, ())
+                for g, group in enumerate(model.groups):
+                    slot = iw[g, : len(group.experts)].argmax()
+                    hits[group.name] += group.experts[slot] in \
+                        batch[b].relevant_experts.get(group.name, ())
     assert n == cfg.model.n_layers * rep.n_scored_tokens
     assert abs(rep.mean_group_entropy - ent / n) <= 1e-12
     for name, acc in rep.routing_accuracy.items():
