@@ -3,14 +3,16 @@
 pipeline order, evaluation on both eval splits, and a routing CSV dump.
 
 Everything goes through the CLI entry points, so this doubles as an
-end-to-end exercise of the command surface. Each command's wall time is
-printed after it, and the total at the end. Artifacts land in --workdir.
+end-to-end exercise of the command surface. The first line names the CPUs
+the process may run on, each command's wall time is printed after it, and
+the total at the end. Artifacts land in --workdir.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -36,6 +38,7 @@ def main() -> int:
     ap.add_argument("--workdir", default=str(REPO / "runs" / "default"))
     args = ap.parse_args()
 
+    print(f"cpus: {len(os.sched_getaffinity(0))}")
     work = Path(args.workdir)
     data = work / "data"
     work.mkdir(parents=True, exist_ok=True)

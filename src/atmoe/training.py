@@ -4,14 +4,20 @@
 single-adapter forward). ``premerged`` fits the pre-merged adapter the same
 way on the merged dataset. ``router`` trains only the per-layer routers
 through the full blended forward; every adapter and base weight stays
-untouched. Evaluation reports loss, token accuracy, and routing diagnostics
-against the ground-truth expert-relevance labels carried with each sample.
+untouched. A stage's runs are independent (each trains its own parameters
+over the shared frozen base), so ``experts`` runs them in forked worker
+processes, one BLAS thread each. Evaluation reports loss, token accuracy, and
+routing diagnostics against the ground-truth expert-relevance labels carried
+with each sample.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,8 @@ from .taskgen import Sample, batch_arrays, per_task_split
 
 EVAL_BATCH = 64
 PREFIX_CHUNK = 64
+OPENBLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                           "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 class StageOrderError(RuntimeError):
@@ -131,9 +139,10 @@ class PrefixCache:
 
 
 def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | None,
-               stage, seed: int, stage_tag: str, cache: PrefixCache) -> list[float]:
+               stage, seed: int, stage_tag: str,
+               cache: PrefixCache) -> tuple[list[float], dict[str, np.ndarray]]:
     """Epoch loop fitting one adapter, or the routers when ``adapter_id`` is
-    None; returns per-epoch mean losses."""
+    None; returns per-epoch mean losses and the trained arrays."""
     if adapter_id:
         trainable, mode = model.adapter_param_names(adapter_id), "adapter"
     else:
@@ -161,7 +170,69 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | N
             nll_sum += float(loss.data) * w
             n_scored += w
         losses.append(nll_sum / n_scored)
-    return losses
+    return losses, {n: model.params[n] for n in trainable}
+
+
+def _fit(job: tuple, i: int) -> tuple[list[float], dict[str, np.ndarray]]:
+    """Run ``i`` of a stage job on its own parameter dict: Adam rebinds the
+    entries it updates, so ``model.params`` itself is left untouched."""
+    model, runs, stage, seed, cache = job
+    adapter_id, samples, tag = runs[i]
+    view = ToyTransformer(model.cfg, dict(model.params))
+    return _run_stage(view, samples, adapter_id, stage, seed, tag, cache)
+
+
+_worker_job: tuple | None = None  # the stage job a pool process inherited
+
+
+def _start_worker(job: tuple, set_blas_threads) -> None:
+    global _worker_job
+    _worker_job = job
+    set_blas_threads(1)  # workers fill the CPUs; a BLAS thread pool each would oversubscribe
+
+
+def _fit_in_worker(i: int) -> tuple[list[float], dict[str, np.ndarray]]:
+    return _fit(_worker_job, i)
+
+
+def _blas_thread_setter():
+    """The loaded OpenBLAS's set-thread-count function, or None when no
+    OpenBLAS with a known setter is mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in OPENBLAS_THREAD_SETTERS:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                return fn
+    return None
+
+
+def _fit_all(job: tuple) -> list[tuple[list[float], dict[str, np.ndarray]]]:
+    """Every run of a stage job, in order: in a fork pool of one process per
+    CPU (up to one per run), or in this process when there is one run, one
+    CPU, or no BLAS thread setter to keep the workers from oversubscribing.
+    Fork hands the workers the model, the data and the prefix cache's shared
+    mapping without pickling them; only the results come back."""
+    n_runs = len(job[1])
+    workers = min(n_runs, len(os.sched_getaffinity(0)))
+    set_blas_threads = _blas_thread_setter() if workers > 1 else None
+    if set_blas_threads is None:
+        return [_fit(job, i) for i in range(n_runs)]
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job, set_blas_threads))
+    try:
+        return pool.map(_fit_in_worker, range(n_runs))
+    finally:
+        pool.terminate()  # map has returned or raised: the workers are idle or dead
+        pool.join()
 
 
 def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],
@@ -169,7 +240,8 @@ def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],
     """Run one pipeline stage on the training set ``samples``: each task expert
     on its bucket (the samples relevant to it), the pre-merged adapter on all
     of them, or the routers with every adapter frozen. Every run shares one
-    frozen-prefix cache."""
+    frozen-prefix cache, and ``model.params`` changes only once every run has
+    succeeded."""
     if stage not in STAGES:
         raise KeyError(f"unknown stage {stage!r}; expected one of {STAGES}")
     if not samples:
@@ -186,10 +258,10 @@ def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],
         _require_trained_adapters(model)
         runs = [(None, samples, "router")]
     st = getattr(cfg.training, stage)
-    cache = PrefixCache(model, samples)
+    results = _fit_all((model, runs, st, cfg.seed, PrefixCache(model, samples)))
     reports = []
-    for aid, data, tag in runs:
-        losses = _run_stage(model, data, aid, st, cfg.seed, tag, cache)
+    for (aid, data, _), (losses, trained) in zip(runs, results):
+        model.params.update(trained)
         reports.append(TrainReport(stage, aid, len(data), st.epochs, st.batch_size,
                                    st.learning_rate, losses))
     return reports
@@ -243,7 +315,10 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
         n_correct += int((z.argmax(axis=-1) == tg).sum())
         n_scored += len(rows)
 
-        truth = [batch[b].relevant_experts for b in rows // tokens.shape[1]]
+        # per group, [row, slot]: is that slot's expert relevant to the row's sample
+        relevant = [np.array([[e in s.relevant_experts.get(group.name, ()) for e in group.experts]
+                              for s in batch])[rows // tokens.shape[1]]
+                    for group in model.groups]
         for i in range(L):
             # the last layer's arrays hold the scored rows only
             at = rows if i < L - 1 else slice(None)
@@ -255,10 +330,7 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
             ent_n += len(rows)
             for g, group in enumerate(model.groups):
                 slots = iw[:, g, : len(group.experts)].argmax(axis=-1)
-                relevant = [t.get(group.name, ()) for t in truth]
-                hits[group.name] += sum(
-                    group.experts[s] in rel for s, rel in zip(slots, relevant)
-                )
+                hits[group.name] += int(relevant[g][np.arange(len(rows)), slots].sum())
                 tries[group.name] += len(rows)
 
     mean_h = ent_sum / ent_n

@@ -228,20 +228,22 @@ def test_eval_rejects_mis_shaped_checkpoint_before_reading_data(workdir, tmp_pat
 
 def test_train_experts_computes_each_prefix_once(workdir, tmp_path, monkeypatch):
     # one cache serves all experts, and no step rebuilds the prefix from
-    # token ids: the cache and the token path share ``_prefix``
+    # token ids: the cache and the token path share ``_prefix``. The counter
+    # logs to a file, so it also counts calls made in worker processes.
     _, _, cfg_path, data = workdir
     seqs = {tuple(s.tokens()) for s in read_jsonl(data / "train.jsonl")}
-    computed = []
+    log = tmp_path / "prefix.log"
     prefix = ToyTransformer._prefix
 
     def counting_prefix(self, tokens, P):
-        computed.append(len(tokens))
+        with log.open("a") as fh:
+            fh.write(f"{len(tokens)}\n")
         return prefix(self, tokens, P)
 
     monkeypatch.setattr(ToyTransformer, "_prefix", counting_prefix)
     assert main(["train", "--stage", "experts", "--config", str(cfg_path),
                  "--data", str(data), "--ckpt-out", str(tmp_path / "experts.json")]) == 0
-    assert sum(computed) == len(seqs)
+    assert sum(map(int, log.read_text().split())) == len(seqs)
 
 
 def test_inspect_csv_layout_and_sums(workdir, tmp_path):

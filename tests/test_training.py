@@ -1,7 +1,12 @@
 """The training stages: optimizer oracle, freeze locality per stage, stage
-ordering guard, evaluation metrics, and the gradient-check harness."""
+ordering guard, worker processes against the in-process path, evaluation
+metrics, and the gradient-check harness."""
 
 import dataclasses
+import json
+import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -93,29 +98,50 @@ def train_setup():
     return cfg, data
 
 
-def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch):
-    # each expert's run trains that adapter alone, on its bucket, in
-    # task_adapter_ids order; together they touch the task adapters only
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch, tmp_path):
+    # each expert's run trains that adapter alone, on its bucket, one step per
+    # batch and epoch; together they touch the task adapters only. The spy
+    # logs to a file, so it also sees the steps taken in worker processes.
+    # The runs' order is a property of the in-process path (one CPU) only.
     cfg, data = train_setup
-    model = ToyTransformer(cfg)
-    runs = []
     loss_graph = ToyTransformer.loss_graph
+    for cpus in (1, 4):
+        log = tmp_path / f"loss_graph_{cpus}.jsonl"
 
-    def spying_loss_graph(self, tokens, targets, weights, trainable, mode, adapter_id, **kw):
-        runs.append((adapter_id, mode, tuple(trainable)))
-        return loss_graph(self, tokens, targets, weights, trainable, mode, adapter_id, **kw)
+        def spying_loss_graph(self, tokens, targets, weights, trainable, mode, adapter_id,
+                              **kw):
+            with log.open("a") as fh:
+                fh.write(json.dumps([os.getpid(), adapter_id, mode, list(trainable)]) + "\n")
+            return loss_graph(self, tokens, targets, weights, trainable, mode, adapter_id, **kw)
 
-    monkeypatch.setattr(ToyTransformer, "loss_graph", spying_loss_graph)
-    before = model.param_checksums()
-    reports = train_stage(model, "experts", data, cfg)
-    after = model.param_checksums()
-    ids = model.task_adapter_ids
-    assert list(dict.fromkeys(runs)) == [
-        (aid, "adapter", tuple(model.adapter_param_names(aid))) for aid in ids]
-    touched = {n for n in before if before[n] != after[n]}
-    assert touched == {n for aid in ids for n in model.adapter_param_names(aid)}
-    split = per_task_split(data)
-    assert [(r.adapter_id, r.n_samples) for r in reports] == [(aid, len(split[aid])) for aid in ids]
+        model = ToyTransformer(cfg)
+        before = model.param_checksums()
+        with monkeypatch.context() as m:
+            _cpus(m, cpus)
+            m.setattr(ToyTransformer, "loss_graph", spying_loss_graph)
+            reports = train_stage(model, "experts", data, cfg)
+        after = model.param_checksums()
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        pids = {pid for pid, *_ in calls}
+        assert (pids == {os.getpid()}) if cpus == 1 else (os.getpid() not in pids)
+        runs = [(aid, mode, tuple(trainable)) for _, aid, mode, trainable in calls]
+        ids = model.task_adapter_ids
+        want = [(aid, "adapter", tuple(model.adapter_param_names(aid))) for aid in ids]
+        assert set(runs) == set(want)
+        if cpus == 1:
+            assert list(dict.fromkeys(runs)) == want
+        split = per_task_split(data)
+        st = cfg.training.experts
+        assert [sum(r[0] == aid for r in runs) for aid in ids] == [
+            st.epochs * math.ceil(len(split[aid]) / st.batch_size) for aid in ids]
+        touched = {n for n in before if before[n] != after[n]}
+        assert touched == {n for aid in ids for n in model.adapter_param_names(aid)}
+        assert [(r.adapter_id, r.n_samples) for r in reports] == [
+            (aid, len(split[aid])) for aid in ids]
     report = reports[ids.index("reverse")]
     assert isinstance(report, TrainReport)
     assert report.stage == "experts" and report.adapter_id == "reverse"
@@ -123,6 +149,58 @@ def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch):
     assert report.initial_loss == report.epoch_losses[0]
     assert report.final_loss == report.epoch_losses[-1]
     assert all(np.isfinite(report.epoch_losses))
+
+
+def test_expert_workers_equal_in_process(train_setup, monkeypatch, tmp_path):
+    # one CPU and no BLAS thread setter run in-process, four CPUs in four
+    # workers pinned to one BLAS thread each: the same parameters and reports,
+    # bit for bit, and no worker left behind
+    cfg, data = train_setup
+    set_blas_threads = training._blas_thread_setter()  # None without OpenBLAS
+    outcomes = []
+    for cpus, setter in ((1, True), (4, True), (4, False)):
+        pins = tmp_path / f"pins_{cpus}_{setter}.log"
+        pins.touch()
+
+        def pinning(n):
+            with pins.open("a") as fh:
+                fh.write(f"{n}\n")
+            if set_blas_threads is not None:
+                set_blas_threads(n)
+
+        with monkeypatch.context() as m:
+            _cpus(m, cpus)
+            m.setattr(training, "_blas_thread_setter", lambda: pinning if setter else None)
+            model = ToyTransformer(cfg)
+            reports = train_stage(model, "experts", data, cfg)
+        assert multiprocessing.active_children() == []
+        assert pins.read_text().split() == (["1"] * 4 if (cpus, setter) == (4, True) else [])
+        outcomes.append((model.param_checksums(), reports))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_failed_run_changes_no_params_and_leaves_no_workers(train_setup, monkeypatch, cpus):
+    # the patched run fails in a worker (fork carries the patch there) or in
+    # process; either way the caller gets the error and the stage applies nothing
+    cfg, data = train_setup
+    _cpus(monkeypatch, cpus)
+    run_stage = training._run_stage
+    message = "non-finite loss in stage 'expert:increment'"
+
+    def failing_run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache):
+        if stage_tag == "expert:increment":
+            raise FloatingPointError(message)
+        return run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache)
+
+    monkeypatch.setattr(training, "_run_stage", failing_run_stage)
+    model = ToyTransformer(cfg)
+    before = model.param_checksums()
+    with pytest.raises(FloatingPointError) as err:
+        train_stage(model, "experts", data, cfg)
+    assert type(err.value) is FloatingPointError and str(err.value) == message
+    assert model.param_checksums() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_training_reduces_loss(train_setup):
