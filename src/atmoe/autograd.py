@@ -226,15 +226,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), bwd)
 
 
-def reduce_sum(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
 _GELU_K = math.sqrt(2.0 / math.pi)
 
 

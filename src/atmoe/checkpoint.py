@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import STAGES as TRAINING_STAGES, Config, ConfigError
+from .config import STAGES as TRAINING_STAGES, Config, ConfigError, write_text
 from .model import ToyTransformer
 from .training import StageOrderError
 
@@ -79,12 +79,7 @@ def checkpoint_doc(model: ToyTransformer, stage_completed: str,
 def save_checkpoint(path: str | Path, model: ToyTransformer, stage_completed: str,
                     seeds: dict | None = None) -> dict:
     doc = checkpoint_doc(model, stage_completed, seeds)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-        fh.write("\n")
-    tmp.replace(path)
+    write_text(path, canonical_json(doc) + "\n")
     return doc
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import (STAGES, CheckpointError, canonical_json, load_checkpoint,
                          require_stage, save_checkpoint)
-from .config import Config, ConfigError, ModelSection, load_config
+from .config import Config, ConfigError, ModelSection, load_config, write_text
 from .model import MODES, ToyTransformer
 from .numerics import derive_rng, mix_seed
 from .taskgen import TaskCatalog, generate, read_jsonl, write_jsonl
@@ -30,16 +30,8 @@ PAD_SLOT = "PAD"  # the adapter_id of a padded slot
 GRAD_TOLERANCE = 1e-4
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    tmp.replace(path)
-
-
 def _write_json(path: str | Path, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------------ gen-data
@@ -101,16 +93,13 @@ def cmd_train(args) -> int:
     _check_samples(samples, cfg.model, train_path)
     seeds = {"config": cfg.seed, "taskgen": cfg.taskgen.seed}
 
+    loaded = load_checkpoint(args.ckpt_in) if args.ckpt_in else None
     needed = STAGES[STAGES.index(args.stage) - 1]  # the stage this one builds on
-    if args.ckpt_in:
-        loaded = load_checkpoint(args.ckpt_in)
-        require_stage(loaded.stage_completed, needed, args.stage)
+    require_stage(loaded.stage_completed if loaded else "none", needed, args.stage)
+    if loaded:
         if canonical_json(loaded.model.cfg.to_dict()) != canonical_json(cfg.to_dict()):
             raise ConfigError("config file disagrees with the checkpoint's embedded config")
         model = loaded.model
-    elif needed != "none":
-        raise StageOrderError(f"stage {args.stage!r} needs --ckpt-in from a run with "
-                              f"stage_completed >= {needed!r}")
     else:
         model = ToyTransformer(cfg)
     reports = train_stage(model, args.stage, samples, cfg)
@@ -174,7 +163,7 @@ def cmd_inspect(args) -> int:
                     lines.append(
                         f"{layer_i},{t_i},{g},{group.name},{m},{aid},{gw[t_i, g]:.9f},"
                         f"{iw[t_i, g, m]:.9f},{gw[t_i, g] * iw[t_i, g, m]:.9f}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.out}")
     return 0
 

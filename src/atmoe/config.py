@@ -258,6 +258,14 @@ def load_config(path: str | Path) -> Config:
 
 
 def save_config(cfg: Config, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(cfg.to_dict(), indent=2) + "\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text``, already serialised in full, to a ``.tmp`` sibling and
+    rename it over ``path``, so a failed write leaves the old file intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    tmp.replace(path)

@@ -433,13 +433,6 @@ class ToyTransformer:
         r = self.cfg.router
         return routing(u, wg, wd, self.slot_mask, r.tau_g, r.tau_d)
 
-    def routing_weights(self, layer: int, u: np.ndarray):
-        """One layer's group [N, G] and intra-group [N, G, M] weights for the
-        expert inputs ``u`` [N, d_ff]; no gradients."""
-        b = f"blocks.{layer}.moe"
-        gw, iw = self._routing(u, self.params[f"{b}.wg"], self.params[f"{b}.wd"])
-        return gw.data, iw.data
-
     def _moe(self, u, P, layer: int, mode: str, adapter_id: str | None,
              lam: float, aux: dict):
         b = f"blocks.{layer}"
@@ -485,35 +478,6 @@ class ToyTransformer:
         )
         loss = ag.cross_entropy(logits, np.asarray(targets).reshape(-1)[rows], weights[rows])
         return loss, P, aux
-
-    def forward_logits(self, tokens, mode: str = "full",
-                       adapter_id: str | None = None,
-                       lam_override: float | None = None) -> np.ndarray:
-        """Logits [T, vocab] for one token sequence; no gradients."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1:
-            raise ValueError("forward_logits expects a 1-D token sequence")
-        logits, _, _ = self.build_graph(tokens[None, :], (), mode, adapter_id, lam_override)
-        return logits.data.reshape(tokens.size, self.cfg.model.vocab_size)
-
-    def loss(self, tokens, target_mask) -> float:
-        """Mean next-token cross entropy over masked positions of one sequence."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        mask = np.asarray(target_mask, dtype=bool)
-        if mask.shape != tokens.shape:
-            raise ValueError("target_mask must match the token sequence shape")
-        if not mask.any():
-            raise ValueError("target_mask selects no positions")
-        if mask[-1]:
-            raise ValueError("the final position has no next token to score")
-        T = tokens.size
-        targets = np.zeros((1, T), dtype=np.int64)
-        weights = np.zeros((1, T))
-        idx = np.nonzero(mask)[0]
-        targets[0, idx] = tokens[idx + 1]
-        weights[0, idx] = 1.0
-        loss, _, _ = self.loss_graph(tokens[None, :], targets, weights)
-        return float(loss.data)
 
     def layer_routing_trace(self, tokens) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per layer, the group [T, G] and intra-group [T, G, M] weights the

@@ -32,11 +32,6 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], theta, h: float) -> np.nd
     return grad
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator; identical seed gives an identical draw sequence everywhere."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-
-
 def derive_rng(seed: int, *tags: str) -> np.random.Generator:
     """Independent named substream of the root seed.
 

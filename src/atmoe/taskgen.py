@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import write_text
 from .numerics import derive_rng
 
 BOS, SEP, EOS = 0, 1, 2
@@ -25,9 +26,10 @@ PAYLOAD_BASE = 8
 PAYLOAD_SIZE = 32
 LOW_RANGE = (8, 24)  # half-open
 HIGH_RANGE = (24, 40)
+DOMAIN_RANGE = {"low_range": LOW_RANGE, "high_range": HIGH_RANGE}  # payload ids per domain
 
 FUNCTION_TASKS = ("identity", "reverse", "increment")
-DOMAIN_TASKS = ("low_range", "high_range")
+DOMAIN_TASKS = tuple(DOMAIN_RANGE)
 STYLE_TASKS = ("plain_end", "echo_first")
 
 TASK_TOKENS = {
@@ -38,20 +40,10 @@ TASK_TOKENS = {
     "echo_first": 7,
 }
 
-GROUP_OF_TASK = {
-    **{t: "function" for t in FUNCTION_TASKS},
-    **{t: "domain" for t in DOMAIN_TASKS},
-    **{t: "style" for t in STYLE_TASKS},
-}
-
-
 @dataclass
 class TaskCatalog:
-    """The fixed grouped task taxonomy and its token-range bookkeeping."""
+    """Payload length bounds of the generated samples."""
 
-    function_tasks: tuple[str, ...] = FUNCTION_TASKS
-    domain_tasks: tuple[str, ...] = DOMAIN_TASKS
-    style_tasks: tuple[str, ...] = STYLE_TASKS
     payload_min_len: int = 3
     payload_max_len: int = 8
 
@@ -60,16 +52,6 @@ class TaskCatalog:
         a style token, the payload, SEP, the transformed payload and a
         two-token terminator."""
         return 2 * self.payload_max_len + 7
-
-    def all_tasks(self) -> list[str]:
-        return list(self.function_tasks) + list(self.domain_tasks) + list(self.style_tasks)
-
-    def domain_range(self, domain: str) -> tuple[int, int]:
-        if domain == "low_range":
-            return LOW_RANGE
-        if domain == "high_range":
-            return HIGH_RANGE
-        raise ValueError(f"unknown domain task {domain!r}")
 
 
 @dataclass
@@ -117,7 +99,9 @@ def make_target(function_tasks: list[str], style: str, payload: list[int]) -> li
 
 def make_sample(function_tasks: list[str], domain: str, style: str,
                 payload: list[int]) -> Sample:
-    lo, hi = LOW_RANGE if domain == "low_range" else HIGH_RANGE
+    if domain not in DOMAIN_RANGE:
+        raise ValueError(f"unknown domain task {domain!r}")
+    lo, hi = DOMAIN_RANGE[domain]
     if any(not lo <= t < hi for t in payload):
         raise ValueError(f"payload leaves the {domain} range")
     instruction = [BOS] + [TASK_TOKENS[t] for t in function_tasks] + [TASK_TOKENS[style]]
@@ -143,15 +127,14 @@ def generate(catalog: TaskCatalog, n: int, seed: int,
         raise ValueError(f"multi_intent_fraction must lie in [0, 1], got {multi_intent_fraction}")
     rng = derive_rng(seed, "taskgen")
     samples = []
-    n_fn = len(catalog.function_tasks)
     for _ in range(n):
         multi = bool(rng.random() < multi_intent_fraction)
-        picks = rng.permutation(n_fn)[: 2 if multi else 1]
-        fn_tasks = [catalog.function_tasks[i] for i in picks]
-        domain = catalog.domain_tasks[int(rng.integers(len(catalog.domain_tasks)))]
-        style = catalog.style_tasks[int(rng.integers(len(catalog.style_tasks)))]
+        picks = rng.permutation(len(FUNCTION_TASKS))[: 2 if multi else 1]
+        fn_tasks = [FUNCTION_TASKS[i] for i in picks]
+        domain = DOMAIN_TASKS[int(rng.integers(len(DOMAIN_TASKS)))]
+        style = STYLE_TASKS[int(rng.integers(len(STYLE_TASKS)))]
         length = int(rng.integers(catalog.payload_min_len, catalog.payload_max_len + 1))
-        lo, hi = catalog.domain_range(domain)
+        lo, hi = DOMAIN_RANGE[domain]
         payload = [int(t) for t in rng.integers(lo, hi, size=length)]
         samples.append(make_sample(fn_tasks, domain, style, payload))
     return samples
@@ -203,13 +186,8 @@ def sample_from_dict(doc: dict) -> Sample:
 
 
 def write_jsonl(path: str | Path, samples: list[Sample]) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps(sample_to_dict(s), separators=(",", ":")))
-            fh.write("\n")
-    tmp.replace(path)
+    write_text(path, "".join(json.dumps(sample_to_dict(s), separators=(",", ":")) + "\n"
+                             for s in samples))
 
 
 def read_jsonl(path: str | Path) -> list[Sample]:

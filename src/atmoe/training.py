@@ -18,6 +18,7 @@ import math
 import mmap
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,12 +228,14 @@ def _fit_all(job: tuple) -> list[tuple[list[float], dict[str, np.ndarray]]]:
     set_blas_threads = _blas_thread_setter() if workers > 1 else None
     if set_blas_threads is None:
         return [_fit(job, i) for i in range(n_runs)]
-    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job, set_blas_threads))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker,
+                               (job, set_blas_threads))
     try:
-        return pool.map(_fit_in_worker, range(n_runs))
+        return list(pool.map(_fit_in_worker, range(n_runs)))
     finally:
-        pool.terminate()  # map has returned or raised: the workers are idle or dead
-        pool.join()
+        # a failed run cancels the queued ones and a dead worker breaks the
+        # pool, stopping the others; either way every worker is joined here
+        pool.shutdown(cancel_futures=True)
 
 
 def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],
@@ -325,7 +328,9 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
             if mode == "full":
                 gw, iw = aux["gw_nodes"][i].data[at], aux["iw"][i][at]
             else:  # the graph did not route; route its expert inputs here
-                gw, iw = model.routing_weights(i, aux["moe_input"][i][at])
+                b = f"blocks.{i}.moe"
+                gw, iw = (w.data for w in model._routing(
+                    aux["moe_input"][i][at], model.params[f"{b}.wg"], model.params[f"{b}.wd"]))
             ent_sum += float(_entropy_rows(gw).sum())
             ent_n += len(rows)
             for g, group in enumerate(model.groups):
@@ -346,28 +351,14 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
     )
 
 
-def _as_batch(sample, max_seq_len: int):
-    """Accept a labeled sample or a bare token sequence (all positions scored)."""
-    if isinstance(sample, Sample):
-        return batch_arrays([sample], max_seq_len)
-    tokens = np.asarray(sample, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < 2:
-        raise ValueError("need a 1-D token sequence of length >= 2")
-    T = tokens.size
-    targets = np.zeros((1, T), dtype=np.int64)
-    weights = np.zeros((1, T))
-    targets[0, : T - 1] = tokens[1:]
-    weights[0, : T - 1] = 1.0
-    return tokens[None, :], targets, weights
-
-
 GRAD_CHECK_FLOOR = 1e-6
 
 
-def grad_check(model: ToyTransformer, sample, parameter_subset, h: float = 1e-4,
+def grad_check(model: ToyTransformer, tokens, parameter_subset, h: float = 1e-4,
                inject_error: bool = False) -> float:
     """Norm-relative disagreement between analytic and central-difference
-    gradients over the given parameters: ||g_a - g_fd|| / max(||g_a||,
+    gradients of the loss of every next token of the 1-D sequence ``tokens``
+    over the given parameters: ||g_a - g_fd|| / max(||g_a||,
     ||g_fd||, floor). Entry-wise ratios drown in central-difference noise
     wherever an entry sits below the O(h^2) truncation error, so the
     comparison is made at the scale of the whole subset; the floor keeps a
@@ -379,7 +370,15 @@ def grad_check(model: ToyTransformer, sample, parameter_subset, h: float = 1e-4,
     missing = [n for n in names if n not in model.params]
     if missing:
         raise KeyError(f"unknown parameters: {missing}")
-    tokens, targets, weights = _as_batch(sample, model.cfg.model.max_seq_len)
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 1 or tokens.size < 2:
+        raise ValueError("need a 1-D token sequence of length >= 2")
+    T = tokens.size
+    targets = np.zeros((1, T), dtype=np.int64)
+    weights = np.zeros((1, T))
+    targets[0, : T - 1] = tokens[1:]
+    weights[0, : T - 1] = 1.0
+    tokens = tokens[None, :]
 
     loss_t, P, _ = model.loss_graph(tokens, targets, weights, trainable=names)
     if not np.isfinite(loss_t.data):

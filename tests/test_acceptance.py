@@ -21,7 +21,6 @@ from atmoe.checkpoint import load_checkpoint
 from atmoe.cli import CSV_HEADER, jitter_params, main, parameter_classes
 from atmoe.config import PREMERGED_ID, Config, GroupDef
 from atmoe.model import ToyTransformer
-from atmoe.numerics import seeded_rng
 from atmoe.router import routing, slot_mask
 from atmoe.taskgen import read_jsonl, per_task_split
 from atmoe.training import evaluate, grad_check
@@ -73,7 +72,7 @@ def _random_groups(rng, n_groups, max_size):
 
 
 def test_a1_routing_normalization():
-    rng = seeded_rng(1001)
+    rng = np.random.default_rng(1001)
     t0 = time.monotonic()
     worst = worst_oracle = 0.0
     for _ in range(1000):
@@ -110,7 +109,7 @@ def test_a1_routing_normalization():
 
 
 def test_a2_gradient_verification():
-    rng = seeded_rng(2002)
+    rng = np.random.default_rng(2002)
     t0 = time.monotonic()
     worst = 0.0
     worst_class = "?"
@@ -166,7 +165,7 @@ def _random_layer(rng):
 
 
 def test_a3_blend_equation_oracle():
-    rng = seeded_rng(3003)
+    rng = np.random.default_rng(3003)
     worst = 0.0
     for _ in range(100):
         model, tokens = _random_layer(rng)
@@ -276,7 +275,7 @@ def test_a6_determinism(pipeline):
 
 
 def test_a7_low_temperature_sharpening():
-    rng = seeded_rng(7007)
+    rng = np.random.default_rng(7007)
     worst = 1.0
     for _ in range(200):
         mask = slot_mask(_random_groups(rng, int(rng.integers(2, 5)), 4))

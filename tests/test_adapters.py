@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, ConfigError, GroupDef
 from atmoe.model import ADAPTER_STD, ToyTransformer
-from atmoe.numerics import seeded_rng
 
 from conftest import tiny_config
 
 
 def _tokens(cfg, seed=3):
-    return seeded_rng(seed).integers(0, cfg.model.vocab_size, size=(2, cfg.model.max_seq_len))
+    return np.random.default_rng(seed).integers(0, cfg.model.vocab_size, size=(2, cfg.model.max_seq_len))
 
 
 def test_init_shapes_and_b_zero():

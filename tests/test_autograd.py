@@ -7,7 +7,7 @@ import pytest
 from atmoe import autograd as ag
 from atmoe.cli import jitter_params
 from atmoe.model import ToyTransformer
-from atmoe.numerics import finite_diff_grad, seeded_rng
+from atmoe.numerics import finite_diff_grad
 
 from conftest import tiny_config
 
@@ -17,6 +17,13 @@ ATOL = 1e-7
 def numeric_grad(build, theta0):
     """Central-difference gradient of scalar-valued build(theta)."""
     return finite_diff_grad(lambda t: build(t), theta0, h=1e-5)
+
+
+def total(t):
+    """The sum of ``t``'s entries as a scalar node: its flattened row times a
+    column of ones."""
+    n = t.data.size
+    return ag.reshape(ag.matmul(ag.reshape(t, (1, n)), np.ones((n, 1))), ())
 
 
 def check_op(build_scalar, theta0):
@@ -29,31 +36,30 @@ def check_op(build_scalar, theta0):
 
 
 def test_add_mul_sub_grads():
-    rng = seeded_rng(1)
+    rng = np.random.default_rng(1)
     x0 = rng.normal(size=6)
     c = rng.normal(size=6)
 
     def f(t):
         y = ag.add(ag.mul(t, t), ag.mul(t, ag.Tensor(c)))
         y = ag.add(y, ag.mul(ag.Tensor(np.full(6, 2.0)), t))
-        return ag.reduce_sum(y, 0)
+        return total(y)
 
     check_op(f, x0)
 
 
 def test_matmul_grad_both_sides():
-    rng = seeded_rng(2)
+    rng = np.random.default_rng(2)
     a0 = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
 
     def fa(t):
         prod = ag.matmul(t, ag.Tensor(b))
-        return ag.reduce_sum(ag.reduce_sum(ag.mul(prod, prod), 1), 0)
+        return total(ag.mul(prod, prod))
 
     flat = a0.ravel()
     t = ag.Tensor(a0, requires_grad=True)
-    out = ag.reduce_sum(ag.reduce_sum(ag.mul(ag.matmul(t, ag.Tensor(b)),
-                                             ag.matmul(t, ag.Tensor(b))), 1), 0)
+    out = total(ag.mul(ag.matmul(t, ag.Tensor(b)), ag.matmul(t, ag.Tensor(b))))
     out.backward()
     num = numeric_grad(
         lambda th: float(fa(ag.Tensor(th.reshape(3, 4))).data), flat)
@@ -61,14 +67,14 @@ def test_matmul_grad_both_sides():
 
 
 def test_transpose_reshape_getitem_grads():
-    rng = seeded_rng(3)
+    rng = np.random.default_rng(3)
     x0 = rng.normal(size=(2, 3, 4))
 
     def f(t):
         y = ag.transpose(t, (1, 0, 2))
         y = ag.reshape(y, (3, 8))
         y = ag.getitem(y, (slice(0, 2), slice(1, 7)))
-        return ag.reduce_sum(ag.reduce_sum(ag.mul(y, y), 1), 0)
+        return total(ag.mul(y, y))
 
     t = ag.Tensor(x0, requires_grad=True)
     f(t).backward()
@@ -78,13 +84,13 @@ def test_transpose_reshape_getitem_grads():
 
 
 def test_embedding_grad_scatters_rows():
-    rng = seeded_rng(4)
+    rng = np.random.default_rng(4)
     table0 = rng.normal(size=(5, 3))
     ids = np.array([[1, 1, 4], [0, 2, 1]])
 
     def f(t):
         e = ag.embedding(t, ids)
-        return ag.reduce_sum(ag.reduce_sum(ag.reduce_sum(ag.mul(e, e), 2), 1), 0)
+        return total(ag.mul(e, e))
 
     t = ag.Tensor(table0, requires_grad=True)
     f(t).backward()
@@ -96,12 +102,12 @@ def test_embedding_grad_scatters_rows():
 
 
 def test_gelu_layer_norm_grads():
-    rng = seeded_rng(5)
+    rng = np.random.default_rng(5)
     y0 = rng.normal(size=(3, 5))
 
     def f_gelu(t):
         g = ag.gelu(t)
-        return ag.reduce_sum(ag.reduce_sum(ag.mul(g, g), 1), 0)
+        return total(ag.mul(g, g))
 
     t = ag.Tensor(y0, requires_grad=True)
     f_gelu(t).backward()
@@ -117,7 +123,7 @@ def test_gelu_layer_norm_grads():
         g = ag.Tensor(gain) if g is None else g
         b = ag.Tensor(bias) if b is None else b
         y = ag.layer_norm(t, g, b)
-        return ag.reduce_sum(ag.reduce_sum(ag.mul(y, y), 1), 0)
+        return total(ag.mul(y, y))
 
     t = ag.Tensor(z0, requires_grad=True)
     gt = ag.Tensor(gain, requires_grad=True)
@@ -135,7 +141,7 @@ def test_gelu_layer_norm_grads():
 
 
 def test_masked_temp_softmax_grad_and_padding():
-    rng = seeded_rng(6)
+    rng = np.random.default_rng(6)
     z0 = rng.normal(size=(3, 4))
     mask = np.array([[True, True, False, False],
                      [True, True, True, False],
@@ -144,7 +150,7 @@ def test_masked_temp_softmax_grad_and_padding():
 
     def f(t):
         s = ag.masked_temp_softmax(t, mask, 0.7)
-        return ag.reduce_sum(ag.reduce_sum(ag.mul(s, ag.Tensor(probe)), 1), 0)
+        return total(ag.mul(s, ag.Tensor(probe)))
 
     t = ag.Tensor(z0, requires_grad=True)
     f(t).backward()
@@ -157,7 +163,7 @@ def test_masked_temp_softmax_grad_and_padding():
 
 
 def test_cross_entropy_grad_and_weighting():
-    rng = seeded_rng(7)
+    rng = np.random.default_rng(7)
     z0 = rng.normal(size=(4, 5))
     targets = np.array([0, 3, 2, 4])
     weights = np.array([1.0, 0.0, 2.0, 1.0])
@@ -184,14 +190,14 @@ def test_cross_entropy_matches_hand_value():
 def test_reused_tensor_accumulates_gradient():
     x = ag.Tensor(np.array([2.0]), requires_grad=True)
     y = ag.add(ag.mul(x, x), ag.mul(x, x))  # 2x^2, dy/dx = 4x = 8
-    ag.reduce_sum(y, 0).backward()
+    total(y).backward()
     np.testing.assert_allclose(x.grad, [8.0], atol=1e-12)
 
 
 def test_constants_have_no_grad():
     x = ag.Tensor(np.ones(3), requires_grad=True)
     c = ag.Tensor(np.ones(3))
-    ag.reduce_sum(ag.mul(x, c), 0).backward()
+    total(ag.mul(x, c)).backward()
     assert c.grad is None
     np.testing.assert_allclose(x.grad, np.ones(3), atol=1e-12)
 
@@ -206,10 +212,7 @@ def test_parameters_marks_only_trainable():
 
 def _probe_sum(out, probe):
     """Scalar ``sum(out * probe)`` built from graph ops."""
-    y = ag.mul(out, ag.Tensor(probe))
-    while y.data.ndim:
-        y = ag.reduce_sum(y, 0)
-    return y
+    return total(ag.mul(out, ag.Tensor(probe)))
 
 
 def _check_fused_grads(build, arrays, trainable, probe):
@@ -232,7 +235,7 @@ def _check_fused_grads(build, arrays, trainable, probe):
 
 
 def test_linear_grads_match_finite_differences():
-    rng = seeded_rng(8)
+    rng = np.random.default_rng(8)
     arrays = {"x": rng.normal(size=(5, 3)), "w": rng.normal(size=(4, 3)),
               "b": rng.normal(size=4)}
     probe = rng.normal(size=(5, 4))
@@ -249,7 +252,7 @@ ATTN_LEAVES = ("a", "wq", "wk", "wv", "wo")
     set(ATTN_LEAVES), {"a"}, {"wq", "wo"}, {"wk"}, {"a", "wv"}, {"wo"},
 ])
 def test_causal_attention_grads_match_finite_differences(trainable):
-    rng = seeded_rng(9)
+    rng = np.random.default_rng(9)
     B, T, d, H = 2, 3, 4, 2
     arrays = {"a": rng.normal(size=(B, T, d))}
     arrays.update({w: rng.normal(size=(d, d)) for w in ATTN_LEAVES[1:]})
@@ -290,7 +293,7 @@ def _assert_rel_close(got, want, tol=1e-12):
 
 @pytest.mark.parametrize("B,T,d,H", [(1, 5, 6, 3), (3, 2, 8, 2), (2, 7, 4, 1), (4, 1, 6, 2)])
 def test_fused_ops_match_unfused_composition(B, T, d, H):
-    rng = seeded_rng(100 + 10 * B + T)
+    rng = np.random.default_rng(100 + 10 * B + T)
     arrays = {"a": rng.normal(size=(B, T, d))}
     arrays.update({w: rng.normal(size=(d, d)) / np.sqrt(d) for w in ATTN_LEAVES[1:]})
     arrays["up_w"] = rng.normal(size=(2 * d, d))
@@ -315,7 +318,7 @@ def test_fused_ops_match_unfused_composition(B, T, d, H):
 def test_gelu_cube_matches_pow_formula():
     # gelu(x) is of size |x| or less, so the error is measured against
     # max(|gelu(x)|, |x|): near x << 0 the output itself cancels to ~0.
-    rng = seeded_rng(10)
+    rng = np.random.default_rng(10)
     x = rng.normal(0.0, 3.0, size=(64, 64))
     k = np.sqrt(2.0 / np.pi)
     want = 0.5 * x * (1.0 + np.tanh(k * (x + 0.044715 * x**3)))
@@ -347,7 +350,7 @@ def _mixture_build(n_adapters):
     {"coef"},
 ])
 def test_lora_mixture_grads_match_finite_differences(trainable):
-    rng = seeded_rng(12)
+    rng = np.random.default_rng(12)
     N, k, d, ranks = 5, 4, 3, (2, 1, 3)
     arrays = _mixture_arrays(rng, N, k, d, ranks)
     probe = rng.normal(size=(N, d))
@@ -368,7 +371,7 @@ def _looped_mixture(x, coef, As, Bs):
     (7, 5, 3, (2, 2, 2, 2)), (1, 9, 4, (3,)), (13, 6, 11, (1, 4, 2)), (4, 3, 5, (2,) * 8),
 ])
 def test_lora_mixture_matches_looped_composition(N, k, d, ranks):
-    rng = seeded_rng(200 + N + 10 * len(ranks))
+    rng = np.random.default_rng(200 + N + 10 * len(ranks))
     arrays = _mixture_arrays(rng, N, k, d, ranks)
     probe = rng.normal(size=(N, d))
     E = len(ranks)
@@ -392,7 +395,7 @@ def test_router_gradient_is_exactly_zero_at_lambda_zero():
     # weight zero, so the router learns nothing; elsewhere it does learn
     model = ToyTransformer(tiny_config(n_layers=2))
     jitter_params(model)
-    rng = seeded_rng(13)
+    rng = np.random.default_rng(13)
     tokens = rng.integers(0, model.cfg.model.vocab_size, size=(3, 6))
     targets = rng.integers(0, model.cfg.model.vocab_size, size=(3, 6))
     weights = np.ones((3, 6))
@@ -414,7 +417,7 @@ def test_shared_upstream_gradient_is_not_aliased():
     # add hands one g object to both parents; each must own its buffer
     a = ag.Tensor(np.zeros(3), requires_grad=True)
     b = ag.Tensor(np.zeros(3), requires_grad=True)
-    loss = ag.add(ag.reduce_sum(ag.add(a, b), 0), ag.reduce_sum(a, 0))
+    loss = ag.add(total(ag.add(a, b)), total(a))
     loss.backward()
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
     np.testing.assert_array_equal(b.grad, np.ones(3))
@@ -425,7 +428,7 @@ def test_shared_upstream_gradient_is_not_aliased():
 def test_view_gradient_then_second_gradient(view_first):
     # transpose/reshape pass a view of their own gradient to the leaf; adding
     # a second gradient into the leaf must not write through that view
-    rng = seeded_rng(11)
+    rng = np.random.default_rng(11)
     x = ag.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     c1, c2 = rng.normal(size=(3, 2)), rng.normal(size=6)
     t = ag.transpose(x, (1, 0))
@@ -452,7 +455,7 @@ def _where_softmax(z, mask):
 def _random_inputs(seed):
     """Random causal [B, H, T, T] scores and [N, G, M] slot-masked logits;
     every slot mask keeps at least one slot per row."""
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     B, H, T, N, G, M = 3, 2, 7, 9, 4, 3
     causal = np.tril(np.ones((T, T), dtype=bool))
     slots = rng.random((G, M)) < 0.5
@@ -471,7 +474,7 @@ def test_in_place_softmax_is_bit_identical_to_where_formula(seed):
         np.testing.assert_array_equal(y, want)
         if mask is not None:
             assert (y[..., ~mask] == 0.0).all()
-        g = seeded_rng(seed + 10).normal(size=y.shape)
+        g = np.random.default_rng(seed + 10).normal(size=y.shape)
         g0 = g.copy()
         np.testing.assert_array_equal(ag._softmax_vjp(g, y),
                                       (g0 - (g0 * want).sum(axis=-1, keepdims=True)) * want)
@@ -480,7 +483,7 @@ def test_in_place_softmax_is_bit_identical_to_where_formula(seed):
 
 
 def test_softmax_ops_leave_inputs_and_upstream_gradient_unchanged():
-    rng = seeded_rng(12)
+    rng = np.random.default_rng(12)
     _, (logits, slots), _ = _random_inputs(3)
     a = rng.normal(size=(2, 5, 4))
     ws = [rng.normal(size=(4, 4)) for _ in range(4)]

@@ -11,7 +11,6 @@ import oracle
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, ConfigError
 from atmoe.model import ToyTransformer
-from atmoe.numerics import seeded_rng
 
 from conftest import tiny_config
 
@@ -27,7 +26,7 @@ def _model(seed=0, lam=0.6):
 
 
 def _tokens(cfg, seed=0):
-    return seeded_rng(seed + 100).integers(0, cfg.model.vocab_size, size=(2, 6))
+    return np.random.default_rng(seed + 100).integers(0, cfg.model.vocab_size, size=(2, 6))
 
 
 def _check_against_oracle(model, aux, lam):
@@ -46,7 +45,7 @@ def test_forward_matches_dense_composition():
 
 def _reroll(model, names, seed):
     """A copy of ``model`` with ``names`` redrawn."""
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     params = dict(model.params)
     for n in names:
         params[n] = rng.normal(size=params[n].shape)

@@ -51,6 +51,17 @@ def test_file_roundtrip(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_failed_save_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    save_config(Config(), path)
+    bad = Config()
+    bad.training.router.learning_rate = object()  # not JSON: fails late in the document
+    with pytest.raises(TypeError):
+        save_config(bad, path)
+    assert load_config(path) == Config()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_shipped_default_config_matches_code_defaults():
     path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
     assert load_config(path) == Config()

@@ -12,20 +12,35 @@ from atmoe import autograd as ag
 from atmoe import model as M
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config
-from atmoe.numerics import seeded_rng
 from atmoe.taskgen import PAYLOAD_BASE, TASK_TOKENS
 
 from conftest import ROUTERS, tiny_config
 
 
 def jitter_adapters(model, seed=99, std=0.05):
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     for aid in model.adapter_ids:
         for layer in range(model.cfg.model.n_layers):
             for name in model.adapter_param_names(aid):
                 if f"blocks.{layer}." in name:
                     model.params[name] = model.params[name] + rng.normal(
                         scale=std, size=model.params[name].shape)
+
+
+def seq_logits(model, tokens, mode="full", adapter_id=None, lam_override=None):
+    """One token sequence's logits [T, vocab] from the batched graph."""
+    return model.build_graph(tokens[None, :], (), mode, adapter_id, lam_override)[0].data
+
+
+def scored(tokens, positions):
+    """``loss_graph``'s arrays for one sequence, scoring the next token after
+    each of ``positions``."""
+    positions = np.asarray(positions)
+    targets = np.zeros((1, len(tokens)), dtype=np.int64)
+    weights = np.zeros((1, len(tokens)))
+    targets[0, positions] = tokens[positions + 1]
+    weights[0, positions] = 1.0
+    return tokens[None, :], targets, weights
 
 
 def test_param_registry_is_exact():
@@ -45,8 +60,8 @@ def test_construction_from_params_reproduces_logits(tiny_tokens):
     m1 = M.ToyTransformer(tiny_config())
     m2 = M.ToyTransformer(tiny_config(),
                           params={k: v.copy() for k, v in m1.params.items()})
-    np.testing.assert_array_equal(m1.forward_logits(tiny_tokens),
-                                  m2.forward_logits(tiny_tokens))
+    np.testing.assert_array_equal(seq_logits(m1, tiny_tokens),
+                                  seq_logits(m2, tiny_tokens))
 
 
 def test_construction_rejects_bad_param_set():
@@ -58,7 +73,7 @@ def test_construction_rejects_bad_param_set():
 
 
 def test_forward_logits_shape(tiny_model, tiny_tokens):
-    lg = tiny_model.forward_logits(tiny_tokens)
+    lg = seq_logits(tiny_model, tiny_tokens)
     assert lg.shape == (len(tiny_tokens), tiny_model.cfg.model.vocab_size)
     assert np.isfinite(lg).all()
 
@@ -66,90 +81,75 @@ def test_forward_logits_shape(tiny_model, tiny_tokens):
 def test_fresh_model_all_modes_agree(tiny_tokens):
     # every adapter starts as an exact zero update, so composition is inert
     m = M.ToyTransformer(tiny_config())
-    base = m.forward_logits(tiny_tokens, mode="base")
-    full = m.forward_logits(tiny_tokens, mode="full")
+    base = seq_logits(m, tiny_tokens, mode="base")
+    full = seq_logits(m, tiny_tokens, mode="full")
     np.testing.assert_allclose(full, base, atol=1e-12)
     for aid in m.adapter_ids:
         np.testing.assert_allclose(
-            m.forward_logits(tiny_tokens, mode="adapter", adapter_id=aid),
+            seq_logits(m, tiny_tokens, mode="adapter", adapter_id=aid),
             base, atol=1e-12)
 
 
 def test_base_mode_ignores_adapters_and_router(tiny_tokens):
     m = M.ToyTransformer(tiny_config())
-    before = m.forward_logits(tiny_tokens, mode="base")
+    before = seq_logits(m, tiny_tokens, mode="base")
     jitter_adapters(m)
-    rng = seeded_rng(3)
+    rng = np.random.default_rng(3)
     for name in m.router_param_names():
         m.params[name] = m.params[name] + rng.normal(
             scale=0.5, size=m.params[name].shape)
-    np.testing.assert_array_equal(m.forward_logits(tiny_tokens, mode="base"),
+    np.testing.assert_array_equal(seq_logits(m, tiny_tokens, mode="base"),
                                   before)
     # full mode, in contrast, now sees the jittered adapters
-    assert not np.allclose(m.forward_logits(tiny_tokens, mode="full"), before)
+    assert not np.allclose(seq_logits(m, tiny_tokens, mode="full"), before)
 
 
 def test_adapter_mode_uses_only_that_adapter(tiny_tokens):
     m = M.ToyTransformer(tiny_config())
-    rng = seeded_rng(4)
+    rng = np.random.default_rng(4)
     # perturb exactly one expert; the others stay zero updates
     target = m.task_adapter_ids[0]
     for name in m.adapter_param_names(target):
         m.params[name] = m.params[name] + rng.normal(
             scale=0.1, size=m.params[name].shape)
-    base = m.forward_logits(tiny_tokens, mode="base")
-    hot = m.forward_logits(tiny_tokens, mode="adapter", adapter_id=target)
+    base = seq_logits(m, tiny_tokens, mode="base")
+    hot = seq_logits(m, tiny_tokens, mode="adapter", adapter_id=target)
     assert not np.allclose(hot, base)
     for aid in m.adapter_ids:
         if aid == target:
             continue
         np.testing.assert_allclose(
-            m.forward_logits(tiny_tokens, mode="adapter", adapter_id=aid),
+            seq_logits(m, tiny_tokens, mode="adapter", adapter_id=aid),
             base, atol=1e-12)
 
 
 def test_lam_zero_matches_premerged_adapter_mode(tiny_tokens):
     m = M.ToyTransformer(tiny_config())
     jitter_adapters(m)
-    lam0 = m.forward_logits(tiny_tokens, mode="full", lam_override=0.0)
-    pm = m.forward_logits(tiny_tokens, mode="adapter",
-                          adapter_id=PREMERGED_ID)
+    lam0 = seq_logits(m, tiny_tokens, mode="full", lam_override=0.0)
+    pm = seq_logits(m, tiny_tokens, mode="adapter", adapter_id=PREMERGED_ID)
     np.testing.assert_allclose(lam0, pm, atol=1e-12)
     # and with routing live the full pass differs from the lam=0 slice
-    assert not np.allclose(m.forward_logits(tiny_tokens, mode="full"), lam0)
+    assert not np.allclose(seq_logits(m, tiny_tokens, mode="full"), lam0)
 
 
 def test_mode_validation(tiny_model, tiny_tokens):
     with pytest.raises(ValueError):
-        tiny_model.forward_logits(tiny_tokens, mode="nope")
+        seq_logits(tiny_model, tiny_tokens, mode="nope")
     with pytest.raises(KeyError):
-        tiny_model.forward_logits(tiny_tokens, mode="adapter")
+        seq_logits(tiny_model, tiny_tokens, mode="adapter")
     with pytest.raises(KeyError):
-        tiny_model.forward_logits(tiny_tokens, mode="adapter",
-                                  adapter_id="ghost")
+        seq_logits(tiny_model, tiny_tokens, mode="adapter", adapter_id="ghost")
 
 
 def test_loss_matches_hand_cross_entropy(tiny_model, tiny_tokens):
-    mask = np.zeros(len(tiny_tokens), dtype=bool)
-    mask[2] = mask[3] = True
-    logits = tiny_model.forward_logits(tiny_tokens)
+    logits = seq_logits(tiny_model, tiny_tokens)
     ce = []
     for p in (2, 3):
         probs = oracle.softmax(logits[p], 1.0)
         ce.append(-np.log(probs[tiny_tokens[p + 1]]))
-    np.testing.assert_allclose(tiny_model.loss(tiny_tokens, mask),
-                               np.mean(ce), rtol=1e-9)
-
-
-def test_loss_mask_validation(tiny_model, tiny_tokens):
-    with pytest.raises(ValueError):
-        tiny_model.loss(tiny_tokens, np.zeros(len(tiny_tokens), dtype=bool))
-    bad = np.zeros(len(tiny_tokens), dtype=bool)
-    bad[-1] = True
-    with pytest.raises(ValueError):
-        tiny_model.loss(tiny_tokens, bad)
-    with pytest.raises(ValueError):
-        tiny_model.loss(tiny_tokens, np.ones(3, dtype=bool))
+    loss, _, _ = tiny_model.loss_graph(*scored(tiny_tokens, [2, 3]))
+    np.testing.assert_allclose(loss.data, np.mean(ce), rtol=1e-9)
 
 
 def test_untrained_random_model_scores_near_uniform():
@@ -157,11 +157,10 @@ def test_untrained_random_model_scores_near_uniform():
     # sits at ln(vocab) to within a small margin.
     cfg = tiny_config(vocab_size=64, d_model=16, max_seq_len=12)
     m = M.ToyTransformer(cfg)
-    rng = seeded_rng(8)
+    rng = np.random.default_rng(8)
     tokens = rng.integers(0, 64, size=10)
-    mask = np.zeros(10, dtype=bool)
-    mask[4:9] = True
-    assert abs(m.loss(tokens, mask) - np.log(64.0)) < 0.2
+    loss, _, _ = m.loss_graph(*scored(tokens, range(4, 9)))
+    assert abs(loss.data - np.log(64.0)) < 0.2
 
 
 def test_param_checksums_detect_change():
@@ -209,7 +208,7 @@ def _routed_model(router, n_layers=2):
 
 def _scored_batch(cfg, seed=21):
     """Tokens [3, 6] whose scored positions are a minority."""
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     tokens = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
     targets = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
     weights = np.zeros((3, 6))
@@ -309,7 +308,7 @@ def test_structured_base_reads_out_current_payload_token():
     p0 = PAYLOAD_BASE
     tokens = np.array([0, TASK_TOKENS["identity"], TASK_TOKENS["plain_end"],
                        p0 + 3, p0 + 7, p0 + 1, 1, p0 + 3])
-    logits = m.forward_logits(tokens, mode="base")
+    logits = seq_logits(m, tokens, mode="base")
     for pos in (3, 4, 5, 7):
         probs = oracle.softmax(logits[pos], 1.0)
         assert probs.argmax() == tokens[pos]

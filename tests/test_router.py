@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import oracle
 from atmoe.config import ConfigError, GroupDef
 from atmoe.model import ROUTER_STD, ToyTransformer
-from atmoe.numerics import seeded_rng
 from atmoe.router import routing, slot_mask
 
 from conftest import tiny_config
@@ -30,7 +29,7 @@ def _groups(sizes):
 
 def _router(sizes, in_dim, seed=0, std=0.02):
     """(wg, wd, mask) of a router over groups of the given sizes."""
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     G, M = len(sizes), max(sizes)
     wg = rng.normal(0.0, std, size=(in_dim, G))
     wd = rng.normal(0.0, std, size=(G, in_dim, M))
@@ -45,7 +44,7 @@ def _route(x, wg, wd, mask, tau_g=1.0, tau_d=1.0):
 
 def test_group_weights_match_plain_softmax():
     wg, wd, mask = _router([2, 3], in_dim=5, seed=1)
-    x = seeded_rng(2).normal(size=5)
+    x = np.random.default_rng(2).normal(size=5)
     gw, _ = _route(x, wg, wd, mask, tau_g=0.8)
     e = np.exp((x @ wg) / 0.8)
     np.testing.assert_allclose(gw[0], e / e.sum(), atol=1e-12)
@@ -54,7 +53,7 @@ def test_group_weights_match_plain_softmax():
 
 def test_intra_group_weights_hand_oracle():
     wg, wd, mask = _router([2, 3], in_dim=4, seed=3)
-    x = seeded_rng(4).normal(size=4)
+    x = np.random.default_rng(4).normal(size=4)
     _, iw = _route(x, wg, wd, mask, tau_d=1.3)
     # group 0 has 2 of 3 slots live: softmax over the live logits only
     e = np.exp((x @ wd[0])[:2] / 1.3)
@@ -65,7 +64,7 @@ def test_intra_group_weights_hand_oracle():
 def test_combined_weights_factor_exactly():
     sizes = [3, 1, 2]
     wg, wd, mask = _router(sizes, in_dim=6, seed=5)
-    x = seeded_rng(6).normal(size=6)
+    x = np.random.default_rng(6).normal(size=6)
     gw, iw = _route(x, wg, wd, mask)
     combined = gw[0][:, None] * iw[0]
     _, _, want = oracle.route(x, wg, wd, mask, 1.0, 1.0)
@@ -77,14 +76,14 @@ def test_combined_weights_factor_exactly():
 
 def test_singleton_group_gets_full_intra_mass():
     wg, wd, mask = _router([1, 2], in_dim=4, seed=7)
-    _, iw = _route(seeded_rng(8).normal(size=4), wg, wd, mask)
+    _, iw = _route(np.random.default_rng(8).normal(size=4), wg, wd, mask)
     assert iw[0, 0, 0] == 1.0
     np.testing.assert_array_equal(iw[0, 0, 1:], 0.0)
 
 
 def test_low_temperature_concentrates_mass():
     wg, wd, mask = _router([3, 2], in_dim=8, seed=11)
-    x = seeded_rng(12).normal(size=8) * 3.0
+    x = np.random.default_rng(12).normal(size=8) * 3.0
     gw, iw = _route(x, wg, wd, mask, 1e-3, 1e-3)
     sharp = (gw[0][:, None] * iw[0]).max()
     assert sharp > 0.999
@@ -95,7 +94,7 @@ def test_low_temperature_concentrates_mass():
 def test_batched_weights_agree_with_per_token():
     # one batched call against the per-vector oracle, row by row
     wg, wd, mask = _router([2, 3, 1], in_dim=5, seed=13, std=1.0)
-    X = seeded_rng(14).normal(size=(7, 5))
+    X = np.random.default_rng(14).normal(size=(7, 5))
     gw, iw = _route(X, wg, wd, mask, 0.7, 1.3)
     for t in range(7):
         want_gw, want_iw, _ = oracle.route(X[t], wg, wd, mask, 0.7, 1.3)
@@ -108,7 +107,7 @@ def test_batched_weights_agree_with_per_token():
        in_dim=st.integers(2, 16), seed=st.integers(0, 10_000))
 def test_normalization_properties(sizes, in_dim, seed):
     wg, wd, mask = _router(sizes, in_dim, seed=seed)
-    x = seeded_rng(seed + 1).normal(size=in_dim) * 5.0
+    x = np.random.default_rng(seed + 1).normal(size=in_dim) * 5.0
     gw, iw = _route(x, wg, wd, mask)
     combined = gw[0][:, None] * iw[0]
     np.testing.assert_allclose(gw.sum(), 1.0, atol=1e-9)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from atmoe.taskgen import (
     BOS,
+    DOMAIN_RANGE,
     DOMAIN_TASKS,
     EOS,
     FUNCTION_TASKS,
-    GROUP_OF_TASK,
     HIGH_RANGE,
     LOW_RANGE,
     PAYLOAD_BASE,
@@ -45,8 +45,7 @@ def test_token_map_is_pinned():
     assert FUNCTION_TASKS == ("identity", "reverse", "increment")
     assert DOMAIN_TASKS == ("low_range", "high_range")
     assert STYLE_TASKS == ("plain_end", "echo_first")
-    assert set(GROUP_OF_TASK) == set(FUNCTION_TASKS + DOMAIN_TASKS
-                                     + STYLE_TASKS)
+    assert DOMAIN_RANGE == {"low_range": LOW_RANGE, "high_range": HIGH_RANGE}
 
 
 @given(payloads)
@@ -131,6 +130,8 @@ def test_make_sample_enforces_domain_range():
         make_sample(["identity"], "low_range", "plain_end", [30])
     with pytest.raises(ValueError):
         make_sample(["identity"], "high_range", "plain_end", [9])
+    with pytest.raises(ValueError, match="unknown domain"):
+        make_sample(["identity"], "bogus", "plain_end", [30, 31])
 
 
 def test_generate_deterministic_and_sized():
@@ -157,7 +158,7 @@ def test_generate_fraction_endpoints():
 def test_generate_respects_domain_payload_ranges():
     cat = TaskCatalog()
     for s in generate(cat, 120, seed=6, multi_intent_fraction=0.3):
-        lo, hi = cat.domain_range(s.relevant_experts["domain"][0])
+        lo, hi = DOMAIN_RANGE[s.relevant_experts["domain"][0]]
         assert all(lo <= t < hi for t in s.input_tokens)
         assert cat.payload_min_len <= len(s.input_tokens) <= cat.payload_max_len
 
@@ -174,9 +175,11 @@ def test_per_task_split_buckets_by_relevance():
     cat = TaskCatalog()
     samples = generate(cat, 200, seed=9, multi_intent_fraction=0.5)
     split = per_task_split(samples)
-    assert set(split) <= set(cat.all_tasks())
+    group_of = {**dict.fromkeys(FUNCTION_TASKS, "function"),
+                **dict.fromkeys(DOMAIN_TASKS, "domain"), **dict.fromkeys(STYLE_TASKS, "style")}
+    assert set(split) <= set(group_of)
     for task, bucket in split.items():
-        group = GROUP_OF_TASK[task]
+        group = group_of[task]
         for s in bucket:
             assert task in s.relevant_experts[group]
     # every sample lands in each of its relevant buckets

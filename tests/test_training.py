@@ -7,6 +7,8 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ import pytest
 import oracle
 from atmoe.cli import jitter_params
 from atmoe.model import ToyTransformer
-from atmoe.numerics import seeded_rng
 from atmoe.taskgen import TaskCatalog, batch_arrays, generate, per_task_split
 from atmoe import training
 from atmoe.training import (
@@ -203,6 +204,36 @@ def test_failed_run_changes_no_params_and_leaves_no_workers(train_setup, monkeyp
     assert multiprocessing.active_children() == []
 
 
+def test_dead_worker_fails_the_stage_and_leaves_no_workers(train_setup, monkeypatch):
+    # a worker that exits mid-run, as an out-of-memory kill would, makes the
+    # stage raise instead of waiting forever on the run it held
+    cfg, data = train_setup
+    _cpus(monkeypatch, 4)
+    run_stage = training._run_stage
+
+    def dying_run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache):
+        if stage_tag == "expert:increment":
+            os._exit(1)
+        return run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache)
+
+    def hung(signum, frame):
+        raise TimeoutError("train_stage is still waiting on a dead worker")
+
+    monkeypatch.setattr(training, "_run_stage", dying_run_stage)
+    model = ToyTransformer(cfg)
+    before = model.param_checksums()
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            train_stage(model, "experts", data, cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert model.param_checksums() == before
+    assert multiprocessing.active_children() == []
+
+
 def test_training_reduces_loss(train_setup):
     cfg, data = train_setup
     cfg5 = _shrunk(cfg, epochs=5)
@@ -310,7 +341,7 @@ def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
               router=sec(cfg.router, **router), atmoe=sec(cfg.atmoe, lam=0.3))
     model = ToyTransformer(cfg)
     jitter_params(model)
-    rng = seeded_rng(17)
+    rng = np.random.default_rng(17)
     for name in model.router_param_names():  # routing that varies row to row
         model.params[name] = model.params[name] + rng.normal(0.0, 2.0, model.params[name].shape)
     rep = evaluate(model, data, mode=mode)
@@ -344,14 +375,14 @@ def test_grad_check_passes_and_negative_control_fails(train_setup):
     cfg, data = train_setup
     model = ToyTransformer(cfg)
     # non-zero adapters so their gradients are not vacuously zero
-    rng = seeded_rng(5)
+    rng = np.random.default_rng(5)
     for name in model.adapter_param_names("identity"):
         model.params[name] = model.params[name] + rng.normal(
             scale=0.05, size=model.params[name].shape)
     subset = model.adapter_param_names("identity") + ["unembed"]
-    err = grad_check(model, data[0], subset)
+    err = grad_check(model, data[0].tokens(), subset)
     assert err < 1e-4
-    bad = grad_check(model, data[0], subset, inject_error=True)
+    bad = grad_check(model, data[0].tokens(), subset, inject_error=True)
     assert bad > 1e-2
 
 
@@ -359,9 +390,9 @@ def test_grad_check_validates_subset(train_setup):
     cfg, data = train_setup
     model = ToyTransformer(cfg)
     with pytest.raises(ValueError):
-        grad_check(model, data[0], [])
+        grad_check(model, data[0].tokens(), [])
     with pytest.raises(KeyError):
-        grad_check(model, data[0], ["ghost"])
+        grad_check(model, data[0].tokens(), ["ghost"])
 
 
 def test_prefix_cache_layout_and_size(train_setup):
