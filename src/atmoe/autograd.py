@@ -241,8 +241,8 @@ def gelu(a: Tensor) -> Tensor:
     return _make(0.5 * x * (1.0 + t), (a,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis with learnable gain and bias."""
+def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalization over the last axis to zero mean and unit variance."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -250,17 +250,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv
 
     def bwd(g):
-        if gain.requires_grad:
-            gain._accumulate(_sum_to_shape(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accumulate(_sum_to_shape(g, bias.data.shape))
-        if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+        m1 = g.mean(axis=-1, keepdims=True)
+        m2 = (g * xhat).mean(axis=-1, keepdims=True)
+        x._accumulate(inv * (g - m1 - xhat * m2))
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    return _make(xhat, (x,), bwd)
 
 
 def masked_temp_softmax(logits: Tensor, mask: np.ndarray | None, tau: float) -> Tensor:

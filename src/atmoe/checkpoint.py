@@ -1,7 +1,7 @@
 """Self-describing JSON checkpoints.
 
 One canonical JSON document (sorted keys, compact separators) carries the full
-config, the stage marker, seeds, and every named parameter as its shape and a
+config, the stage marker, and every named parameter as its shape and a
 flat row-major list of float64 values, which round-trip bit-identically. The
 sha256 checksum, verified on load, covers two parts in turn: the canonical
 JSON of the document without ``tensors`` and ``checksum``, then, per tensor
@@ -56,8 +56,7 @@ def checkpoint_checksum(doc: dict) -> str:
                          for name, entry in doc["tensors"].items()})
 
 
-def checkpoint_doc(model: ToyTransformer, stage_completed: str,
-                   seeds: dict | None = None) -> dict:
+def checkpoint_doc(model: ToyTransformer, stage_completed: str) -> dict:
     stage_index(stage_completed)
     tensors = {}
     for name in sorted(model.params):
@@ -69,16 +68,14 @@ def checkpoint_doc(model: ToyTransformer, stage_completed: str,
         "format_version": FORMAT_VERSION,
         "config": model.cfg.to_dict(),
         "stage_completed": stage_completed,
-        "seeds": dict(seeds) if seeds else {"config": model.cfg.seed},
         "tensors": tensors,
     }
     doc["checksum"] = _digest(doc, model.params)
     return doc
 
 
-def save_checkpoint(path: str | Path, model: ToyTransformer, stage_completed: str,
-                    seeds: dict | None = None) -> dict:
-    doc = checkpoint_doc(model, stage_completed, seeds)
+def save_checkpoint(path: str | Path, model: ToyTransformer, stage_completed: str) -> dict:
+    doc = checkpoint_doc(model, stage_completed)
     write_text(path, canonical_json(doc) + "\n")
     return doc
 
@@ -90,9 +87,12 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
+    def reject(literal: str):  # json accepts NaN and Infinity, which JSON does not
+        raise CheckpointError(f"checkpoint {path} holds the non-JSON literal {literal}")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

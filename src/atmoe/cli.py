@@ -2,7 +2,8 @@
 routing-weight CSV dumps, and gradient verification.
 
 Exit codes: 0 success, 2 input error, 3 stage-order error, 4 corrupt
-checkpoint, 5 verification failure.
+checkpoint, 5 verification failure, 6 a training worker died (no checkpoint
+written).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +93,6 @@ def cmd_train(args) -> int:
     train_path = Path(args.data) / "train.jsonl"
     samples = read_jsonl(train_path)
     _check_samples(samples, cfg.model, train_path)
-    seeds = {"config": cfg.seed, "taskgen": cfg.taskgen.seed}
 
     loaded = load_checkpoint(args.ckpt_in) if args.ckpt_in else None
     needed = STAGES[STAGES.index(args.stage) - 1]  # the stage this one builds on
@@ -104,15 +105,14 @@ def cmd_train(args) -> int:
         model = ToyTransformer(cfg)
     reports = train_stage(model, args.stage, samples, cfg)
 
-    save_checkpoint(args.ckpt_out, model, args.stage, seeds)
+    save_checkpoint(args.ckpt_out, model, args.stage)
     report_doc = {
         "stage": args.stage,
         "data": str(train_path),
         "n_samples": len(samples),
         "reports": [dataclasses.asdict(r) for r in reports],
     }
-    report_path = args.report or f"{args.ckpt_out}.report.json"
-    _write_json(report_path, report_doc)
+    _write_json(f"{args.ckpt_out}.report.json", report_doc)
     for r in reports:
         label = r.adapter_id or "routers"
         print(f"{args.stage}/{label}: loss {r.initial_loss:.4f} -> {r.final_loss:.4f} "
@@ -212,7 +212,7 @@ def cmd_gradcheck(args) -> int:
     tokens = derive_rng(cfg.seed, "gradcheck:tokens").integers(0, cfg.model.vocab_size, size=T)
     errors = {}
     for idx, (name, names) in enumerate(parameter_classes(model).items()):
-        errors[name] = grad_check(model, tokens, names, h=args.h,
+        errors[name] = grad_check(model, tokens, names,
                                   inject_error=(args.inject_error and idx == 0))
     worst = max(errors.values())
     passed = worst < args.tolerance
@@ -246,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True, help="directory holding train.jsonl")
     t.add_argument("--ckpt-in", default=None)
     t.add_argument("--ckpt-out", required=True)
-    t.add_argument("--report", default=None)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -266,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     c.add_argument("--config", default=None)
-    c.add_argument("--h", type=float, default=1e-4)
     c.add_argument("--tolerance", type=float, default=GRAD_TOLERANCE)
     c.add_argument("--inject-error", action="store_true")
     c.add_argument("--out", default=None)
@@ -284,6 +282,9 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except BrokenProcessPool as exc:
+        print(f"error: a training worker died; no checkpoint written ({exc})", file=sys.stderr)
+        return 6
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,7 @@ ROUTER_STD = 0.02
 ADAPTER_STD = 0.02  # LoRA A factors; B starts at 0, so a fresh adapter is inert
 
 MODES = ("full", "base", "adapter")
-PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.ln1.", "blocks.0.attn.")  # name prefixes
+PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.attn.")  # name prefixes
 
 # ---------------------------------------------------------------------------
 # Coded-reservoir layout. First 32 residual coordinates:
@@ -153,16 +153,14 @@ class ToyTransformer:
         S = {"tok_emb": (m.vocab_size, d), "pos_emb": (m.max_seq_len, d)}
         for i in range(m.n_layers):
             b = f"blocks.{i}"
-            S.update({f"{b}.ln1.gain": (d,), f"{b}.ln1.bias": (d,)})
             S.update({f"{b}.attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
-            S.update({f"{b}.ln2.gain": (d,), f"{b}.ln2.bias": (d,),
-                      f"{b}.ffn.up_w": (d_ff, d), f"{b}.ffn.up_b": (d_ff,),
-                      f"{b}.ffn.down_w0": (d, d_ff), f"{b}.ffn.down_b0": (d,),
+            S.update({f"{b}.ffn.up_w": (d_ff, d), f"{b}.ffn.up_b": (d_ff,),
+                      f"{b}.ffn.down_w0": (d, d_ff),
                       f"{b}.moe.wg": (d_ff, G), f"{b}.moe.wd": (G, d_ff, M)})
             for aid in self.adapter_ids:
                 S.update({f"{b}.moe.experts.{aid}.A": (m.rank, d_ff),
                           f"{b}.moe.experts.{aid}.B": (d, m.rank)})
-        S.update({"final_ln.gain": (d,), "final_ln.bias": (d,), "unembed": (d, m.vocab_size)})
+        S["unembed"] = (d, m.vocab_size)
         return S
 
     def _init_params(self) -> dict[str, np.ndarray]:
@@ -183,8 +181,6 @@ class ToyTransformer:
         attn_std = 1.0 / np.sqrt(m.d_model)
         for i in range(m.n_layers):
             b = f"blocks.{i}"
-            P[f"{b}.ln1.gain"] = np.ones(m.d_model)
-            P[f"{b}.ln1.bias"] = np.zeros(m.d_model)
             if coded:
                 wq, wk, wv, wo = self._coded_attention(lower=(i == 0))
                 P[f"{b}.attn.wq"], P[f"{b}.attn.wk"] = wq, wk
@@ -192,8 +188,6 @@ class ToyTransformer:
             else:
                 for w in ("wq", "wk", "wv", "wo"):
                     draw(f"{b}.attn.{w}", attn_std)
-            P[f"{b}.ln2.gain"] = np.ones(m.d_model)
-            P[f"{b}.ln2.bias"] = np.zeros(m.d_model)
             if coded:
                 # paired +/- pass-through rows give adapters and routers an
                 # exact linear view of the readable code blocks (gelu(x) -
@@ -208,14 +202,11 @@ class ToyTransformer:
                 draw(f"{b}.ffn.up_w", attn_std)
                 P[f"{b}.ffn.up_b"] = np.zeros(m.d_ff)
                 draw(f"{b}.ffn.down_w0", 1.0 / np.sqrt(m.d_ff))
-            P[f"{b}.ffn.down_b0"] = np.zeros(m.d_model)
             draw(f"{b}.moe.wg", ROUTER_STD)
             draw(f"{b}.moe.wd", ROUTER_STD)
             for aid in self.adapter_ids:
                 draw(f"{b}.moe.experts.{aid}.A", ADAPTER_STD)
                 P[f"{b}.moe.experts.{aid}.B"] = np.zeros((m.d_model, m.rank))
-        P["final_ln.gain"] = np.ones(m.d_model)
-        P["final_ln.bias"] = np.zeros(m.d_model)
         if coded:
             # readout from clean codes only: non-predictable ids (BOS, SEP,
             # unused) keep near-zero columns instead of ballast noise.
@@ -370,7 +361,7 @@ class ToyTransformer:
 
     def _attend(self, h, P: dict, layer: int):
         b, T = f"blocks.{layer}", h.shape[1]
-        a = ag.layer_norm(h, P[f"{b}.ln1.gain"], P[f"{b}.ln1.bias"])
+        a = ag.layer_norm(h)
         attn = [P[f"{b}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
         causal = np.tril(np.ones((T, T), dtype=bool))
         return ag.add(h, ag.causal_attention(a, *attn, self.cfg.model.n_heads, causal))
@@ -418,7 +409,7 @@ class ToyTransformer:
             h = ag.reshape(h if i == 0 else self._attend(h, P, i), (B * T, m.d_model))
             if rows is not None and i == m.n_layers - 1:
                 h = ag.getitem(h, rows)
-            x = ag.layer_norm(h, P[f"{b}.ln2.gain"], P[f"{b}.ln2.bias"])
+            x = ag.layer_norm(h)
             u = ag.gelu(ag.linear(x, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
             aux["moe_input"].append(u.data)
             y = self._moe(u, P, i, mode, adapter_id, lam, aux)
@@ -426,8 +417,7 @@ class ToyTransformer:
             h = ag.add(h, y)
             if i < m.n_layers - 1:
                 h = ag.reshape(h, (B, T, m.d_model))
-        hf = ag.layer_norm(h, P["final_ln.gain"], P["final_ln.bias"])
-        return ag.matmul(hf, P["unembed"]), P, aux
+        return ag.matmul(ag.layer_norm(h), P["unembed"]), P, aux
 
     def _routing(self, u, wg, wd):
         r = self.cfg.router
@@ -436,7 +426,7 @@ class ToyTransformer:
     def _moe(self, u, P, layer: int, mode: str, adapter_id: str | None,
              lam: float, aux: dict):
         b = f"blocks.{layer}"
-        base = ag.linear(u, P[f"{b}.ffn.down_w0"], P[f"{b}.ffn.down_b0"])
+        base = ag.linear(u, P[f"{b}.ffn.down_w0"])
         if mode == "base":
             return base
         N = u.shape[0]

@@ -60,7 +60,6 @@ class Sample:
     input_tokens: list[int]
     target_tokens: list[int]
     relevant_experts: dict[str, list[str]] = field(default_factory=dict)
-    intent_count: int = 1
 
     def tokens(self) -> list[int]:
         """Full model sequence: instruction, payload, SEP, then the target."""
@@ -114,7 +113,6 @@ def make_sample(function_tasks: list[str], domain: str, style: str,
             "domain": [domain],
             "style": [style],
         },
-        intent_count=len(function_tasks),
     )
 
 
@@ -158,7 +156,6 @@ def sample_to_dict(s: Sample) -> dict:
         "input": list(s.input_tokens),
         "target": list(s.target_tokens),
         "relevant_experts": {k: list(v) for k, v in s.relevant_experts.items()},
-        "intent_count": s.intent_count,
     }
 
 
@@ -173,15 +170,13 @@ def sample_from_dict(doc: dict) -> Sample:
     """The sample of one JSONL record; a missing key or a value of the wrong
     JSON type is a ValueError."""
     rel = doc.get("relevant_experts") if isinstance(doc, dict) else None
-    if not isinstance(rel, dict) or type(doc.get("intent_count")) is not int:
-        raise ValueError("a sample must be a JSON object with an object 'relevant_experts' "
-                         "and an int 'intent_count'")
+    if not isinstance(rel, dict):
+        raise ValueError("a sample must be a JSON object with an object 'relevant_experts'")
     return Sample(
         instruction_tokens=_list_of(doc, "instruction", int),
         input_tokens=_list_of(doc, "input", int),
         target_tokens=_list_of(doc, "target", int),
         relevant_experts={k: _list_of(rel, k, str) for k in rel},
-        intent_count=doc["intent_count"],
     )
 
 

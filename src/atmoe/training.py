@@ -352,15 +352,16 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
 
 
 GRAD_CHECK_FLOOR = 1e-6
+GRAD_CHECK_STEP = 1e-4  # the central-difference step
 
 
-def grad_check(model: ToyTransformer, tokens, parameter_subset, h: float = 1e-4,
+def grad_check(model: ToyTransformer, tokens, parameter_subset,
                inject_error: bool = False) -> float:
     """Norm-relative disagreement between analytic and central-difference
     gradients of the loss of every next token of the 1-D sequence ``tokens``
     over the given parameters: ||g_a - g_fd|| / max(||g_a||,
     ||g_fd||, floor). Entry-wise ratios drown in central-difference noise
-    wherever an entry sits below the O(h^2) truncation error, so the
+    wherever an entry sits below the O(step^2) truncation error, so the
     comparison is made at the scale of the whole subset; the floor keeps a
     dormant subset (true gradient ~0) from amplifying its roundoff dust.
     ``inject_error`` corrupts the analytic side as a negative control."""
@@ -405,7 +406,7 @@ def grad_check(model: ToyTransformer, tokens, parameter_subset, h: float = 1e-4,
         return float(loss.data)
 
     try:
-        fd = finite_diff_grad(f, theta0, h)
+        fd = finite_diff_grad(f, theta0, GRAD_CHECK_STEP)
     finally:
         model.params.update(originals)
     scale = max(np.linalg.norm(analytic), np.linalg.norm(fd), GRAD_CHECK_FLOOR)

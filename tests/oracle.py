@@ -51,4 +51,4 @@ def blend(model, layer: int, u, lam: float):
     experts = [e for g in cfg.groups for e in g.experts]
     routed = sum(wi * delta(aid) for wi, aid in zip(w[mask], experts))
     W = P[f"{b}.ffn.down_w0"] + lam * routed + (1.0 - lam) * delta(PREMERGED_ID)
-    return W @ u + P[f"{b}.ffn.down_b0"]
+    return W @ u

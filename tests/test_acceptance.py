@@ -133,7 +133,7 @@ def test_a2_gradient_verification():
         jitter_params(model)
         tokens = rng.integers(0, 8, size=6)
         for cls_name, names in parameter_classes(model).items():
-            err = grad_check(model, tokens, names, h=1e-4)
+            err = grad_check(model, tokens, names)
             if err > worst:
                 worst, worst_class = err, cls_name
     elapsed = time.monotonic() - t0

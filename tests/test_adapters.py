@@ -71,7 +71,7 @@ def test_apply_matches_dense_delta():
             b = f"blocks.{i}"
             W = m.params[f"{b}.ffn.down_w0"] + (m.params[f"{b}.moe.experts.{aid}.B"]
                                                 @ m.params[f"{b}.moe.experts.{aid}.A"])
-            want = aux["moe_input"][i] @ W.T + m.params[f"{b}.ffn.down_b0"]
+            want = aux["moe_input"][i] @ W.T
             assert np.linalg.norm(aux["moe_output"][i] - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -89,14 +89,13 @@ def test_apply_rejects_wrong_length():
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(2, 8), k=st.integers(2, 8), data=st.data())
 def test_delta_rank_bounded_by_r(d, k, data):
-    # with W0 = 0 and b0 = 0 the projection is B A u alone: over many rows
+    # with W0 = 0 the projection is B A u alone: over many rows
     # its outputs span at most r dimensions
     r = data.draw(st.integers(1, min(d, k)))
     m = ToyTransformer(tiny_config(seed=d * 100 + k * 10 + r, d_model=d, d_ff=k, rank=r,
                                    n_heads=1))
     jitter_params(m, std=1.0)
     m.params["blocks.0.ffn.down_w0"] = np.zeros((d, k))
-    m.params["blocks.0.ffn.down_b0"] = np.zeros(d)
     _, _, aux = m.build_graph(_tokens(m.cfg), mode="adapter", adapter_id="increment")
     assert aux["moe_output"][0].shape == (16, d)
     assert np.linalg.matrix_rank(aux["moe_output"][0]) <= r

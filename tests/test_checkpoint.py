@@ -3,6 +3,7 @@ ordering metadata, and canonical serialization."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,15 @@ from atmoe.checkpoint import (
     save_checkpoint,
     stage_index,
 )
+from atmoe.cli import main
+from atmoe.config import PREMERGED_ID, load_config
 from atmoe.model import ToyTransformer
 from atmoe.training import StageOrderError
 
 from conftest import tiny_config
+
+ROOT = Path(__file__).resolve().parents[1]
+VERIFY = ROOT / "runs" / "verify"  # scripts/run_pipeline.py --workdir runs/verify
 
 
 @pytest.fixture()
@@ -61,7 +67,8 @@ def test_doc_structure_and_checksum(model):
     assert entry["shape"] == list(model.params["tok_emb"].shape)
     assert len(entry["data"]) == model.params["tok_emb"].size
     assert doc["checksum"] == checkpoint_checksum(doc)
-    assert doc["seeds"] == {"config": model.cfg.seed}
+    # the seeds live in the embedded config only
+    assert set(doc) == {"format_version", "config", "stage_completed", "tensors", "checksum"}
 
 
 def test_tamper_detection(model, tmp_path):
@@ -139,7 +146,7 @@ def test_checksum_hashes_header_then_raw_tensor_bytes(model):
     assert doc["checksum"] == h.hexdigest()
 
 
-@pytest.mark.parametrize("edit", ["stage", "config", "shape", "version", "seeds", "name"])
+@pytest.mark.parametrize("edit", ["stage", "config", "shape", "version", "extra_field", "name"])
 def test_edits_without_a_new_checksum_fail(model, tmp_path, edit):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, model, "experts")
@@ -154,8 +161,8 @@ def test_edits_without_a_new_checksum_fail(model, tmp_path, edit):
     elif edit == "version":
         doc["format_version"] = FORMAT_VERSION + 1
         doc["checksum"] = checkpoint_checksum(doc)
-    elif edit == "seeds":
-        doc["seeds"]["config"] += 1
+    elif edit == "extra_field":  # the checksum covers every field, not a known list
+        doc["seeds"] = {"config": model.cfg.seed}
     else:
         tensors["blocks.0.moe.wx"] = tensors.pop("blocks.0.moe.wg")
     path.write_text(json.dumps(doc))
@@ -207,3 +214,44 @@ def test_loaded_model_reproduces_logits(model, tmp_path):
     loaded = load_checkpoint(path)
     np.testing.assert_array_equal(loaded.model.build_graph(tokens)[0].data,
                                   model.build_graph(tokens)[0].data)
+
+
+def test_committed_pipeline_checkpoints_load_and_each_stage_changes_only_its_set():
+    # the committed pipeline run must stay loadable under the current code, from
+    # the default config, and each stage may change only what it trains, the
+    # first one starting from a fresh init
+    cfg = load_config(ROOT / "configs" / "default.json")
+    previous = ToyTransformer(cfg).params
+    for stage in STAGES[1:]:
+        loaded = load_checkpoint(VERIFY / f"ckpt_{stage}.json")
+        model = loaded.model
+        assert loaded.stage_completed == stage
+        assert canonical_json(model.cfg.to_dict()) == canonical_json(cfg.to_dict())
+        trained = {
+            "experts": [n for aid in model.task_adapter_ids
+                        for n in model.adapter_param_names(aid)],
+            "premerged": model.adapter_param_names(PREMERGED_ID),
+            "router": model.router_param_names(),
+        }[stage]
+        for name in model.frozen_outside(trained):
+            np.testing.assert_array_equal(model.params[name], previous[name],
+                                          err_msg=f"{stage}: {name}")
+        previous = model.params
+
+
+@pytest.mark.parametrize("field,text", [pytest.param("stage_completed", '"experts"', id="head"),
+                                        pytest.param("lambda", "0.5", id="config")])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_literal_is_a_corrupt_checkpoint(tmp_path, field, text, literal):
+    # json reads NaN and Infinity, which JSON has no literal for; such a file
+    # is corrupt (exit 4) before its data is looked at, not a crash in hashing
+    cfg = tiny_config(seed=21)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, ToyTransformer(cfg), "experts")
+    raw = path.read_text()
+    key = f'"{field}":{text}'
+    assert raw.count(key) == 1
+    path.write_text(raw.replace(key, f'"{field}":{literal}'))
+    with pytest.raises(CheckpointError, match=f"non-JSON literal {literal}"):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path / "absent.jsonl")]) == 4

@@ -4,6 +4,8 @@ handoff, evaluation reports, routing CSV dumps, and the gradient gate."""
 import csv
 import dataclasses
 import json
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +61,9 @@ def test_gen_data_outputs(workdir):
                                       "eval_multi.jsonl"}
     train = read_jsonl(data / "train.jsonl")
     assert len(train) == 48
-    assert all(s.intent_count == 1 for s in read_jsonl(data / "eval_single.jsonl"))
-    assert all(s.intent_count == 2 for s in read_jsonl(data / "eval_multi.jsonl"))
+    for name, intents in (("eval_single", 1), ("eval_multi", 2)):
+        assert all(len(s.relevant_experts["function"]) == intents
+                   for s in read_jsonl(data / f"{name}.jsonl"))
 
 
 def test_gen_data_is_deterministic(workdir, tmp_path):
@@ -244,6 +247,36 @@ def test_train_experts_computes_each_prefix_once(workdir, tmp_path, monkeypatch)
     assert main(["train", "--stage", "experts", "--config", str(cfg_path),
                  "--data", str(data), "--ckpt-out", str(tmp_path / "experts.json")]) == 0
     assert sum(map(int, log.read_text().split())) == len(seqs)
+
+
+def test_train_exits_6_when_a_worker_dies(workdir, tmp_path, monkeypatch, capsys):
+    # a dead expert worker is its own documented failure, not a traceback,
+    # and leaves no checkpoint or report behind
+    _, _, cfg_path, data = workdir
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    run_stage = training._run_stage
+
+    def dying_run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache):
+        if stage_tag == "expert:increment":
+            os._exit(1)
+        return run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache)
+
+    def hung(signum, frame):
+        raise TimeoutError("train is still waiting on a dead worker")
+
+    monkeypatch.setattr(training, "_run_stage", dying_run_stage)
+    ckpt_out = tmp_path / "experts.json"
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code = main(["train", "--stage", "experts", "--config", str(cfg_path),
+                     "--data", str(data), "--ckpt-out", str(ckpt_out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 6
+    assert "a training worker died" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_inspect_csv_layout_and_sums(workdir, tmp_path):

@@ -350,9 +350,8 @@ def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
         assert _close(g, want), name
 
 
-@pytest.mark.parametrize("name", ["tok_emb", "pos_emb", "blocks.0.ln1.gain", "blocks.0.ln1.bias",
-                                  "blocks.0.attn.wq", "blocks.0.attn.wk", "blocks.0.attn.wv",
-                                  "blocks.0.attn.wo"])
+@pytest.mark.parametrize("name", ["tok_emb", "pos_emb", "blocks.0.attn.wq", "blocks.0.attn.wk",
+                                  "blocks.0.attn.wv", "blocks.0.attn.wo"])
 def test_prefix_rejects_trainable_prefix_parameter(name):
     model = _routed_model({})
     assert name.startswith(M.PREFIX_PARAMS) and name in model.params

@@ -1,12 +1,19 @@
 """Package surface: every exported name resolves, the benchmark modules,
-which import the package, still import, and every name defined in ``src/``
-is used there or is on a short list of names kept for outside callers."""
+which import the package, still import, every name defined in ``src/``
+is used there or is on a short list of names kept for outside callers, and
+every stored tensor is trained, gradient-checked or varied by an init."""
 
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import atmoe
+from atmoe.cli import parameter_classes
+from atmoe.config import load_config
+from atmoe.model import ToyTransformer
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -65,3 +72,17 @@ def test_every_src_name_is_used_in_src_or_kept_for_an_outside_caller():
     unused = {qual for module, tree in trees.items()
               for qual, name in _definitions(module, tree) if name not in used}
     assert unused == set(OUTSIDE_CALLERS)
+
+
+def test_every_stored_tensor_is_trained_checked_or_varied():
+    # a tensor no stage trains, no gradient check covers and every init sets
+    # to one constant stores a value the config could hold instead
+    cfg = load_config(ROOT / "configs" / "default.json")
+    models = [ToyTransformer(dataclasses.replace(cfg, model=dataclasses.replace(
+        cfg.model, base_init=init))) for init in ("coded", "random")]
+    model = models[0]
+    trained = {n for aid in model.adapter_ids for n in model.adapter_param_names(aid)}
+    trained |= set(model.router_param_names())
+    checked = {n for names in parameter_classes(model).values() for n in names}
+    varied = {n for m in models for n, a in m.params.items() if np.ptp(a) > 0.0}
+    assert [n for n in model.param_shapes() if n not in trained | checked | varied] == []

@@ -1,6 +1,8 @@
 """Synthetic multi-intent benchmark: fixed token map, transform oracles,
 composition order, relevance labels, determinism, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,7 +104,6 @@ def test_make_sample_structure_and_relevance():
                                     TASK_TOKENS["echo_first"]]
     assert s.input_tokens == [9, 12, 8]
     assert s.target_tokens == [8, 12, 9, 9, EOS]  # echo repeats payload[0]
-    assert s.intent_count == 1
     assert s.relevant_experts == {"function": ["reverse"],
                                   "domain": ["low_range"],
                                   "style": ["echo_first"]}
@@ -118,7 +119,6 @@ def test_make_sample_structure_and_relevance():
 def test_make_sample_multi_intent_relevance():
     s = make_sample(["reverse", "increment"], "high_range", "plain_end",
                     [25, 30])
-    assert s.intent_count == 2
     assert s.relevant_experts["function"] == ["reverse", "increment"]
     assert s.instruction_tokens == [BOS, TASK_TOKENS["reverse"],
                                     TASK_TOKENS["increment"],
@@ -147,9 +147,8 @@ def test_generate_deterministic_and_sized():
 def test_generate_fraction_endpoints():
     cat = TaskCatalog()
     singles = generate(cat, 40, seed=5, multi_intent_fraction=0.0)
-    assert all(s.intent_count == 1 for s in singles)
+    assert all(len(s.relevant_experts["function"]) == 1 for s in singles)
     multis = generate(cat, 40, seed=5, multi_intent_fraction=1.0)
-    assert all(s.intent_count == 2 for s in multis)
     for s in multis:
         fns = s.relevant_experts["function"]
         assert len(fns) == 2 and len(set(fns)) == 2
@@ -223,6 +222,13 @@ def test_jsonl_roundtrip(tmp_path):
     assert len(back) == len(samples)
     for s, b in zip(samples, back):
         assert s == b
+    # files written before the field was dropped carry "intent_count", a copy
+    # of the function-task count; readers ignore it
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert all("intent_count" not in r for r in records)
+    path.write_text("".join(json.dumps(dict(r, intent_count=len(r["relevant_experts"]["function"])))
+                            + "\n" for r in records))
+    assert read_jsonl(path) == samples
 
 
 @pytest.mark.parametrize("payload_len", [1, 4, 8])
