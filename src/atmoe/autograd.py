@@ -288,30 +288,35 @@ def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                     n_heads: int, causal: np.ndarray | None) -> Tensor:
+                     n_heads: int, causal: np.ndarray | None, q0: int = 0) -> Tensor:
     """Multi-head self-attention as one node.
 
     ``a`` is [B, T, d]; each weight is [d, d] and applied as ``x @ w.T``.
     ``causal`` is a [T, T] boolean mask of the keys each query may see (None
     sees all). Scores are scaled by ``1/sqrt(d/n_heads)`` before the softmax.
+    Only positions ``q0`` and later are queries, so the output is
+    [B, T - q0, d]; every position stays a key and a value.
     """
     B, T, d = a.data.shape
+    Tq = T - q0
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
     af = a.data.reshape(B * T, d)
+    aq = a.data[:, q0:].reshape(B * Tq, d)
 
-    def split(xf):  # [B*T, d] -> [B, H, T, dh]
-        return xf.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+    def split(xf):  # [B*n, d] -> [B, H, n, dh]
+        return xf.reshape(B, -1, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(xh):  # [B, H, T, dh] -> [B*T, d]
-        return xh.transpose(0, 2, 1, 3).reshape(B * T, d)
+    def merge(xh):  # [B, H, n, dh] -> [B*n, d]
+        return xh.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    q, k, v = (split(af @ w.data.T) for w in (wq, wk, wv))
-    y = _masked_softmax((q @ k.transpose(0, 1, 3, 2)) * scale, causal)
+    q, k, v = split(aq @ wq.data.T), split(af @ wk.data.T), split(af @ wv.data.T)
+    y = _masked_softmax((q @ k.transpose(0, 1, 3, 2)) * scale,
+                        None if causal is None else causal[q0:])
     of = merge(y @ v)
 
     def bwd(g):
-        gf = g.reshape(B * T, d)
+        gf = g.reshape(B * Tq, d)
         if wo.requires_grad:
             wo._accumulate(gf.T @ of)
         if not any(p.requires_grad for p in (a, wq, wk, wv)):
@@ -320,13 +325,18 @@ def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         gs = _softmax_vjp(go @ v.transpose(0, 1, 3, 2), y) * scale
         gq, gk, gv = (merge(gh) for gh in (gs @ k, gs.transpose(0, 1, 3, 2) @ q,
                                             y.transpose(0, 1, 3, 2) @ go))
-        for w, gw in ((wq, gq), (wk, gk), (wv, gv)):
+        for w, gw, x in ((wq, gq, aq), (wk, gk, af), (wv, gv, af)):
             if w.requires_grad:
-                w._accumulate(gw.T @ af)
+                w._accumulate(gw.T @ x)
         if a.requires_grad:
-            a._accumulate((gq @ wq.data + gk @ wk.data + gv @ wv.data).reshape(B, T, d))
+            # summed in the order (gq + gk) + gv, as when every position queries
+            ga = np.zeros((B, T, d))
+            ga[:, q0:] = (gq @ wq.data).reshape(B, Tq, d)
+            ga += (gk @ wk.data).reshape(B, T, d)
+            ga += (gv @ wv.data).reshape(B, T, d)
+            a._accumulate(ga)
 
-    return _make((of @ wo.data.T).reshape(B, T, d), (a, wq, wk, wv, wo), bwd)
+    return _make((of @ wo.data.T).reshape(B, Tq, d), (a, wq, wk, wv, wo), bwd)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:

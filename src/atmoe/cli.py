@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -108,7 +109,7 @@ def cmd_train(args) -> int:
     save_checkpoint(args.ckpt_out, model, args.stage)
     report_doc = {
         "stage": args.stage,
-        "data": str(train_path),
+        "data_sha256": hashlib.sha256(train_path.read_bytes()).hexdigest(),
         "n_samples": len(samples),
         "reports": [dataclasses.asdict(r) for r in reports],
     }

@@ -355,16 +355,19 @@ class ToyTransformer:
         """``build_graph``'s ``prefix`` [B, T, d_model] for ``tokens``; no graph."""
         return self._prefix(self._validate_tokens(tokens), ag.parameters(self.params, ())).data
 
-    def _prefix(self, tokens: np.ndarray, P: dict):
+    def _prefix(self, tokens: np.ndarray, P: dict, q0: int = 0):
         pos = ag.getitem(P["pos_emb"], slice(0, tokens.shape[1]))
-        return self._attend(ag.add(ag.embedding(P["tok_emb"], tokens), pos), P, 0)
+        return self._attend(ag.add(ag.embedding(P["tok_emb"], tokens), pos), P, 0, q0)
 
-    def _attend(self, h, P: dict, layer: int):
+    def _attend(self, h, P: dict, layer: int, q0: int = 0):
+        """Block ``layer``'s attention and residual add at positions ``q0`` and
+        later: [B, T, d] in, [B, T - q0, d] out."""
         b, T = f"blocks.{layer}", h.shape[1]
         a = ag.layer_norm(h)
         attn = [P[f"{b}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
         causal = np.tril(np.ones((T, T), dtype=bool))
-        return ag.add(h, ag.causal_attention(a, *attn, self.cfg.model.n_heads, causal))
+        out = ag.causal_attention(a, *attn, self.cfg.model.n_heads, causal, q0)
+        return ag.add(ag.getitem(h, (slice(None), slice(q0, None))) if q0 else h, out)
 
     def build_graph(self, tokens: np.ndarray, trainable: Iterable[str] = (),
                     mode: str = "full", adapter_id: str | None = None,
@@ -379,10 +382,12 @@ class ToyTransformer:
         ``rows``, sorted unique flat indices into the B*T positions, selects
         the positions whose logits are needed: the last block past its
         attention, the final norm and the unembedding run on them only, and
-        the logits are [len(rows), vocab] (``None``: all B*T). Earlier blocks
-        and the last attention see every position, as each feeds later keys
-        and values. The pick is a ``getitem``, whose backward ``ga[rows] += g``
-        is right only because no index repeats.
+        the logits are [len(rows), vocab] (``None``: all B*T). The last
+        attention queries only from the batch's first selected position
+        ``q0 = min(rows mod T)`` on; earlier blocks see every position, and
+        every position stays a key and a value, as each feeds later ones. The
+        pick is a ``getitem``, whose backward ``ga[rows] += g`` is right only
+        because no index repeats.
 
         ``aux`` carries per-layer arrays: ``moe_input`` (the activation entering
         the expert projection, which is also the routing input) and
@@ -402,11 +407,16 @@ class ToyTransformer:
             raise ValueError("a prefix needs frozen embeddings and block 0 attention")
         lam = self.cfg.atmoe.lam if lam_override is None else float(lam_override)
         aux: dict = {"moe_input": [], "moe_output": [], "gw_nodes": [], "iw": []}
+        q0 = int((rows % T).min()) if rows is not None and len(rows) else 0
+        if q0:
+            rows = rows - q0 * (rows // T + 1)  # into the [B*(T-q0)] window
+        t0 = [0] * (m.n_layers - 1) + [q0]  # each block's first query position
 
-        h = self._prefix(tokens, P) if prefix is None else ag.Tensor(prefix)
+        h = self._prefix(tokens, P, t0[0]) if prefix is None else ag.Tensor(prefix[:, t0[0]:])
         for i in range(m.n_layers):
             b = f"blocks.{i}"
-            h = ag.reshape(h if i == 0 else self._attend(h, P, i), (B * T, m.d_model))
+            h = ag.reshape(h if i == 0 else self._attend(h, P, i, t0[i]),
+                           (B * (T - t0[i]), m.d_model))
             if rows is not None and i == m.n_layers - 1:
                 h = ag.getitem(h, rows)
             x = ag.layer_norm(h)

@@ -295,9 +295,12 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
 def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
              adapter_id: str | None = None,
              lam_override: float | None = None) -> EvalReport:
-    """Deterministic metrics pass; scores only target positions."""
+    """Deterministic metrics pass; scores only target positions. The samples
+    are batched in a stable sort by length, so each batch pads to nearly its
+    own length; the counts do not depend on the order of ``data``."""
     if not data:
         raise ValueError("evaluate needs a nonempty dataset")
+    data = sorted(data, key=lambda s: len(s.tokens()))
     cfg = model.cfg
     L, G = cfg.model.n_layers, cfg.n_groups
     nll_sum, n_scored, n_correct = 0.0, 0, 0

@@ -5,6 +5,7 @@ acceptance suite, where the end-to-end pipeline actually runs."""
 import numpy as np
 import pytest
 
+from atmoe import autograd as ag
 from atmoe.config import Config, ModelSection
 from atmoe.model import ToyTransformer
 from atmoe.numerics import derive_rng
@@ -24,6 +25,19 @@ def tiny_config(seed: int = 7, **model_overrides) -> Config:
     cfg.model = ModelSection(**fields)
     cfg.validate()
     return cfg
+
+
+def spy_attention(monkeypatch) -> list[int]:
+    """The query start ``q0`` of every later ``causal_attention`` call, in order."""
+    calls = []
+    real = ag.causal_attention
+
+    def spy(*args):
+        calls.append(args[7] if len(args) > 7 else 0)
+        return real(*args)
+
+    monkeypatch.setattr(ag, "causal_attention", spy)
+    return calls
 
 
 @pytest.fixture

@@ -304,6 +304,34 @@ def test_fused_ops_match_unfused_composition(B, T, d, H):
         _assert_rel_close(fused_grads[name], ref_grads[name])
 
 
+@pytest.mark.parametrize("masked", [True, False])
+def test_windowed_attention_is_the_full_attention_past_q0(masked):
+    # queries from q0 on: the output is the full op's rows [:, q0:], and the
+    # gradients are the full op's under an upstream gradient that is zero on
+    # the rows before q0, which still reach every key and value
+    rng = np.random.default_rng(14)
+    B, T, d, H = 2, 5, 4, 2
+    arrays = {"a": rng.normal(size=(B, T, d))}
+    arrays.update({w: rng.normal(size=(d, d)) / np.sqrt(d) for w in ATTN_LEAVES[1:]})
+    probe = rng.normal(size=(B, T, d))
+    causal = np.tril(np.ones((T, T), dtype=bool)) if masked else None
+
+    def run(q0, upstream):
+        P = {k: ag.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        out = ag.causal_attention(*(P[k] for k in ATTN_LEAVES), H, causal, q0)
+        _probe_sum(out, upstream).backward()
+        return out.data, {k: t.grad for k, t in P.items()}
+
+    full_out, _ = run(0, probe)
+    for q0 in (0, 1, T - 1):
+        out, grads = run(q0, probe[:, q0:])
+        assert out.shape == (B, T - q0, d)
+        _assert_rel_close(out, full_out[:, q0:])
+        _, want = run(0, np.where(np.arange(T)[None, :, None] < q0, 0.0, probe))
+        for name in ATTN_LEAVES:
+            _assert_rel_close(grads[name], want[name])
+
+
 def test_gelu_cube_matches_pow_formula():
     # gelu(x) is of size |x| or less, so the error is measured against
     # max(|gelu(x)|, |x|): near x << 0 the output itself cancels to ~0.

@@ -239,6 +239,24 @@ def test_committed_pipeline_checkpoints_load_and_each_stage_changes_only_its_set
         previous = model.params
 
 
+@pytest.mark.parametrize("name,split,flags", [("eval_single", "eval_single", []),
+                                               ("eval_multi", "eval_multi", []),
+                                               ("eval_multi_lam0", "eval_multi", ["--lam", "0.0"])])
+def test_committed_eval_reports_match_the_current_code(tmp_path, name, split, flags):
+    # the committed eval reports, recomputed from the committed router
+    # checkpoint and data as the pipeline script runs them: counts and
+    # accuracies equal, every other float within 1e-12 relative
+    out = tmp_path / f"{name}.json"
+    assert main(["eval", "--ckpt", str(VERIFY / "ckpt_router.json"),
+                 "--data", str(VERIFY / "data" / f"{split}.jsonl"), *flags,
+                 "--out", str(out)]) == 0
+    got, want = (json.loads(p.read_text()) for p in (out, VERIFY / f"{name}.json"))
+    assert set(got) == set(want)
+    for key in ("mean_loss", "mean_group_entropy", "mean_group_kl"):
+        assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0), key
+    assert got == want
+
+
 @pytest.mark.parametrize("field,text", [pytest.param("stage_completed", '"experts"', id="head"),
                                         pytest.param("lambda", "0.5", id="config")])
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

@@ -3,6 +3,7 @@ handoff, evaluation reports, routing CSV dumps, and the gradient gate."""
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -93,6 +94,24 @@ def test_train_stages_progress_and_reports(workdir):
     trained = {r["adapter_id"] for r in experts_report["reports"]}
     assert trained == {"identity", "reverse", "increment", "low_range",
                        "high_range", "plain_end", "echo_first"}
+
+
+def test_train_report_names_data_by_hash_not_path(workdir, tmp_path, monkeypatch):
+    # the same stage from a relative and an absolute data path: the reports
+    # are byte-identical and carry the sha256 of train.jsonl's bytes
+    root, _, cfg_path, data = workdir
+    monkeypatch.chdir(data.parent)
+    reports = []
+    for n, data_arg in enumerate((data.name, str(data))):
+        out = tmp_path / f"premerged{n}.json"
+        assert main(["train", "--stage", "premerged", "--config", str(cfg_path),
+                     "--data", data_arg, "--ckpt-in", str(root / "experts.json"),
+                     "--ckpt-out", str(out)]) == 0
+        reports.append(Path(f"{out}.report.json").read_bytes())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    assert "data" not in doc
+    assert doc["data_sha256"] == hashlib.sha256((data / "train.jsonl").read_bytes()).hexdigest()
 
 
 def test_train_router_without_ckpt_in_fails(workdir, tmp_path):

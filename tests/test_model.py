@@ -14,7 +14,7 @@ from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config
 from atmoe.taskgen import PAYLOAD_BASE, TASK_TOKENS
 
-from conftest import ROUTERS, tiny_config
+from conftest import ROUTERS, spy_attention, tiny_config
 
 
 def jitter_adapters(model, seed=99, std=0.05):
@@ -348,6 +348,20 @@ def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
     assert _close(loss, want_loss)
     for name, g, want in zip(trainable, grads, want_grads):
         assert _close(g, want), name
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_last_attention_queries_from_first_scored_position(monkeypatch, n_layers):
+    model = _routed_model({}, n_layers)
+    tokens, targets, weights = _scored_batch(model.cfg)
+    q0 = int(np.nonzero(weights)[1].min())
+    assert q0 > 0
+    calls = spy_attention(monkeypatch)
+    model.loss_graph(tokens, targets, weights)
+    assert calls == [0] * (n_layers - 1) + [q0]
+    calls.clear()
+    model.layer_routing_trace(tokens[0])
+    assert calls == [0] * n_layers
 
 
 @pytest.mark.parametrize("name", ["tok_emb", "pos_emb", "blocks.0.attn.wq", "blocks.0.attn.wk",

@@ -29,7 +29,7 @@ from atmoe.training import (
     train_stage,
 )
 
-from conftest import ROUTERS, tiny_config
+from conftest import ROUTERS, spy_attention, tiny_config
 
 
 def _shrunk(cfg, epochs=2, batch=16, lr=1e-2):
@@ -329,6 +329,19 @@ def test_evaluate_modes_agree_on_fresh_model(train_setup):
     assert pm.mean_loss == pytest.approx(base.mean_loss, rel=1e-12)
 
 
+def _routed_eval_model(cfg, router=None):
+    """Two layers, jittered, lam 0.3, with routing that varies row to row."""
+    sec = dataclasses.replace
+    cfg = sec(cfg, model=sec(cfg.model, n_layers=2),
+              router=sec(cfg.router, **(router or {})), atmoe=sec(cfg.atmoe, lam=0.3))
+    model = ToyTransformer(cfg)
+    jitter_params(model)
+    rng = np.random.default_rng(17)
+    for name in model.router_param_names():
+        model.params[name] = model.params[name] + rng.normal(0.0, 2.0, model.params[name].shape)
+    return model
+
+
 @pytest.mark.parametrize("mode", ["full", "base"])
 @pytest.mark.parametrize("router", ROUTERS)
 def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
@@ -336,14 +349,8 @@ def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
     # (or routes the graph's expert inputs in a mode that does not route);
     # the oracle routes the full-row graph's expert inputs per vector
     cfg, data = train_setup
-    sec = dataclasses.replace
-    cfg = sec(cfg, model=sec(cfg.model, n_layers=2),
-              router=sec(cfg.router, **router), atmoe=sec(cfg.atmoe, lam=0.3))
-    model = ToyTransformer(cfg)
-    jitter_params(model)
-    rng = np.random.default_rng(17)
-    for name in model.router_param_names():  # routing that varies row to row
-        model.params[name] = model.params[name] + rng.normal(0.0, 2.0, model.params[name].shape)
+    model = _routed_eval_model(cfg, router)
+    cfg = model.cfg
     rep = evaluate(model, data, mode=mode)
 
     hits = {g.name: 0 for g in model.groups}
@@ -369,6 +376,46 @@ def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
     assert abs(rep.mean_group_entropy - ent / n) <= 1e-12
     for name, acc in rep.routing_accuracy.items():
         assert abs(acc - hits[name] / n) <= 1e-12
+
+
+def test_evaluate_batches_sorted_by_length_with_windowed_last_attention(train_setup, monkeypatch):
+    # batch widths never fall, and the last block queries from each batch's
+    # first scored position, after earlier blocks that query everywhere
+    cfg, data = train_setup
+    model = _routed_eval_model(cfg)
+    monkeypatch.setattr(training, "EVAL_BATCH", 8)
+    graphs = []
+    build_graph = model.build_graph
+
+    def graph_spy(tokens, *args):
+        graphs.append((tokens.shape[1], int((args[4] % tokens.shape[1]).min())))
+        return build_graph(tokens, *args)
+
+    monkeypatch.setattr(model, "build_graph", graph_spy)
+    q0s = spy_attention(monkeypatch)
+    evaluate(model, data)
+    widths = [w for w, _ in graphs]
+    assert len(graphs) == math.ceil(len(data) / 8)
+    assert widths == sorted(widths)
+    assert q0s[0::2] == [0] * len(graphs)
+    assert q0s[1::2] == [q0 for _, q0 in graphs]
+    assert min(q0 for _, q0 in graphs) > 0
+
+
+@pytest.mark.parametrize("mode,aid", [("full", None), ("base", None), ("adapter", "reverse")])
+def test_evaluate_does_not_depend_on_sample_order(train_setup, monkeypatch, mode, aid):
+    cfg, data = train_setup
+    model = _routed_eval_model(cfg)
+    monkeypatch.setattr(training, "EVAL_BATCH", 8)
+    want = evaluate(model, data, mode, aid)
+    shuffled = [data[int(i)] for i in np.random.default_rng(5).permutation(len(data))]
+    for order in (data[::-1], shuffled):
+        got = evaluate(model, order, mode, aid)
+        assert got.n_scored_tokens == want.n_scored_tokens
+        assert got.token_accuracy == want.token_accuracy
+        assert got.routing_accuracy == want.routing_accuracy
+        assert got.mean_loss == pytest.approx(want.mean_loss, rel=1e-12, abs=0)
+        assert got.mean_group_entropy == pytest.approx(want.mean_group_entropy, rel=1e-12, abs=0)
 
 
 def test_grad_check_passes_and_negative_control_fails(train_setup):
