@@ -22,7 +22,7 @@ import numpy as np
 from .checkpoint import (STAGES, CheckpointError, canonical_json, load_checkpoint,
                          require_stage, save_checkpoint)
 from .config import Config, ConfigError, ModelSection, load_config, write_text
-from .model import MODES, ToyTransformer
+from .model import ToyTransformer
 from .numerics import derive_rng, mix_seed
 from .taskgen import TaskCatalog, generate, read_jsonl, write_jsonl
 from .training import StageOrderError, evaluate, grad_check, train_stage
@@ -31,6 +31,7 @@ CSV_HEADER = ("layer,token_index,group_id,group_name,expert_slot,"
               "adapter_id,group_weight,intra_weight,combined_weight")
 PAD_SLOT = "PAD"  # the adapter_id of a padded slot
 GRAD_TOLERANCE = 1e-4
+MODES = ("full", "base", "adapter")  # eval --mode: the learned mixture, no adapter, one adapter
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
@@ -131,15 +132,17 @@ def cmd_eval(args) -> int:
         raise ValueError("--adapter-id is required by --mode adapter and valid only there")
     if args.lam is not None and args.mode != "full":
         raise ValueError("--lam applies only to --mode full")
-    loaded = load_checkpoint(args.ckpt)
-    if args.adapter_id is not None and args.adapter_id not in loaded.model.adapter_ids:
+    model = load_checkpoint(args.ckpt).model
+    if args.adapter_id is not None and args.adapter_id not in model.adapter_ids:
         raise ValueError(f"unknown adapter id {args.adapter_id!r}; the checkpoint has "
-                       f"{loaded.model.adapter_ids}")
+                       f"{model.adapter_ids}")
     data = read_jsonl(args.data)
-    _check_samples(data, loaded.model.cfg.model, args.data)
-    report = evaluate(loaded.model, data, mode=args.mode,
-                      adapter_id=args.adapter_id, lam_override=args.lam)
-    doc = dataclasses.asdict(report)
+    _check_samples(data, model.cfg.model, args.data)
+    if args.lam is not None:
+        atmoe = dataclasses.replace(model.cfg.atmoe, lam=args.lam)
+        model = ToyTransformer(dataclasses.replace(model.cfg, atmoe=atmoe), model.params)
+    report = evaluate(model, data, None if args.mode == "full" else model.only(args.adapter_id))
+    doc = {"mode": args.mode, **dataclasses.asdict(report)}
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
         _write_json(args.out, doc)

@@ -46,7 +46,6 @@ READOUT_STD = 0.02
 ROUTER_STD = 0.02
 ADAPTER_STD = 0.02  # LoRA A factors; B starts at 0, so a fresh adapter is inert
 
-MODES = ("full", "base", "adapter")
 PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.attn.")  # name prefixes
 
 # ---------------------------------------------------------------------------
@@ -326,6 +325,13 @@ class ToyTransformer:
         return [f"blocks.{i}.moe.experts.{adapter_id}.{p}"
                 for i in range(self.cfg.model.n_layers) for p in ("A", "B")]
 
+    def only(self, adapter_id: str | None) -> np.ndarray:
+        """The constant mixture of ``adapter_id`` alone: its one-hot row over
+        ``adapter_ids``, or the all-zero row (no adapter) for None."""
+        if adapter_id is not None and adapter_id not in self.adapter_ids:
+            raise KeyError(f"unknown adapter id: {adapter_id!r}")
+        return np.array([float(aid == adapter_id) for aid in self.adapter_ids])
+
     def router_param_names(self) -> list[str]:
         return [f"blocks.{i}.moe.{p}"
                 for i in range(self.cfg.model.n_layers) for p in ("wg", "wd")]
@@ -370,11 +376,14 @@ class ToyTransformer:
         return ag.add(ag.getitem(h, (slice(None), slice(q0, None))) if q0 else h, out)
 
     def build_graph(self, tokens: np.ndarray, trainable: Iterable[str] = (),
-                    mode: str = "full", adapter_id: str | None = None,
-                    lam_override: float | None = None,
-                    rows: np.ndarray | None = None,
+                    coef: np.ndarray | None = None, rows: np.ndarray | None = None,
                     prefix: np.ndarray | None = None):
         """Batched forward graph; returns (logits Tensor, leaf dict, aux).
+
+        ``coef`` mixes the adapters of every expert projection. ``None`` is the
+        learned mixture: ``atmoe.lam`` times the routed weights plus ``1 - lam``
+        on the pre-merged adapter. A row over ``adapter_ids`` is a constant
+        mixture (see ``only``); only its nonzero adapters run.
 
         ``prefix``, a constant from ``frozen_prefix``, replaces the embedding and
         block 0's attention, so their ``PREFIX_PARAMS`` must stay frozen.
@@ -391,21 +400,18 @@ class ToyTransformer:
 
         ``aux`` carries per-layer arrays: ``moe_input`` (the activation entering
         the expert projection, which is also the routing input) and
-        ``moe_output`` (what the projection returns), plus in full mode
-        ``gw_nodes`` (group weight nodes) and ``iw`` (intra-group weights
+        ``moe_output`` (what the projection returns), plus for the learned
+        mixture ``gw_nodes`` (group weight nodes) and ``iw`` (intra-group weights
         [N, G, M]). The last layer's arrays hold ``rows`` only.
         """
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if mode == "adapter" and adapter_id not in self.adapter_ids:
-            raise KeyError(f"unknown adapter id: {adapter_id!r}")
+        if coef is not None and np.shape(coef) != (len(self.adapter_ids),):
+            raise ValueError(f"coef needs one entry per adapter, got shape {np.shape(coef)}")
         tokens = self._validate_tokens(tokens)
         B, T = tokens.shape
         m = self.cfg.model
         P = ag.parameters(self.params, trainable)
         if prefix is not None and any(P[n].requires_grad for n in P if n.startswith(PREFIX_PARAMS)):
             raise ValueError("a prefix needs frozen embeddings and block 0 attention")
-        lam = self.cfg.atmoe.lam if lam_override is None else float(lam_override)
         aux: dict = {"moe_input": [], "moe_output": [], "gw_nodes": [], "iw": []}
         q0 = int((rows % T).min()) if rows is not None and len(rows) else 0
         if q0:
@@ -422,32 +428,28 @@ class ToyTransformer:
             x = ag.layer_norm(h)
             u = ag.gelu(ag.linear(x, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
             aux["moe_input"].append(u.data)
-            y = self._moe(u, P, i, mode, adapter_id, lam, aux)
+            y = self._moe(u, P, i, coef, aux)
             aux["moe_output"].append(y.data)
             h = ag.add(h, y)
             if i < m.n_layers - 1:
                 h = ag.reshape(h, (B, T, m.d_model))
         return ag.matmul(ag.layer_norm(h), P["unembed"]), P, aux
 
-    def _routing(self, u, wg, wd):
-        r = self.cfg.router
-        return routing(u, wg, wd, self.slot_mask, r.tau_g, r.tau_d)
-
-    def _moe(self, u, P, layer: int, mode: str, adapter_id: str | None,
-             lam: float, aux: dict):
+    def _moe(self, u, P, layer: int, coef: np.ndarray | None, aux: dict):
         b = f"blocks.{layer}"
         base = ag.linear(u, P[f"{b}.ffn.down_w0"])
-        if mode == "base":
-            return base
         N = u.shape[0]
-        ids = [adapter_id] if mode == "adapter" else self.adapter_ids
-        As = [P[f"{b}.moe.experts.{aid}.A"] for aid in ids]
-        Bs = [P[f"{b}.moe.experts.{aid}.B"] for aid in ids]
-        if mode == "adapter":
-            return ag.add(base, ag.lora_mixture(u, np.ones((N, 1)), As, Bs))
+        used = range(len(self.adapter_ids)) if coef is None else np.flatnonzero(coef)
+        if not len(used):
+            return base
+        As = [P[f"{b}.moe.experts.{self.adapter_ids[k]}.A"] for k in used]
+        Bs = [P[f"{b}.moe.experts.{self.adapter_ids[k]}.B"] for k in used]
+        if coef is not None:
+            return ag.add(base, ag.lora_mixture(u, np.tile(np.take(coef, used), (N, 1)), As, Bs))
 
-        G, M = self.cfg.n_groups, self.cfg.max_group_size
-        gw, iw = self._routing(u, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"])
+        lam, G, M = self.cfg.atmoe.lam, self.cfg.n_groups, self.cfg.max_group_size
+        r = self.cfg.router
+        gw, iw = routing(u, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"], self.slot_mask, r.tau_g, r.tau_d)
         aux["gw_nodes"].append(gw)
         aux["iw"].append(iw.data)
         comb = ag.mul(ag.reshape(gw, (N, G, 1)), iw)
@@ -457,31 +459,28 @@ class ToyTransformer:
         # 1 - lam. At lam = 0 ``pick`` is all zeros, so the router gets an
         # exact zero gradient.
         slots = np.flatnonzero(self.slot_mask)
-        pick = np.zeros((G * M, len(ids)))
+        pick = np.zeros((G * M, len(used)))
         pick[slots, np.arange(len(slots))] = lam
-        const = np.zeros(len(ids))
+        const = np.zeros(len(used))
         const[-1] = 1.0 - lam
-        coef = ag.add(ag.matmul(ag.reshape(comb, (N, G * M)), pick), const)
-        return ag.add(base, ag.lora_mixture(u, coef, As, Bs))
+        mix = ag.add(ag.matmul(ag.reshape(comb, (N, G * M)), pick), const)
+        return ag.add(base, ag.lora_mixture(u, mix, As, Bs))
 
     # ------------------------------------------------------------- inference
 
     def loss_graph(self, tokens, targets, weights, trainable: Iterable[str] = (),
-                   mode: str = "full", adapter_id: str | None = None,
-                   lam_override: float | None = None, prefix: np.ndarray | None = None):
+                   coef: np.ndarray | None = None, prefix: np.ndarray | None = None):
         """Scored-position cross entropy; returns (loss Tensor, leaf dict, aux).
         Only the rows with a nonzero weight reach the head (see ``build_graph``)."""
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         rows = np.flatnonzero(weights)
-        logits, P, aux = self.build_graph(
-            tokens, trainable, mode, adapter_id, lam_override, rows, prefix
-        )
+        logits, P, aux = self.build_graph(tokens, trainable, coef, rows, prefix)
         loss = ag.cross_entropy(logits, np.asarray(targets).reshape(-1)[rows], weights[rows])
         return loss, P, aux
 
     def layer_routing_trace(self, tokens) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per layer, the group [T, G] and intra-group [T, G, M] weights the
-        full-mode graph computes for one token sequence."""
+        learned mixture computes for one token sequence."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        _, _, aux = self.build_graph(tokens[None, :], (), "full")
+        _, _, aux = self.build_graph(tokens[None, :])
         return [(gw.data, iw) for gw, iw in zip(aux["gw_nodes"], aux["iw"])]

@@ -1,14 +1,14 @@
 """The training stages (``config.STAGES``) over the frozen base model.
 
-``experts`` fits each task expert alone on its data bucket (plain
-single-adapter forward). ``premerged`` fits the pre-merged adapter the same
+``experts`` fits each task expert alone on its data bucket (the constant
+mixture ``only(expert)``). ``premerged`` fits the pre-merged adapter the same
 way on the merged dataset. ``router`` trains only the per-layer routers
-through the full blended forward; every adapter and base weight stays
-untouched. A stage's runs are independent (each trains its own parameters
-over the shared frozen base), so ``experts`` runs them in forked worker
-processes, one BLAS thread each. Evaluation reports loss, token accuracy, and
-routing diagnostics against the ground-truth expert-relevance labels carried
-with each sample.
+through the learned mixture; every adapter and base weight stays untouched.
+A stage's runs are independent (each trains its own parameters over the
+shared frozen base), so ``experts`` runs them in forked worker processes, one
+BLAS thread each. Evaluation reports loss and token accuracy under any
+mixture, and for the learned one routing diagnostics against the
+ground-truth expert-relevance labels carried with each sample.
 """
 
 from __future__ import annotations
@@ -93,16 +93,16 @@ class TrainReport:
 
 @dataclass
 class EvalReport:
-    """Loss/accuracy plus routing diagnostics over a labeled dataset."""
+    """Loss/accuracy over a labeled dataset, plus routing diagnostics (None
+    for a constant mixture, where no router runs)."""
 
-    mode: str
     n_samples: int
     n_scored_tokens: int
     mean_loss: float
     token_accuracy: float
-    routing_accuracy: dict[str, float]  # group name -> argmax hit rate
-    mean_group_entropy: float
-    mean_group_kl: float
+    routing_accuracy: dict[str, float] | None  # group name -> argmax hit rate
+    mean_group_entropy: float | None
+    mean_group_kl: float | None
 
 
 def _valid_mask(batch: list[Sample], T: int) -> np.ndarray:
@@ -142,12 +142,13 @@ class PrefixCache:
 def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | None,
                stage, seed: int, stage_tag: str,
                cache: PrefixCache) -> tuple[list[float], dict[str, np.ndarray]]:
-    """Epoch loop fitting one adapter, or the routers when ``adapter_id`` is
-    None; returns per-epoch mean losses and the trained arrays."""
+    """Epoch loop fitting one adapter alone (the mixture ``only(adapter_id)``),
+    or the routers through the learned mixture when ``adapter_id`` is None;
+    returns per-epoch mean losses and the trained arrays."""
     if adapter_id:
-        trainable, mode = model.adapter_param_names(adapter_id), "adapter"
+        trainable, coef = model.adapter_param_names(adapter_id), model.only(adapter_id)
     else:
-        trainable, mode = model.router_param_names(), "full"
+        trainable, coef = model.router_param_names(), None
     opt = Adam(model.params, trainable, stage.learning_rate)
     max_len = model.cfg.model.max_seq_len
     losses = []
@@ -157,10 +158,8 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | N
         for start in range(0, len(order), stage.batch_size):
             batch = [samples[int(i)] for i in order[start : start + stage.batch_size]]
             tokens, targets, weights = batch_arrays(batch, max_len)
-            loss, P, _ = model.loss_graph(
-                tokens, targets, weights, trainable=trainable, mode=mode,
-                adapter_id=adapter_id, prefix=cache.batch(batch, tokens.shape[1]),
-            )
+            loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, coef,
+                                          cache.batch(batch, tokens.shape[1]))
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"non-finite loss in stage {stage_tag!r}")
             loss.backward()
@@ -292,27 +291,27 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
-def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
-             adapter_id: str | None = None,
-             lam_override: float | None = None) -> EvalReport:
-    """Deterministic metrics pass; scores only target positions. The samples
-    are batched in a stable sort by length, so each batch pads to nearly its
-    own length; the counts do not depend on the order of ``data``."""
+def evaluate(model: ToyTransformer, data: list[Sample],
+             coef: np.ndarray | None = None) -> EvalReport:
+    """Deterministic metrics pass under the adapter mixture ``coef`` (see
+    ``build_graph``); scores only target positions. The samples are batched
+    in a stable sort by length, so each batch pads to nearly its own length;
+    the counts do not depend on the order of ``data``. Routing is scored from
+    the graph's own weights, so only for the learned mixture."""
     if not data:
         raise ValueError("evaluate needs a nonempty dataset")
     data = sorted(data, key=lambda s: len(s.tokens()))
     cfg = model.cfg
     L, G = cfg.model.n_layers, cfg.n_groups
+    learned = coef is None
     nll_sum, n_scored, n_correct = 0.0, 0, 0
-    ent_sum, ent_n = 0.0, 0
-    hits = {g.name: 0 for g in model.groups}
-    tries = {g.name: 0 for g in model.groups}
+    ent_sum, hits = 0.0, {g.name: 0 for g in model.groups}
 
     for start in range(0, len(data), EVAL_BATCH):
         batch = data[start : start + EVAL_BATCH]
         tokens, targets, weights = batch_arrays(batch, cfg.model.max_seq_len)
         rows = np.flatnonzero(weights)
-        logits_t, _, aux = model.build_graph(tokens, (), mode, adapter_id, lam_override, rows)
+        logits_t, _, aux = model.build_graph(tokens, (), coef, rows)
         tg = targets.reshape(-1)[rows]
         z = logits_t.data
         c = z.max(axis=-1, keepdims=True)
@@ -320,6 +319,8 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
         nll_sum += float((lse - z[np.arange(len(rows)), tg]).sum())
         n_correct += int((z.argmax(axis=-1) == tg).sum())
         n_scored += len(rows)
+        if not learned:
+            continue
 
         # per group, [row, slot]: is that slot's expert relevant to the row's sample
         relevant = [np.array([[e in s.relevant_experts.get(group.name, ()) for e in group.experts]
@@ -328,29 +329,22 @@ def evaluate(model: ToyTransformer, data: list[Sample], mode: str = "full",
         for i in range(L):
             # the last layer's arrays hold the scored rows only
             at = rows if i < L - 1 else slice(None)
-            if mode == "full":
-                gw, iw = aux["gw_nodes"][i].data[at], aux["iw"][i][at]
-            else:  # the graph did not route; route its expert inputs here
-                b = f"blocks.{i}.moe"
-                gw, iw = (w.data for w in model._routing(
-                    aux["moe_input"][i][at], model.params[f"{b}.wg"], model.params[f"{b}.wd"]))
+            gw, iw = aux["gw_nodes"][i].data[at], aux["iw"][i][at]
             ent_sum += float(_entropy_rows(gw).sum())
-            ent_n += len(rows)
             for g, group in enumerate(model.groups):
                 slots = iw[:, g, : len(group.experts)].argmax(axis=-1)
                 hits[group.name] += int(relevant[g][np.arange(len(rows)), slots].sum())
-                tries[group.name] += len(rows)
 
-    mean_h = ent_sum / ent_n
+    n_routed = L * n_scored  # every layer routes every scored row
+    mean_h = ent_sum / n_routed if learned else None
     return EvalReport(
-        mode=mode,
         n_samples=len(data),
         n_scored_tokens=n_scored,
         mean_loss=nll_sum / n_scored,
         token_accuracy=n_correct / n_scored,
-        routing_accuracy={name: hits[name] / tries[name] for name in hits},
+        routing_accuracy={name: h / n_routed for name, h in hits.items()} if learned else None,
         mean_group_entropy=mean_h,
-        mean_group_kl=math.log(G) - mean_h,
+        mean_group_kl=math.log(G) - mean_h if learned else None,
     )
 
 

@@ -2,6 +2,8 @@
 canonical data objects. The full-size coded model only appears in the
 acceptance suite, where the end-to-end pipeline actually runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,12 @@ def tiny_config(seed: int = 7, **model_overrides) -> Config:
     cfg.model = ModelSection(**fields)
     cfg.validate()
     return cfg
+
+
+def with_lam(model: ToyTransformer, lam: float) -> ToyTransformer:
+    """``model``'s parameters under its config with ``atmoe.lam`` set to ``lam``."""
+    sec = dataclasses.replace
+    return ToyTransformer(sec(model.cfg, atmoe=sec(model.cfg.atmoe, lam=lam)), model.params)
 
 
 def spy_attention(monkeypatch) -> list[int]:

@@ -25,6 +25,8 @@ from atmoe.router import routing, slot_mask
 from atmoe.taskgen import read_jsonl, per_task_split
 from atmoe.training import evaluate, grad_check
 
+from conftest import with_lam
+
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIG = REPO / "configs" / "default.json"
 
@@ -182,11 +184,12 @@ def test_a3_blend_equation_oracle():
         # both runs take the same graph path, so only those tensors differ
         for lam, names in ((0.0, model.router_param_names()),
                            (1.0, model.adapter_param_names(PREMERGED_ID))):
-            _, _, aux = model.build_graph(tokens, lam_override=lam)
+            at_lam = with_lam(model, lam)
+            _, _, aux = at_lam.build_graph(tokens)
             params = dict(model.params)
             for n in names:
                 params[n] = rng.normal(size=params[n].shape)
-            _, _, other = ToyTransformer(model.cfg, params).build_graph(tokens, lam_override=lam)
+            _, _, other = ToyTransformer(at_lam.cfg, params).build_graph(tokens)
             np.testing.assert_array_equal(aux["moe_output"][0], other["moe_output"][0])
             for u, got in zip(aux["moe_input"][0], aux["moe_output"][0]):
                 dense = oracle.blend(model, 0, u, lam)
@@ -234,20 +237,18 @@ def test_a5_desk_experiment(pipeline):
     margins = {}
     for task in ("identity", "reverse", "increment"):
         own = buckets[task]
-        base = evaluate(model, own, mode="base").mean_loss
-        adapted = evaluate(model, own, mode="adapter",
-                           adapter_id=task).mean_loss
+        base = evaluate(model, own, model.only(None)).mean_loss
+        adapted = evaluate(model, own, model.only(task)).mean_loss
         margins[task] = 1.0 - adapted / base
     ok_a = all(m >= 0.20 for m in margins.values())
 
     # (b) function-group routing argmax accuracy on single-intent tokens
-    acc = evaluate(model, eval_single, mode="full").routing_accuracy
+    acc = evaluate(model, eval_single).routing_accuracy
     ok_b = acc["function"] >= 0.90
 
     # (c) routed composition is no worse than the premerged-only slice
-    full_multi = evaluate(model, eval_multi, mode="full").mean_loss
-    lam0_multi = evaluate(model, eval_multi, mode="full",
-                          lam_override=0.0).mean_loss
+    full_multi = evaluate(model, eval_multi).mean_loss
+    lam0_multi = evaluate(with_lam(model, 0.0), eval_multi).mean_loss
     ok_c = full_multi <= lam0_multi
 
     total = pipeline["seconds"] + (time.monotonic() - t0)

@@ -50,13 +50,13 @@ def test_init_deterministic_per_seed():
 
 
 def test_fresh_adapter_is_exact_zero_update():
-    # B = 0: every mode's expert projection returns the base projection bit
-    # for bit, in every layer
+    # B = 0: every mixture's expert projection returns the base projection
+    # bit for bit, in every layer
     m = ToyTransformer(tiny_config(n_layers=2))
     tokens = _tokens(m.cfg)
-    _, _, base = m.build_graph(tokens, mode="base")
-    for mode, aid in (("full", None), ("adapter", "identity"), ("adapter", PREMERGED_ID)):
-        _, _, aux = m.build_graph(tokens, mode=mode, adapter_id=aid)
+    _, _, base = m.build_graph(tokens, (), m.only(None))
+    for coef in (None, m.only("identity"), m.only(PREMERGED_ID)):
+        _, _, aux = m.build_graph(tokens, (), coef)
         for y, want in zip(aux["moe_output"], base["moe_output"]):
             np.testing.assert_array_equal(y, want)
 
@@ -66,7 +66,7 @@ def test_apply_matches_dense_delta():
     jitter_params(m, std=0.5)
     tokens = _tokens(m.cfg)
     for aid in m.adapter_ids:
-        _, _, aux = m.build_graph(tokens, mode="adapter", adapter_id=aid)
+        _, _, aux = m.build_graph(tokens, (), m.only(aid))
         for i in range(2):
             b = f"blocks.{i}"
             W = m.params[f"{b}.ffn.down_w0"] + (m.params[f"{b}.moe.experts.{aid}.B"]
@@ -96,7 +96,7 @@ def test_delta_rank_bounded_by_r(d, k, data):
                                    n_heads=1))
     jitter_params(m, std=1.0)
     m.params["blocks.0.ffn.down_w0"] = np.zeros((d, k))
-    _, _, aux = m.build_graph(_tokens(m.cfg), mode="adapter", adapter_id="increment")
+    _, _, aux = m.build_graph(_tokens(m.cfg), (), m.only("increment"))
     assert aux["moe_output"][0].shape == (16, d)
     assert np.linalg.matrix_rank(aux["moe_output"][0]) <= r
 
@@ -120,7 +120,7 @@ def test_adapter_set_premerged_and_task_ids():
     with pytest.raises(KeyError, match="unknown adapter id"):
         m.adapter_param_names("nope")
     with pytest.raises(KeyError, match="unknown adapter id"):
-        m.build_graph(_tokens(m.cfg), mode="adapter", adapter_id="nope")
+        m.only("nope")
 
 
 def test_adapter_set_requires_exactly_one_premerged():

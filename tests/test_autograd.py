@@ -9,7 +9,7 @@ from atmoe.cli import jitter_params
 from atmoe.model import ToyTransformer
 from atmoe.numerics import finite_diff_grad
 
-from conftest import tiny_config
+from conftest import tiny_config, with_lam
 
 ATOL = 1e-7
 
@@ -418,8 +418,7 @@ def test_router_gradient_is_exactly_zero_at_lambda_zero():
     weights = np.ones((3, 6))
     names = model.router_param_names()
     for lam in (0.0, 0.5):
-        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable=names,
-                                      lam_override=lam)
+        loss, P, _ = with_lam(model, lam).loss_graph(tokens, targets, weights, names)
         loss.backward()
         for name in names:
             if lam == 0.0:

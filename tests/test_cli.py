@@ -168,6 +168,20 @@ def test_eval_lam_override_matches_premerged_adapter(workdir, tmp_path):
     assert a["mean_loss"] == pytest.approx(b["mean_loss"], rel=1e-12)
 
 
+@pytest.mark.parametrize("flags", [["--mode", "base"],
+                                   ["--mode", "adapter", "--adapter-id", "reverse"]])
+def test_eval_constant_mixture_writes_null_routing(workdir, tmp_path, flags):
+    # no router runs without the learned mixture, so there is no routing to report
+    root, _, _, data = workdir
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(root / "router.json"),
+                 "--data", str(data / "eval_single.jsonl"), *flags, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["mode"] == flags[1] and doc["n_samples"] == 12
+    assert doc["routing_accuracy"] is doc["mean_group_entropy"] is doc["mean_group_kl"] is None
+    assert '"routing_accuracy": null' in out.read_text()
+
+
 @pytest.mark.parametrize("lam", ["1.7", "-0.5", "nan", "inf"])
 def test_eval_rejects_lam_outside_unit_interval(workdir, tmp_path, monkeypatch, lam):
     root, _, _, data = workdir

@@ -12,7 +12,7 @@ from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, ConfigError
 from atmoe.model import ToyTransformer
 
-from conftest import tiny_config
+from conftest import tiny_config, with_lam
 
 
 def _model(seed=0, lam=0.6):
@@ -53,24 +53,24 @@ def _reroll(model, names, seed):
 
 
 def test_lambda_zero_is_premerged_only():
-    model = _model(1)
+    model = with_lam(_model(1), 0.0)
     tokens = _tokens(model.cfg, 1)
-    _, _, aux = model.build_graph(tokens, lam_override=0.0)
+    _, _, aux = model.build_graph(tokens)
     _check_against_oracle(model, aux, 0.0)
     # the router cannot move a single bit of the output
-    _, _, other = _reroll(model, model.router_param_names(), 7).build_graph(tokens, lam_override=0.0)
+    _, _, other = _reroll(model, model.router_param_names(), 7).build_graph(tokens)
     for y, want in zip(aux["moe_output"], other["moe_output"]):
         np.testing.assert_array_equal(y, want)
 
 
 def test_lambda_one_is_routed_only():
-    model = _model(2)
+    model = with_lam(_model(2), 1.0)
     tokens = _tokens(model.cfg, 2)
-    _, _, aux = model.build_graph(tokens, lam_override=1.0)
+    _, _, aux = model.build_graph(tokens)
     _check_against_oracle(model, aux, 1.0)
     # nor can the pre-merged adapter
     rerolled = _reroll(model, model.adapter_param_names(PREMERGED_ID), 8)
-    _, _, other = rerolled.build_graph(tokens, lam_override=1.0)
+    _, _, other = rerolled.build_graph(tokens)
     for y, want in zip(aux["moe_output"], other["moe_output"]):
         np.testing.assert_array_equal(y, want)
 
@@ -90,9 +90,9 @@ def test_layer_validation():
         dataclasses.replace(cfg, atmoe=dataclasses.replace(cfg.atmoe, lam=1.5)).validate()
     model = ToyTransformer(cfg)
     with pytest.raises(KeyError, match="unknown adapter"):
-        model.build_graph(_tokens(cfg), mode="adapter", adapter_id="missing")
-    with pytest.raises(ValueError, match="mode"):
-        model.build_graph(_tokens(cfg), mode="dense")
+        model.only("missing")
+    with pytest.raises(ValueError, match="one entry per adapter"):
+        model.build_graph(_tokens(cfg), (), np.ones((2, len(model.adapter_ids))))
 
 
 def test_routing_report_consistency():

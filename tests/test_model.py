@@ -1,5 +1,5 @@
-"""Decoder model: parameter registry, forward-mode semantics (full vs frozen
-base vs single adapter), balance override, structured base init, and the
+"""Decoder model: parameter registry, adapter-mixture semantics (learned vs
+no adapter vs one adapter), the balance lam, structured base init, and the
 per-layer routing trace."""
 
 import dataclasses
@@ -14,7 +14,7 @@ from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config
 from atmoe.taskgen import PAYLOAD_BASE, TASK_TOKENS
 
-from conftest import ROUTERS, spy_attention, tiny_config
+from conftest import ROUTERS, spy_attention, tiny_config, with_lam
 
 
 def jitter_adapters(model, seed=99, std=0.05):
@@ -27,9 +27,9 @@ def jitter_adapters(model, seed=99, std=0.05):
                         scale=std, size=model.params[name].shape)
 
 
-def seq_logits(model, tokens, mode="full", adapter_id=None, lam_override=None):
+def seq_logits(model, tokens, coef=None):
     """One token sequence's logits [T, vocab] from the batched graph."""
-    return model.build_graph(tokens[None, :], (), mode, adapter_id, lam_override)[0].data
+    return model.build_graph(tokens[None, :], (), coef)[0].data
 
 
 def scored(tokens, positions):
@@ -81,27 +81,24 @@ def test_forward_logits_shape(tiny_model, tiny_tokens):
 def test_fresh_model_all_modes_agree(tiny_tokens):
     # every adapter starts as an exact zero update, so composition is inert
     m = M.ToyTransformer(tiny_config())
-    base = seq_logits(m, tiny_tokens, mode="base")
-    full = seq_logits(m, tiny_tokens, mode="full")
+    base = seq_logits(m, tiny_tokens, m.only(None))
+    full = seq_logits(m, tiny_tokens)
     np.testing.assert_allclose(full, base, atol=1e-12)
     for aid in m.adapter_ids:
-        np.testing.assert_allclose(
-            seq_logits(m, tiny_tokens, mode="adapter", adapter_id=aid),
-            base, atol=1e-12)
+        np.testing.assert_allclose(seq_logits(m, tiny_tokens, m.only(aid)), base, atol=1e-12)
 
 
 def test_base_mode_ignores_adapters_and_router(tiny_tokens):
     m = M.ToyTransformer(tiny_config())
-    before = seq_logits(m, tiny_tokens, mode="base")
+    before = seq_logits(m, tiny_tokens, m.only(None))
     jitter_adapters(m)
     rng = np.random.default_rng(3)
     for name in m.router_param_names():
         m.params[name] = m.params[name] + rng.normal(
             scale=0.5, size=m.params[name].shape)
-    np.testing.assert_array_equal(seq_logits(m, tiny_tokens, mode="base"),
-                                  before)
-    # full mode, in contrast, now sees the jittered adapters
-    assert not np.allclose(seq_logits(m, tiny_tokens, mode="full"), before)
+    np.testing.assert_array_equal(seq_logits(m, tiny_tokens, m.only(None)), before)
+    # the learned mixture, in contrast, now sees the jittered adapters
+    assert not np.allclose(seq_logits(m, tiny_tokens), before)
 
 
 def test_adapter_mode_uses_only_that_adapter(tiny_tokens):
@@ -112,34 +109,65 @@ def test_adapter_mode_uses_only_that_adapter(tiny_tokens):
     for name in m.adapter_param_names(target):
         m.params[name] = m.params[name] + rng.normal(
             scale=0.1, size=m.params[name].shape)
-    base = seq_logits(m, tiny_tokens, mode="base")
-    hot = seq_logits(m, tiny_tokens, mode="adapter", adapter_id=target)
+    base = seq_logits(m, tiny_tokens, m.only(None))
+    hot = seq_logits(m, tiny_tokens, m.only(target))
     assert not np.allclose(hot, base)
     for aid in m.adapter_ids:
         if aid == target:
             continue
-        np.testing.assert_allclose(
-            seq_logits(m, tiny_tokens, mode="adapter", adapter_id=aid),
-            base, atol=1e-12)
+        np.testing.assert_allclose(seq_logits(m, tiny_tokens, m.only(aid)), base, atol=1e-12)
 
 
-def test_lam_zero_matches_premerged_adapter_mode(tiny_tokens):
+def test_lam_zero_matches_premerged_adapter_alone(tiny_tokens):
+    # the learned mixture at lam 0 is the constant row only(premerged)
     m = M.ToyTransformer(tiny_config())
     jitter_adapters(m)
-    lam0 = seq_logits(m, tiny_tokens, mode="full", lam_override=0.0)
-    pm = seq_logits(m, tiny_tokens, mode="adapter", adapter_id=PREMERGED_ID)
-    np.testing.assert_allclose(lam0, pm, atol=1e-12)
-    # and with routing live the full pass differs from the lam=0 slice
-    assert not np.allclose(seq_logits(m, tiny_tokens, mode="full"), lam0)
+    arrays = scored(tiny_tokens, range(len(tiny_tokens) - 1))
+    lam0, _, _ = with_lam(m, 0.0).loss_graph(*arrays)
+    pm, _, _ = m.loss_graph(*arrays, (), m.only(PREMERGED_ID))
+    assert abs(lam0.data - pm.data) <= 1e-12 * abs(pm.data)
+    # and with routing live the learned mixture differs from the lam=0 slice,
+    # by far more than that tolerance
+    full, _, _ = m.loss_graph(*arrays)
+    assert abs(full.data - lam0.data) > 1e-6 * abs(lam0.data)
 
 
 def test_mode_validation(tiny_model, tiny_tokens):
+    # a constant mixture names known adapters and has one entry per adapter
+    with pytest.raises(KeyError):
+        tiny_model.only("ghost")
     with pytest.raises(ValueError):
-        seq_logits(tiny_model, tiny_tokens, mode="nope")
-    with pytest.raises(KeyError):
-        seq_logits(tiny_model, tiny_tokens, mode="adapter")
-    with pytest.raises(KeyError):
-        seq_logits(tiny_model, tiny_tokens, mode="adapter", adapter_id="ghost")
+        seq_logits(tiny_model, tiny_tokens, np.ones(len(tiny_model.adapter_ids) - 1))
+
+
+def _spy_lora_mixture(monkeypatch) -> list[int]:
+    """The number of adapters each later ``lora_mixture`` call composes."""
+    calls = []
+    real = ag.lora_mixture
+
+    def spy(x, coef, As, Bs):
+        assert len(As) == len(Bs) == np.shape(coef)[1]
+        calls.append(len(As))
+        return real(x, coef, As, Bs)
+
+    monkeypatch.setattr(ag, "lora_mixture", spy)
+    return calls
+
+
+def test_mixture_runs_only_its_nonzero_adapters(monkeypatch, tiny_tokens):
+    # an expert step composes one A/B pair per layer, no adapter runs none,
+    # the learned mixture composes them all
+    m = M.ToyTransformer(tiny_config(n_layers=2))
+    arrays = scored(tiny_tokens, [2, 3])
+    calls = _spy_lora_mixture(monkeypatch)
+    aid = m.task_adapter_ids[0]
+    m.loss_graph(*arrays, m.adapter_param_names(aid), m.only(aid))
+    assert calls == [1, 1]
+    calls.clear()
+    m.loss_graph(*arrays, (), m.only(None))
+    assert calls == []
+    m.loss_graph(*arrays, m.router_param_names())
+    assert calls == [len(m.adapter_ids)] * 2
 
 
 def test_loss_matches_hand_cross_entropy(tiny_model, tiny_tokens):
@@ -247,17 +275,18 @@ def test_loss_graph_on_scored_rows_matches_full_row_graph(router, lam, stage):
     # weights drop the rest inside the cross entropy
     model = _routed_model(router)
     tokens, targets, weights = _scored_batch(model.cfg)
-    mode, aid, trainable = {
-        "base": ("base", None, sorted(model.params)),
-        "expert": ("adapter", model.task_adapter_ids[1],
-                   model.adapter_param_names(model.task_adapter_ids[1])),
-        "premerged": ("adapter", PREMERGED_ID, model.adapter_param_names(PREMERGED_ID)),
-        "router": ("full", None, model.router_param_names()),
-        "all": ("full", None, sorted(model.params)),
+    model = with_lam(model, lam)
+    expert = model.task_adapter_ids[1]
+    coef, trainable = {
+        "base": (model.only(None), sorted(model.params)),
+        "expert": (model.only(expert), model.adapter_param_names(expert)),
+        "premerged": (model.only(PREMERGED_ID), model.adapter_param_names(PREMERGED_ID)),
+        "router": (None, model.router_param_names()),
+        "all": (None, sorted(model.params)),
     }[stage]
-    loss, P, aux = model.loss_graph(tokens, targets, weights, trainable, mode, aid, lam)
+    loss, P, aux = model.loss_graph(tokens, targets, weights, trainable, coef)
     loss.backward()
-    logits, P_ref, _ = model.build_graph(tokens, trainable, mode, aid, lam)
+    logits, P_ref, _ = model.build_graph(tokens, trainable, coef)
     ref = ag.cross_entropy(logits, targets.reshape(-1), weights.reshape(-1))
     ref.backward()
     assert aux["moe_output"][-1].shape[0] == int(weights.sum())
@@ -308,7 +337,7 @@ def test_structured_base_reads_out_current_payload_token():
     p0 = PAYLOAD_BASE
     tokens = np.array([0, TASK_TOKENS["identity"], TASK_TOKENS["plain_end"],
                        p0 + 3, p0 + 7, p0 + 1, 1, p0 + 3])
-    logits = seq_logits(m, tokens, mode="base")
+    logits = seq_logits(m, tokens, m.only(None))
     for pos in (3, 4, 5, 7):
         probs = oracle.softmax(logits[pos], 1.0)
         assert probs.argmax() == tokens[pos]
@@ -316,14 +345,13 @@ def test_structured_base_reads_out_current_payload_token():
 
 
 def _stage_setup(model, stage):
-    """(mode, adapter id, trainable names) of one training stage."""
+    """(mixture, trainable names) of one training stage."""
+    expert = model.task_adapter_ids[1]
     return {
-        "expert": ("adapter", model.task_adapter_ids[1],
-                   model.adapter_param_names(model.task_adapter_ids[1])),
-        "premerged": ("adapter", PREMERGED_ID, model.adapter_param_names(PREMERGED_ID)),
-        "router": ("full", None, model.router_param_names()),
-        "past_prefix": ("full", None, [n for n in model.params
-                                       if not n.startswith(M.PREFIX_PARAMS)]),
+        "expert": (model.only(expert), model.adapter_param_names(expert)),
+        "premerged": (model.only(PREMERGED_ID), model.adapter_param_names(PREMERGED_ID)),
+        "router": (None, model.router_param_names()),
+        "past_prefix": (None, [n for n in model.params if not n.startswith(M.PREFIX_PARAMS)]),
     }[stage]
 
 
@@ -333,15 +361,14 @@ def _stage_setup(model, stage):
 @pytest.mark.parametrize("stage", ["expert", "premerged", "router", "past_prefix"])
 def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
     # the frozen prefix as a constant against the graph from token ids
-    model = _routed_model(router, n_layers)
+    model = with_lam(_routed_model(router, n_layers), lam)
     tokens, targets, weights = _scored_batch(model.cfg)
-    mode, aid, trainable = _stage_setup(model, stage)
+    coef, trainable = _stage_setup(model, stage)
     prefix = model.frozen_prefix(tokens)
     assert prefix.shape == tokens.shape + (model.cfg.model.d_model,)
     runs = []
     for pre in (prefix, None):
-        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, mode, aid, lam,
-                                      pre)
+        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, coef, pre)
         loss.backward()
         runs.append((loss.data, _grads(P, trainable, model.params)))
     (loss, grads), (want_loss, want_grads) = runs

@@ -16,6 +16,7 @@ import pytest
 import oracle
 from atmoe.cli import jitter_params
 from atmoe.model import ToyTransformer
+from atmoe.router import routing
 from atmoe.taskgen import TaskCatalog, batch_arrays, generate, per_task_split
 from atmoe import training
 from atmoe.training import (
@@ -30,6 +31,12 @@ from atmoe.training import (
 )
 
 from conftest import ROUTERS, spy_attention, tiny_config
+
+
+def _mix(model, mode, adapter_id=None):
+    """The mixture of ``atmoe eval --mode``: the learned one for "full", else
+    the constant ``only(adapter_id)``."""
+    return None if mode == "full" else model.only(adapter_id)
 
 
 def _shrunk(cfg, epochs=2, batch=16, lr=1e-2):
@@ -113,11 +120,10 @@ def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch, tmp_pat
     for cpus in (1, 4):
         log = tmp_path / f"loss_graph_{cpus}.jsonl"
 
-        def spying_loss_graph(self, tokens, targets, weights, trainable, mode, adapter_id,
-                              **kw):
+        def spying_loss_graph(self, tokens, targets, weights, trainable, coef, prefix):
             with log.open("a") as fh:
-                fh.write(json.dumps([os.getpid(), adapter_id, mode, list(trainable)]) + "\n")
-            return loss_graph(self, tokens, targets, weights, trainable, mode, adapter_id, **kw)
+                fh.write(json.dumps([os.getpid(), coef.tolist(), list(trainable)]) + "\n")
+            return loss_graph(self, tokens, targets, weights, trainable, coef, prefix)
 
         model = ToyTransformer(cfg)
         before = model.param_checksums()
@@ -129,15 +135,15 @@ def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch, tmp_pat
         calls = [json.loads(line) for line in log.read_text().splitlines()]
         pids = {pid for pid, *_ in calls}
         assert (pids == {os.getpid()}) if cpus == 1 else (os.getpid() not in pids)
-        runs = [(aid, mode, tuple(trainable)) for _, aid, mode, trainable in calls]
+        runs = [(tuple(coef), tuple(trainable)) for _, coef, trainable in calls]
         ids = model.task_adapter_ids
-        want = [(aid, "adapter", tuple(model.adapter_param_names(aid))) for aid in ids]
+        want = [(tuple(model.only(aid)), tuple(model.adapter_param_names(aid))) for aid in ids]
         assert set(runs) == set(want)
         if cpus == 1:
             assert list(dict.fromkeys(runs)) == want
         split = per_task_split(data)
         st = cfg.training.experts
-        assert [sum(r[0] == aid for r in runs) for aid in ids] == [
+        assert [runs.count(w) for w in want] == [
             st.epochs * math.ceil(len(split[aid]) / st.batch_size) for aid in ids]
         touched = {n for n in before if before[n] != after[n]}
         assert touched == {n for aid in ids for n in model.adapter_param_names(aid)}
@@ -305,28 +311,51 @@ def test_empty_bucket_and_unknown_stage_rejected(train_setup, monkeypatch):
 def test_evaluate_report_fields(train_setup):
     cfg, data = train_setup
     model = ToyTransformer(cfg)
-    rep = evaluate(model, data[:20], mode="base")
+    rep = evaluate(model, data[:20], model.only(None))
     assert isinstance(rep, EvalReport)
-    assert rep.mode == "base" and rep.n_samples == 20
+    assert rep.n_samples == 20
     assert rep.n_scored_tokens == sum(len(s.target_tokens) for s in data[:20])
     assert 0.0 <= rep.token_accuracy <= 1.0
     assert rep.mean_loss > 0.0
-    assert set(rep.routing_accuracy) == {g.name for g in model.groups}
-    assert np.isfinite(rep.mean_group_entropy)
-    assert np.isfinite(rep.mean_group_kl)
+    # no router runs in a constant mixture, so there is no routing to score
+    assert rep.routing_accuracy is rep.mean_group_entropy is rep.mean_group_kl is None
+    learned = evaluate(model, data[:20])
+    assert set(learned.routing_accuracy) == {g.name for g in model.groups}
+    assert np.isfinite(learned.mean_group_entropy)
+    assert np.isfinite(learned.mean_group_kl)
     d = dataclasses.asdict(rep)
-    assert d["mode"] == "base" and d["n_samples"] == 20
+    assert "mode" not in d and d["n_samples"] == 20
 
 
 def test_evaluate_modes_agree_on_fresh_model(train_setup):
-    # zero adapters: every mode scores identically
+    # zero adapters: every mixture scores identically
     cfg, data = train_setup
     model = ToyTransformer(cfg)
-    full = evaluate(model, data[:16], mode="full")
-    base = evaluate(model, data[:16], mode="base")
-    pm = evaluate(model, data[:16], mode="adapter", adapter_id="premerged")
+    full = evaluate(model, data[:16])
+    base = evaluate(model, data[:16], model.only(None))
+    pm = evaluate(model, data[:16], model.only("premerged"))
     assert full.mean_loss == pytest.approx(base.mean_loss, rel=1e-12)
     assert pm.mean_loss == pytest.approx(base.mean_loss, rel=1e-12)
+
+
+def test_evaluate_routes_only_the_learned_mixture(train_setup, monkeypatch):
+    # a constant mixture never calls the router; the learned one routes
+    # every layer of every batch once
+    cfg, data = train_setup
+    model = _routed_eval_model(cfg)
+    calls = []
+    real = routing
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr("atmoe.model.routing", spy)
+    for aid in (None, "reverse", "premerged"):
+        evaluate(model, data[:16], model.only(aid))
+    assert calls == []
+    evaluate(model, data[:16])
+    assert len(calls) == model.cfg.model.n_layers
 
 
 def _routed_eval_model(cfg, router=None):
@@ -342,23 +371,23 @@ def _routed_eval_model(cfg, router=None):
     return model
 
 
-@pytest.mark.parametrize("mode", ["full", "base"])
+@pytest.mark.parametrize("mode", ["full"])
 @pytest.mark.parametrize("router", ROUTERS)
 def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
-    # evaluate reads the routing weights the graph computed on scored rows
-    # (or routes the graph's expert inputs in a mode that does not route);
-    # the oracle routes the full-row graph's expert inputs per vector
+    # evaluate reads the routing weights the graph computed on scored rows;
+    # the oracle routes the full-row graph's expert inputs per vector. Only
+    # the learned mixture ("full") routes.
     cfg, data = train_setup
     model = _routed_eval_model(cfg, router)
     cfg = model.cfg
-    rep = evaluate(model, data, mode=mode)
+    rep = evaluate(model, data, _mix(model, mode))
 
     hits = {g.name: 0 for g in model.groups}
     ent, n = 0.0, 0
     for start in range(0, len(data), 64):
         batch = data[start: start + 64]
         tokens, _, weights = batch_arrays(batch, cfg.model.max_seq_len)
-        _, _, aux = model.build_graph(tokens, mode=mode)
+        _, _, aux = model.build_graph(tokens)
         b_idx, t_idx = np.nonzero(weights)
         rows = b_idx * tokens.shape[1] + t_idx
         for i in range(cfg.model.n_layers):
@@ -388,7 +417,7 @@ def test_evaluate_batches_sorted_by_length_with_windowed_last_attention(train_se
     build_graph = model.build_graph
 
     def graph_spy(tokens, *args):
-        graphs.append((tokens.shape[1], int((args[4] % tokens.shape[1]).min())))
+        graphs.append((tokens.shape[1], int((args[2] % tokens.shape[1]).min())))
         return build_graph(tokens, *args)
 
     monkeypatch.setattr(model, "build_graph", graph_spy)
@@ -407,15 +436,17 @@ def test_evaluate_does_not_depend_on_sample_order(train_setup, monkeypatch, mode
     cfg, data = train_setup
     model = _routed_eval_model(cfg)
     monkeypatch.setattr(training, "EVAL_BATCH", 8)
-    want = evaluate(model, data, mode, aid)
+    want = evaluate(model, data, _mix(model, mode, aid))
     shuffled = [data[int(i)] for i in np.random.default_rng(5).permutation(len(data))]
     for order in (data[::-1], shuffled):
-        got = evaluate(model, order, mode, aid)
+        got = evaluate(model, order, _mix(model, mode, aid))
         assert got.n_scored_tokens == want.n_scored_tokens
         assert got.token_accuracy == want.token_accuracy
         assert got.routing_accuracy == want.routing_accuracy
         assert got.mean_loss == pytest.approx(want.mean_loss, rel=1e-12, abs=0)
-        assert got.mean_group_entropy == pytest.approx(want.mean_group_entropy, rel=1e-12, abs=0)
+        if mode == "full":
+            assert got.mean_group_entropy == pytest.approx(want.mean_group_entropy, rel=1e-12,
+                                                           abs=0)
 
 
 def test_grad_check_passes_and_negative_control_fails(train_setup):
@@ -474,8 +505,8 @@ def test_prefix_from_cache_matches_token_path(train_setup, monkeypatch, router, 
     trainable = model.adapter_param_names(aid) if aid else model.router_param_names()
     runs = []
     for pre in (prefix, None):
-        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, mode, aid,
-                                      prefix=pre)
+        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, _mix(model, mode, aid),
+                                      pre)
         loss.backward()
         runs.append((loss.data, [P[n].grad for n in trainable]))
     (loss, grads), (want_loss, want_grads) = runs
