@@ -288,14 +288,14 @@ def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                     n_heads: int, causal: np.ndarray | None, q0: int = 0) -> Tensor:
-    """Multi-head self-attention as one node.
+                     n_heads: int, q0: int = 0) -> Tensor:
+    """Causal multi-head self-attention as one node.
 
     ``a`` is [B, T, d]; each weight is [d, d] and applied as ``x @ w.T``.
-    ``causal`` is a [T, T] boolean mask of the keys each query may see (None
-    sees all). Scores are scaled by ``1/sqrt(d/n_heads)`` before the softmax.
-    Only positions ``q0`` and later are queries, so the output is
-    [B, T - q0, d]; every position stays a key and a value.
+    Each query sees its own and earlier positions; scores are scaled by
+    ``1/sqrt(d/n_heads)`` before the softmax. Only positions ``q0`` and later
+    are queries, so the output is [B, T - q0, d]; every position stays a key
+    and a value.
     """
     B, T, d = a.data.shape
     Tq = T - q0
@@ -311,8 +311,8 @@ def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         return xh.transpose(0, 2, 1, 3).reshape(-1, d)
 
     q, k, v = split(aq @ wq.data.T), split(af @ wk.data.T), split(af @ wv.data.T)
-    y = _masked_softmax((q @ k.transpose(0, 1, 3, 2)) * scale,
-                        None if causal is None else causal[q0:])
+    causal = np.arange(T)[None, :] <= np.arange(q0, T)[:, None]  # [T - q0, T]
+    y = _masked_softmax((q @ k.transpose(0, 1, 3, 2)) * scale, causal)
     of = merge(y @ v)
 
     def bwd(g):

@@ -143,9 +143,9 @@ def cmd_eval(args) -> int:
         model = ToyTransformer(dataclasses.replace(model.cfg, atmoe=atmoe), model.params)
     report = evaluate(model, data, None if args.mode == "full" else model.only(args.adapter_id))
     doc = {"mode": args.mode, **dataclasses.asdict(report)}
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    if args.out:
+    if args.out:  # before stdout, which a closed pipe makes raise
         _write_json(args.out, doc)
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
@@ -226,9 +226,9 @@ def cmd_gradcheck(args) -> int:
         "tolerance": args.tolerance,
         "passed": passed,
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    if args.out:
+    if args.out:  # before stdout, which a closed pipe makes raise
         _write_json(args.out, doc)
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0 if passed else 5
 
 

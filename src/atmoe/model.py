@@ -23,9 +23,12 @@ already linear functions of the residual stream:
 
 An adapter then only has to read one 4-coordinate block and write the token
 code (optionally relabeled) for the output logits, which is exactly rank 4,
-and the router sees the instruction code in every FFN hidden state. The
-"random" init keeps everything plain Gaussian; gradient checks and the small
-property tests use it because they exercise arbitrary tiny shapes.
+and the router sees the instruction code in every FFN hidden state.
+
+Every init first draws each tensor from its own seeded stream at a std looked
+up by the tensor's kind, or zeros; the coded base then replaces the frozen
+tensors it lays out. The "random" init is the draws alone; gradient checks and
+the small property tests use it because they exercise arbitrary tiny shapes.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ EMBED_STD = 0.1
 READOUT_STD = 0.02
 ROUTER_STD = 0.02
 ADAPTER_STD = 0.02  # LoRA A factors; B starts at 0, so a fresh adapter is inert
+
+# Init std by a parameter's last name part; a kind in neither table (``up_b``,
+# ``B``) starts at zeros. Fan-in kinds draw at 1/sqrt(input width).
+INIT_STD = {"tok_emb": EMBED_STD, "pos_emb": EMBED_STD, "unembed": READOUT_STD,
+            "wg": ROUTER_STD, "wd": ROUTER_STD, "A": ADAPTER_STD}
+FAN_IN_INIT = ("wq", "wk", "wv", "wo", "up_w", "down_w0")
 
 PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.attn.")  # name prefixes
 
@@ -163,61 +172,43 @@ class ToyTransformer:
         return S
 
     def _init_params(self) -> dict[str, np.ndarray]:
+        """Every tensor drawn from its own ``init`` stream at its kind's std
+        (see ``INIT_STD``), then the coded base's frozen tensors over them."""
+        P = {}
+        for name, shape in self.param_shapes().items():
+            kind = name.rsplit(".", 1)[-1]
+            std = 1.0 / np.sqrt(shape[-1]) if kind in FAN_IN_INIT else INIT_STD.get(kind)
+            P[name] = (np.zeros(shape) if std is None else
+                       derive_rng(self.cfg.seed, "init", name).normal(0.0, std, size=shape))
+        if self.cfg.model.base_init == "coded":
+            P.update(self._coded_base())
+        return P
+
+    def _coded_base(self) -> dict[str, np.ndarray]:
+        """The frozen tensors of the coded reservoir: embeddings, attention,
+        FFN up-projection, a zero base down-projection and the readout."""
         m = self.cfg.model
-        S = self.param_shapes()
-        P: dict[str, np.ndarray] = {}
-        coded = m.base_init == "coded"
-
-        def draw(name: str, std: float) -> None:
-            P[name] = derive_rng(self.cfg.seed, "init", name).normal(0.0, std, size=S[name])
-
-        if coded:
-            P["tok_emb"] = self._coded_tok_emb()
-            P["pos_emb"] = self._coded_pos_emb()
-        else:
-            draw("tok_emb", EMBED_STD)
-            draw("pos_emb", EMBED_STD)
-        attn_std = 1.0 / np.sqrt(m.d_model)
+        P = {"tok_emb": self._coded_tok_emb(), "pos_emb": self._coded_pos_emb()}
         for i in range(m.n_layers):
             b = f"blocks.{i}"
-            if coded:
-                wq, wk, wv, wo = self._coded_attention(lower=(i == 0))
-                P[f"{b}.attn.wq"], P[f"{b}.attn.wk"] = wq, wk
-                P[f"{b}.attn.wv"], P[f"{b}.attn.wo"] = wv, wo
-            else:
-                for w in ("wq", "wk", "wv", "wo"):
-                    draw(f"{b}.attn.{w}", attn_std)
-            if coded:
-                # paired +/- pass-through rows give adapters and routers an
-                # exact linear view of the readable code blocks (gelu(x) -
-                # gelu(-x) = x); the remaining rows are random gelu features
-                # for nonlinear cues such as end-of-sequence timing. The base
-                # down-projection is zeroed so the residual code coordinates
-                # stay clean and adapters own the whole FFN output.
-                up_w, up_b = self._coded_ffn(f"{b}.ffn")
-                P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"] = up_w, up_b
-                P[f"{b}.ffn.down_w0"] = np.zeros((m.d_model, m.d_ff))
-            else:
-                draw(f"{b}.ffn.up_w", attn_std)
-                P[f"{b}.ffn.up_b"] = np.zeros(m.d_ff)
-                draw(f"{b}.ffn.down_w0", 1.0 / np.sqrt(m.d_ff))
-            draw(f"{b}.moe.wg", ROUTER_STD)
-            draw(f"{b}.moe.wd", ROUTER_STD)
-            for aid in self.adapter_ids:
-                draw(f"{b}.moe.experts.{aid}.A", ADAPTER_STD)
-                P[f"{b}.moe.experts.{aid}.B"] = np.zeros((m.d_model, m.rank))
-        if coded:
-            # readout from clean codes only: non-predictable ids (BOS, SEP,
-            # unused) keep near-zero columns instead of ballast noise.
-            # End-of-sequence reads the constant coordinate, giving adapters a
-            # writable handle on termination without a dedicated code block.
-            noise = derive_rng(self.cfg.seed, "init", "unembed").normal(
-                0.0, CODE_NOISE, size=(m.d_model, m.vocab_size))
-            unembed = CODE_READOUT * self._clean_token_codes().T + noise
-            unembed[_CONST, EOS] += EOS_READOUT
-            P["unembed"] = unembed
-        else:
-            draw("unembed", READOUT_STD)
+            P.update(zip((f"{b}.attn.{w}" for w in ("wq", "wk", "wv", "wo")),
+                         self._coded_attention(lower=(i == 0))))
+            # paired +/- pass-through rows give adapters and routers an exact
+            # linear view of the readable code blocks (gelu(x) - gelu(-x) =
+            # x); the remaining rows are random gelu features for nonlinear
+            # cues such as end-of-sequence timing. The base down-projection is
+            # zeroed so the residual code coordinates stay clean and adapters
+            # own the whole FFN output.
+            P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"] = self._coded_ffn(f"{b}.ffn")
+            P[f"{b}.ffn.down_w0"] = np.zeros((m.d_model, m.d_ff))
+        # readout from clean codes only: non-predictable ids (BOS, SEP, unused)
+        # keep near-zero columns instead of ballast noise. End-of-sequence
+        # reads the constant coordinate, giving adapters a writable handle on
+        # termination without a dedicated code block.
+        noise = derive_rng(self.cfg.seed, "init", "unembed").normal(
+            0.0, CODE_NOISE, size=(m.d_model, m.vocab_size))
+        P["unembed"] = CODE_READOUT * self._clean_token_codes().T + noise
+        P["unembed"][_CONST, EOS] += EOS_READOUT
         return P
 
     def _clean_token_codes(self) -> np.ndarray:
@@ -368,11 +359,8 @@ class ToyTransformer:
     def _attend(self, h, P: dict, layer: int, q0: int = 0):
         """Block ``layer``'s attention and residual add at positions ``q0`` and
         later: [B, T, d] in, [B, T - q0, d] out."""
-        b, T = f"blocks.{layer}", h.shape[1]
-        a = ag.layer_norm(h)
-        attn = [P[f"{b}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
-        causal = np.tril(np.ones((T, T), dtype=bool))
-        out = ag.causal_attention(a, *attn, self.cfg.model.n_heads, causal, q0)
+        attn = [P[f"blocks.{layer}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
+        out = ag.causal_attention(ag.layer_norm(h), *attn, self.cfg.model.n_heads, q0)
         return ag.add(ag.getitem(h, (slice(None), slice(q0, None))) if q0 else h, out)
 
     def build_graph(self, tokens: np.ndarray, trainable: Iterable[str] = (),

@@ -173,26 +173,16 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | N
     return losses, {n: model.params[n] for n in trainable}
 
 
-def _fit(job: tuple, i: int) -> tuple[list[float], dict[str, np.ndarray]]:
-    """Run ``i`` of a stage job on its own parameter dict: Adam rebinds the
+_job: tuple | None = None  # the running ``_fit_all``'s job; fork hands it to the pool
+
+
+def _fit(i: int) -> tuple[list[float], dict[str, np.ndarray]]:
+    """Run ``i`` of the stage job on its own parameter dict: Adam rebinds the
     entries it updates, so ``model.params`` itself is left untouched."""
-    model, runs, stage, seed, cache = job
+    model, runs, stage, seed, cache = _job
     adapter_id, samples, tag = runs[i]
     view = ToyTransformer(model.cfg, dict(model.params))
     return _run_stage(view, samples, adapter_id, stage, seed, tag, cache)
-
-
-_worker_job: tuple | None = None  # the stage job a pool process inherited
-
-
-def _start_worker(job: tuple, set_blas_threads) -> None:
-    global _worker_job
-    _worker_job = job
-    set_blas_threads(1)  # workers fill the CPUs; a BLAS thread pool each would oversubscribe
-
-
-def _fit_in_worker(i: int) -> tuple[list[float], dict[str, np.ndarray]]:
-    return _fit(_worker_job, i)
 
 
 def _blas_thread_setter():
@@ -222,19 +212,24 @@ def _fit_all(job: tuple) -> list[tuple[list[float], dict[str, np.ndarray]]]:
     CPU, or no BLAS thread setter to keep the workers from oversubscribing.
     Fork hands the workers the model, the data and the prefix cache's shared
     mapping without pickling them; only the results come back."""
+    global _job
     n_runs = len(job[1])
     workers = min(n_runs, len(os.sched_getaffinity(0)))
     set_blas_threads = _blas_thread_setter() if workers > 1 else None
-    if set_blas_threads is None:
-        return [_fit(job, i) for i in range(n_runs)]
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker,
-                               (job, set_blas_threads))
+    _job = job
+    # workers fill the CPUs; a BLAS thread pool each would oversubscribe
+    pool = None if set_blas_threads is None else ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), set_blas_threads, (1,))
     try:
-        return list(pool.map(_fit_in_worker, range(n_runs)))
+        if pool is None:
+            return [_fit(i) for i in range(n_runs)]
+        return list(pool.map(_fit, range(n_runs)))
     finally:
-        # a failed run cancels the queued ones and a dead worker breaks the
-        # pool, stopping the others; either way every worker is joined here
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            # a failed run cancels the queued ones and a dead worker breaks
+            # the pool, stopping the others; either way every worker is joined
+            pool.shutdown(cancel_futures=True)
+        _job = None  # else the prefix cache's mapping outlives the stage
 
 
 def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],

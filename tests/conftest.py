@@ -41,7 +41,7 @@ def spy_attention(monkeypatch) -> list[int]:
     real = ag.causal_attention
 
     def spy(*args):
-        calls.append(args[7] if len(args) > 7 else 0)
+        calls.append(args[6] if len(args) > 6 else 0)
         return real(*args)
 
     monkeypatch.setattr(ag, "causal_attention", spy)

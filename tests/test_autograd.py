@@ -246,12 +246,11 @@ def test_causal_attention_grads_match_finite_differences(trainable):
     arrays = {"a": rng.normal(size=(B, T, d))}
     arrays.update({w: rng.normal(size=(d, d)) for w in ATTN_LEAVES[1:]})
     probe = rng.normal(size=(B, T, d))
-    causal = np.tril(np.ones((T, T), dtype=bool))
-    for mask in (causal, None):
-        def build(mask=mask, **leaves):
-            return ag.causal_attention(*(leaves[k] for k in ATTN_LEAVES), H, mask)
 
-        _check_fused_grads(build, arrays, trainable, probe)
+    def build(**leaves):
+        return ag.causal_attention(*(leaves[k] for k in ATTN_LEAVES), H)
+
+    _check_fused_grads(build, arrays, trainable, probe)
 
 
 def _unfused_linear(x, w, b=None):
@@ -259,9 +258,10 @@ def _unfused_linear(x, w, b=None):
     return out if b is None else ag.add(out, b)
 
 
-def _unfused_attention(a, wq, wk, wv, wo, n_heads, causal):
-    """The attention block composed from primitive ops, one node per step."""
+def _unfused_attention(a, wq, wk, wv, wo, n_heads):
+    """The causal attention block composed from primitive ops, one node per step."""
     B, T, d = a.shape
+    causal = np.tril(np.ones((T, T), dtype=bool))
     dh = d // n_heads
     af = ag.reshape(a, (B * T, d))
 
@@ -288,11 +288,10 @@ def test_fused_ops_match_unfused_composition(B, T, d, H):
     arrays["up_w"] = rng.normal(size=(2 * d, d))
     arrays["up_b"] = rng.normal(size=2 * d)
     probe = rng.normal(size=(B * T, 2 * d))
-    causal = np.tril(np.ones((T, T), dtype=bool))
 
     def run(attention, linear):
         P = {k: ag.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        h = attention(*(P[k] for k in ATTN_LEAVES), H, causal)
+        h = attention(*(P[k] for k in ATTN_LEAVES), H)
         out = linear(ag.reshape(h, (B * T, d)), P["up_w"], P["up_b"])
         _probe_sum(out, probe).backward()
         return out.data, {k: t.grad for k, t in P.items()}
@@ -304,8 +303,7 @@ def test_fused_ops_match_unfused_composition(B, T, d, H):
         _assert_rel_close(fused_grads[name], ref_grads[name])
 
 
-@pytest.mark.parametrize("masked", [True, False])
-def test_windowed_attention_is_the_full_attention_past_q0(masked):
+def test_windowed_attention_is_the_full_attention_past_q0():
     # queries from q0 on: the output is the full op's rows [:, q0:], and the
     # gradients are the full op's under an upstream gradient that is zero on
     # the rows before q0, which still reach every key and value
@@ -314,11 +312,10 @@ def test_windowed_attention_is_the_full_attention_past_q0(masked):
     arrays = {"a": rng.normal(size=(B, T, d))}
     arrays.update({w: rng.normal(size=(d, d)) / np.sqrt(d) for w in ATTN_LEAVES[1:]})
     probe = rng.normal(size=(B, T, d))
-    causal = np.tril(np.ones((T, T), dtype=bool)) if masked else None
 
     def run(q0, upstream):
         P = {k: ag.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        out = ag.causal_attention(*(P[k] for k in ATTN_LEAVES), H, causal, q0)
+        out = ag.causal_attention(*(P[k] for k in ATTN_LEAVES), H, q0)
         _probe_sum(out, upstream).backward()
         return out.data, {k: t.grad for k, t in P.items()}
 
@@ -503,10 +500,9 @@ def test_softmax_ops_leave_inputs_and_upstream_gradient_unchanged():
     _, (logits, slots), _ = _random_inputs(3)
     a = rng.normal(size=(2, 5, 4))
     ws = [rng.normal(size=(4, 4)) for _ in range(4)]
-    causal = np.tril(np.ones((5, 5), dtype=bool))
     cases = [
         ([logits], lambda t: ag.masked_temp_softmax(t[0], slots, 0.7)),
-        ([a, *ws], lambda t: ag.causal_attention(*t, 2, causal)),
+        ([a, *ws], lambda t: ag.causal_attention(*t, 2)),
     ]
     for arrays, op in cases:
         leaves = [ag.Tensor(x.copy(), requires_grad=True) for x in arrays]

@@ -153,6 +153,30 @@ def test_eval_command_writes_report(workdir, tmp_path, capsys):
     assert printed == doc
 
 
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_still_writes_out_file(workdir, tmp_path, monkeypatch):
+    # a reader that closes the pipe early (``| head -1``) makes the report's
+    # print fail; the --out file is written before it, and main exits 2
+    root, _, _, data = workdir
+    commands = {"eval": ["eval", "--ckpt", str(root / "router.json"),
+                         "--data", str(data / "eval_single.jsonl"), "--mode", "full"],
+                "gradcheck": ["gradcheck"]}
+    for name, argv in commands.items():
+        want, got = tmp_path / f"{name}_want.json", tmp_path / f"{name}_got.json"
+        assert main(argv + ["--out", str(want)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr("sys.stdout", _ClosedPipe())
+            assert main(argv + ["--out", str(got)]) == 2
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_eval_lam_override_matches_premerged_adapter(workdir, tmp_path):
     root, _, _, data = workdir
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"

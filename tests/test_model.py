@@ -3,6 +3,9 @@ no adapter vs one adapter), the balance lam, structured base init, and the
 per-layer routing trace."""
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ import oracle
 from atmoe import autograd as ag
 from atmoe import model as M
 from atmoe.cli import jitter_params
-from atmoe.config import PREMERGED_ID, Config
+from atmoe.config import PREMERGED_ID, Config, load_config
 from atmoe.taskgen import PAYLOAD_BASE, TASK_TOKENS
 
 from conftest import ROUTERS, spy_attention, tiny_config, with_lam
@@ -324,6 +327,23 @@ def test_structured_base_is_seed_deterministic():
     a = M.ToyTransformer(cfg).param_checksums()
     b = M.ToyTransformer(cfg).param_checksums()
     assert a == b
+
+
+# sha256 of the sorted-key JSON of ``param_checksums()`` for configs/default.json
+DEFAULT_INIT_DIGESTS = {
+    "coded": "e633bbc5741d8da5ae41a9ebc93f07b279919226100f6c28f6ecadf70626af3f",
+    "random": "c58455894817573ac754291140d4c46f59dde835461e648746f2fdbfb0df0bd3",
+}
+
+
+@pytest.mark.parametrize("base_init", sorted(DEFAULT_INIT_DIGESTS))
+def test_default_init_is_pinned(base_init):
+    # every tensor of a fresh default model, the drawn adapters and routers
+    # too, which no committed checkpoint holds untrained
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, base_init=base_init))
+    doc = json.dumps(M.ToyTransformer(cfg).param_checksums(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == DEFAULT_INIT_DIGESTS[base_init]
 
 
 def test_structured_base_reads_out_current_payload_token():
