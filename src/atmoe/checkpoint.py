@@ -19,22 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import STAGES as TRAINING_STAGES, Config, ConfigError, write_text
+from .config import STAGES, Config, ConfigError, write_text
 from .model import ToyTransformer
-from .training import StageOrderError
 
 FORMAT_VERSION = 2
-STAGES = ("none",) + TRAINING_STAGES  # stage_completed markers, in pipeline order
 
 
 class CheckpointError(RuntimeError):
     """Unreadable, malformed, or corrupt checkpoint."""
 
 
-def stage_index(stage: str) -> int:
+def check_stage(stage: str) -> None:
     if stage not in STAGES:
         raise CheckpointError(f"unknown stage marker {stage!r}; expected one of {STAGES}")
-    return STAGES.index(stage)
 
 
 def canonical_json(doc: dict) -> str:
@@ -57,7 +54,7 @@ def checkpoint_checksum(doc: dict) -> str:
 
 
 def checkpoint_doc(model: ToyTransformer, stage_completed: str) -> dict:
-    stage_index(stage_completed)
+    check_stage(stage_completed)
     tensors = {}
     for name in sorted(model.params):
         arr = model.params[name]
@@ -128,7 +125,7 @@ def restore_checkpoint(doc: dict) -> LoadedCheckpoint:
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"tensor {name!r} data disagrees with its shape") from exc
     stage = doc["stage_completed"]
-    stage_index(stage)
+    check_stage(stage)
     try:
         cfg = Config.from_dict(doc["config"])
     except ConfigError as exc:
@@ -139,11 +136,3 @@ def restore_checkpoint(doc: dict) -> LoadedCheckpoint:
         raise CheckpointError(f"checkpoint tensors do not form a model: {exc}") from exc
     return LoadedCheckpoint(model=model, stage_completed=stage)
 
-
-def require_stage(have: str, needed: str, about_to_run: str) -> None:
-    """Raise StageOrderError unless ``have`` covers the prerequisite stage."""
-    if stage_index(have) < stage_index(needed):
-        raise StageOrderError(
-            f"stage {about_to_run!r} requires a checkpoint with stage_completed "
-            f">= {needed!r}, got {have!r}"
-        )

@@ -1,9 +1,9 @@
 """Command-line entry point: dataset generation, staged training, evaluation,
 routing-weight CSV dumps, and gradient verification.
 
-Exit codes: 0 success, 2 input error, 3 stage-order error, 4 corrupt
-checkpoint, 5 verification failure, 6 a training worker died (no checkpoint
-written).
+Exit codes: 0 success, 2 input error, 3 stage-order error (the router stage
+over untrained adapters), 4 corrupt checkpoint, 5 verification failure, 6 a
+training worker died (no checkpoint written).
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (STAGES, CheckpointError, canonical_json, load_checkpoint,
-                         require_stage, save_checkpoint)
-from .config import Config, ConfigError, ModelSection, load_config, write_text
+from .checkpoint import CheckpointError, canonical_json, load_checkpoint, save_checkpoint
+from .config import STAGES, Config, ConfigError, ModelSection, load_config, write_text
 from .model import ToyTransformer
 from .numerics import derive_rng, mix_seed
-from .taskgen import TaskCatalog, generate, read_jsonl, write_jsonl
+from .taskgen import PAYLOAD_BASE, PAYLOAD_SIZE, TaskCatalog, generate, read_jsonl, write_jsonl
 from .training import StageOrderError, evaluate, grad_check, train_stage
 
 CSV_HEADER = ("layer,token_index,group_id,group_name,expert_slot,"
@@ -49,6 +48,9 @@ def cmd_gen_data(args) -> int:
             f"taskgen.payload_max {tg.payload_max} gives sequences of up to "
             f"{catalog.max_sequence_len()} tokens, above model.max_seq_len "
             f"{cfg.model.max_seq_len}")
+    if cfg.model.vocab_size < PAYLOAD_BASE + PAYLOAD_SIZE:
+        raise ConfigError(f"model.vocab_size {cfg.model.vocab_size} cannot hold the payload "
+                          f"token ids up to {PAYLOAD_BASE + PAYLOAD_SIZE - 1}")
     seeds = {name: mix_seed(tg.seed, f"data:{name}")
              for name in ("train", "eval_single", "eval_multi")}
     datasets = {
@@ -96,16 +98,13 @@ def cmd_train(args) -> int:
     samples = read_jsonl(train_path)
     _check_samples(samples, cfg.model, train_path)
 
-    loaded = load_checkpoint(args.ckpt_in) if args.ckpt_in else None
-    needed = STAGES[STAGES.index(args.stage) - 1]  # the stage this one builds on
-    require_stage(loaded.stage_completed if loaded else "none", needed, args.stage)
-    if loaded:
-        if canonical_json(loaded.model.cfg.to_dict()) != canonical_json(cfg.to_dict()):
+    if args.ckpt_in:
+        model = load_checkpoint(args.ckpt_in).model
+        if canonical_json(model.cfg.to_dict()) != canonical_json(cfg.to_dict()):
             raise ConfigError("config file disagrees with the checkpoint's embedded config")
-        model = loaded.model
     else:
         model = ToyTransformer(cfg)
-    reports = train_stage(model, args.stage, samples, cfg)
+    reports = train_stage(model, args.stage, samples)
 
     save_checkpoint(args.ckpt_out, model, args.stage)
     report_doc = {
@@ -245,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="run one training stage")
-    t.add_argument("--stage", required=True, choices=STAGES[1:])
+    t.add_argument("--stage", required=True, choices=STAGES)
     t.add_argument("--config", required=True)
     t.add_argument("--data", required=True, help="directory holding train.jsonl")
     t.add_argument("--ckpt-in", default=None)

@@ -154,6 +154,9 @@ class Config:
         if any(len(g.experts) < 1 for g in self.groups):
             raise ConfigError("every group needs at least one expert")
         tg = self.taskgen
+        for name in ("n_train", "n_eval_single", "n_eval_multi"):
+            if getattr(tg, name) < 1:
+                raise ConfigError(f"taskgen.{name} must be >= 1")
         if not 0.0 <= tg.multi_intent_fraction <= 1.0:
             raise ConfigError("taskgen.multi_intent_fraction must lie in [0, 1]")
         if not 1 <= tg.payload_min <= tg.payload_max:

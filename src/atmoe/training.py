@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PREMERGED_ID, STAGES, Config
+from .config import PREMERGED_ID, STAGES
 from .model import ToyTransformer
 from .numerics import derive_rng, finite_diff_grad
 from .taskgen import Sample, batch_arrays, per_task_split
@@ -35,7 +35,7 @@ OPENBLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_
 
 
 class StageOrderError(RuntimeError):
-    """A training stage ran before the stages it depends on."""
+    """The router stage ran over adapters that no earlier stage trained."""
 
 
 class Adam:
@@ -139,9 +139,8 @@ class PrefixCache:
         return out
 
 
-def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | None,
-               stage, seed: int, stage_tag: str,
-               cache: PrefixCache) -> tuple[list[float], dict[str, np.ndarray]]:
+def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | None, stage,
+               stage_tag: str, cache: PrefixCache) -> tuple[list[float], dict[str, np.ndarray]]:
     """Epoch loop fitting one adapter alone (the mixture ``only(adapter_id)``),
     or the routers through the learned mixture when ``adapter_id`` is None;
     returns per-epoch mean losses and the trained arrays."""
@@ -153,7 +152,8 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | N
     max_len = model.cfg.model.max_seq_len
     losses = []
     for epoch in range(stage.epochs):
-        order = derive_rng(seed, "train", stage_tag, f"epoch:{epoch}").permutation(len(samples))
+        order = derive_rng(model.cfg.seed, "train", stage_tag,
+                           f"epoch:{epoch}").permutation(len(samples))
         nll_sum, n_scored = 0.0, 0
         for start in range(0, len(order), stage.batch_size):
             batch = [samples[int(i)] for i in order[start : start + stage.batch_size]]
@@ -179,10 +179,10 @@ _job: tuple | None = None  # the running ``_fit_all``'s job; fork hands it to th
 def _fit(i: int) -> tuple[list[float], dict[str, np.ndarray]]:
     """Run ``i`` of the stage job on its own parameter dict: Adam rebinds the
     entries it updates, so ``model.params`` itself is left untouched."""
-    model, runs, stage, seed, cache = _job
+    model, runs, stage, cache = _job
     adapter_id, samples, tag = runs[i]
     view = ToyTransformer(model.cfg, dict(model.params))
-    return _run_stage(view, samples, adapter_id, stage, seed, tag, cache)
+    return _run_stage(view, samples, adapter_id, stage, tag, cache)
 
 
 def _blas_thread_setter():
@@ -232,13 +232,12 @@ def _fit_all(job: tuple) -> list[tuple[list[float], dict[str, np.ndarray]]]:
         _job = None  # else the prefix cache's mapping outlives the stage
 
 
-def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],
-                cfg: Config) -> list[TrainReport]:
-    """Run one pipeline stage on the training set ``samples``: each task expert
-    on its bucket (the samples relevant to it), the pre-merged adapter on all
-    of them, or the routers with every adapter frozen. Every run shares one
-    frozen-prefix cache, and ``model.params`` changes only once every run has
-    succeeded."""
+def train_stage(model: ToyTransformer, stage: str, samples: list[Sample]) -> list[TrainReport]:
+    """Run one pipeline stage, with the settings and seed of ``model.cfg``, on
+    the training set ``samples``: each task expert on its bucket (the samples
+    relevant to it), the pre-merged adapter on all of them, or the routers
+    with every adapter frozen. Every run shares one frozen-prefix cache, and
+    ``model.params`` changes only once every run has succeeded."""
     if stage not in STAGES:
         raise KeyError(f"unknown stage {stage!r}; expected one of {STAGES}")
     if not samples:
@@ -254,8 +253,8 @@ def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],
     else:
         _require_trained_adapters(model)
         runs = [(None, samples, "router")]
-    st = getattr(cfg.training, stage)
-    results = _fit_all((model, runs, st, cfg.seed, PrefixCache(model, samples)))
+    st = getattr(model.cfg.training, stage)
+    results = _fit_all((model, runs, st, PrefixCache(model, samples)))
     reports = []
     for (aid, data, _), (losses, trained) in zip(runs, results):
         model.params.update(trained)
@@ -265,8 +264,8 @@ def train_stage(model: ToyTransformer, stage: str, samples: list[Sample],
 
 
 def _require_trained_adapters(model: ToyTransformer) -> None:
-    """Router training is vacuous over all-zero adapters (delta is identically 0);
-    an untouched B matrix is the signature of a skipped stage."""
+    """The one stage-order rule: router training is vacuous over all-zero adapters
+    (delta is identically 0), and an untouched B matrix marks a skipped stage."""
     L = model.cfg.model.n_layers
 
     def untouched(aid: str) -> bool:

@@ -1,5 +1,5 @@
-"""JSON checkpoints: bit-exact roundtrip, checksum tamper detection, stage
-ordering metadata, and canonical serialization."""
+"""JSON checkpoints: bit-exact roundtrip, checksum tamper detection, the
+stage marker set, and canonical serialization."""
 
 import hashlib
 import json
@@ -10,21 +10,17 @@ import pytest
 
 from atmoe.checkpoint import (
     FORMAT_VERSION,
-    STAGES,
     CheckpointError,
     canonical_json,
     checkpoint_checksum,
     checkpoint_doc,
     load_checkpoint,
-    require_stage,
     restore_checkpoint,
     save_checkpoint,
-    stage_index,
 )
 from atmoe.cli import main
-from atmoe.config import PREMERGED_ID, load_config
+from atmoe.config import PREMERGED_ID, STAGES, load_config
 from atmoe.model import ToyTransformer
-from atmoe.training import StageOrderError
 
 from conftest import tiny_config
 
@@ -58,9 +54,9 @@ def test_roundtrip_is_bit_identical(model, tmp_path):
 
 
 def test_doc_structure_and_checksum(model):
-    doc = checkpoint_doc(model, "none")
+    doc = checkpoint_doc(model, "experts")
     assert doc["format_version"] == FORMAT_VERSION
-    assert doc["stage_completed"] == "none"
+    assert doc["stage_completed"] == "experts"
     assert set(doc["tensors"]) == set(model.params)
     entry = doc["tensors"]["tok_emb"]
     assert set(entry) == {"shape", "data"}
@@ -82,7 +78,7 @@ def test_tamper_detection(model, tmp_path):
 
 
 def test_missing_fields_and_bad_version(model):
-    doc = checkpoint_doc(model, "none")
+    doc = checkpoint_doc(model, "experts")
     bad = dict(doc)
     del bad["tensors"]
     with pytest.raises(CheckpointError, match="missing"):
@@ -100,18 +96,22 @@ def test_missing_fields_and_bad_version(model):
 def test_non_finite_parameters_rejected(model):
     model.params["tok_emb"][0, 0] = np.nan
     with pytest.raises(CheckpointError, match="non-finite"):
+        checkpoint_doc(model, "experts")
+
+
+def test_stage_ordering(model):
+    # the stage_completed markers are the training stages, in run order, and
+    # nothing else: "none", which no command writes, is refused at save and load
+    assert STAGES == ("experts", "premerged", "router")
+    for stage in STAGES:
+        assert restore_checkpoint(checkpoint_doc(model, stage)).stage_completed == stage
+    with pytest.raises(CheckpointError, match="unknown stage marker"):
         checkpoint_doc(model, "none")
-
-
-def test_stage_ordering():
-    assert STAGES == ("none", "experts", "premerged", "router")
-    assert [stage_index(s) for s in STAGES] == [0, 1, 2, 3]
-    require_stage("premerged", "experts", "anything")  # no raise
-    require_stage("router", "router", "anything")
-    with pytest.raises(StageOrderError, match="requires a checkpoint"):
-        require_stage("none", "experts", "premerged-stage")
-    with pytest.raises((ValueError, KeyError, CheckpointError)):
-        stage_index("bogus")
+    doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
+    doc["stage_completed"] = "none"
+    doc["checksum"] = checkpoint_checksum(doc)
+    with pytest.raises(CheckpointError, match="unknown stage marker"):
+        restore_checkpoint(doc)
 
 
 def test_unknown_stage_rejected_at_save(model):
@@ -120,7 +120,7 @@ def test_unknown_stage_rejected_at_save(model):
 
 
 def test_canonical_json_is_key_order_invariant(model):
-    doc = checkpoint_doc(model, "none")
+    doc = checkpoint_doc(model, "experts")
     shuffled = json.loads(json.dumps(doc))
     reordered = {k: shuffled[k] for k in reversed(list(shuffled))}
     assert canonical_json(doc) == canonical_json(reordered)
@@ -128,7 +128,7 @@ def test_canonical_json_is_key_order_invariant(model):
 
 
 def test_restore_rejects_mangled_tensor_shape(model):
-    doc = json.loads(canonical_json(checkpoint_doc(model, "none")))
+    doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
     doc["tensors"]["tok_emb"]["shape"] = [1, 1]
     doc["checksum"] = checkpoint_checksum(doc)
     with pytest.raises(CheckpointError, match="shape"):
@@ -173,7 +173,7 @@ def test_edits_without_a_new_checksum_fail(model, tmp_path, edit):
 def _reshaped(model, edits: dict) -> dict:
     """A checkpoint document of ``model`` with tensors replaced (same data
     length where the test says so) and a valid checksum."""
-    doc = json.loads(canonical_json(checkpoint_doc(model, "none")))
+    doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
     for name, shape in edits.items():
         doc["tensors"][name] = {"shape": list(shape),
                                 "data": [0.5] * int(np.prod(shape))}
@@ -200,7 +200,7 @@ def test_restore_rejects_mis_shaped_tensors(model):
 
 
 def test_restore_rejects_unknown_dtype(model):
-    doc = json.loads(canonical_json(checkpoint_doc(model, "none")))
+    doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
     doc["tensors"]["tok_emb"]["dtype"] = "f32"  # v2 stores f64 only
     doc["checksum"] = checkpoint_checksum(doc)
     with pytest.raises(CheckpointError, match="dtype"):
@@ -222,7 +222,7 @@ def test_committed_pipeline_checkpoints_load_and_each_stage_changes_only_its_set
     # first one starting from a fresh init
     cfg = load_config(ROOT / "configs" / "default.json")
     previous = ToyTransformer(cfg).params
-    for stage in STAGES[1:]:
+    for stage in STAGES:
         loaded = load_checkpoint(VERIFY / f"ckpt_{stage}.json")
         model = loaded.model
         assert loaded.stage_completed == stage

@@ -114,29 +114,46 @@ def test_train_report_names_data_by_hash_not_path(workdir, tmp_path, monkeypatch
     assert doc["data_sha256"] == hashlib.sha256((data / "train.jsonl").read_bytes()).hexdigest()
 
 
-def test_train_router_without_ckpt_in_fails(workdir, tmp_path):
+def test_train_router_without_ckpt_in_fails(workdir, tmp_path, capsys):
+    # a fresh model's task experts are untrained: refused before any work,
+    # with no checkpoint or report written
     root, _, cfg_path, data = workdir
+    ckpt_out = tmp_path / "r.json"
     rc = main(["train", "--stage", "router", "--config", str(cfg_path),
-               "--data", str(data), "--ckpt-out", str(tmp_path / "r.json")])
-    assert rc == 3
-
-
-def test_train_premerged_without_ckpt_in_fails(workdir, tmp_path):
-    root, _, cfg_path, data = workdir
-    ckpt_out = tmp_path / "p.json"
-    rc = main(["train", "--stage", "premerged", "--config", str(cfg_path),
                "--data", str(data), "--ckpt-out", str(ckpt_out)])
     assert rc == 3
-    assert not ckpt_out.exists()
+    assert "task experts look untrained" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_train_router_from_experts_checkpoint_fails(workdir, tmp_path):
-    # skipping the premerged stage violates the stage ordering
+def test_train_premerged_needs_no_ckpt_in(workdir, tmp_path):
+    # the pre-merged run reads only the frozen base and its own init, so it
+    # trains the same tensors and report from a fresh model as from the
+    # experts checkpoint
     root, _, cfg_path, data = workdir
+    ckpt_out = tmp_path / "p.json"
+    assert main(["train", "--stage", "premerged", "--config", str(cfg_path),
+                 "--data", str(data), "--ckpt-out", str(ckpt_out)]) == 0
+    fresh = load_checkpoint(ckpt_out)
+    assert fresh.stage_completed == "premerged"
+    chained = load_checkpoint(root / "premerged.json").model
+    names = chained.adapter_param_names("premerged")
+    for name in names:
+        np.testing.assert_array_equal(fresh.model.params[name], chained.params[name])
+    assert (Path(f"{ckpt_out}.report.json").read_bytes()
+            == (root / "premerged.json.report.json").read_bytes())
+
+
+def test_train_router_from_experts_checkpoint_fails(workdir, tmp_path, capsys):
+    # skipping the premerged stage leaves its adapter untrained
+    root, _, cfg_path, data = workdir
+    ckpt_out = tmp_path / "r.json"
     rc = main(["train", "--stage", "router", "--config", str(cfg_path),
                "--data", str(data), "--ckpt-in", str(root / "experts.json"),
-               "--ckpt-out", str(tmp_path / "r.json")])
+               "--ckpt-out", str(ckpt_out)])
     assert rc == 3
+    assert "pre-merged adapter looks untrained" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_command_writes_report(workdir, tmp_path, capsys):
@@ -313,10 +330,10 @@ def test_train_exits_6_when_a_worker_dies(workdir, tmp_path, monkeypatch, capsys
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     run_stage = training._run_stage
 
-    def dying_run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache):
+    def dying_run_stage(model, samples, adapter_id, stage, stage_tag, cache):
         if stage_tag == "expert:increment":
             os._exit(1)
-        return run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache)
+        return run_stage(model, samples, adapter_id, stage, stage_tag, cache)
 
     def hung(signum, frame):
         raise TimeoutError("train is still waiting on a dead worker")
@@ -423,6 +440,17 @@ def test_gen_data_rejects_payload_longer_than_max_seq_len(workdir, tmp_path):
     # payload_max 7 allows 2*7 + 7 = 21 tokens; the model takes 20
     _, cfg, _, _ = workdir
     cfg = dataclasses.replace(cfg, taskgen=dataclasses.replace(cfg.taskgen, payload_max=7))
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_gen_data_rejects_vocab_below_the_payload_ids(workdir, tmp_path):
+    # payload ids run to 39; data with them would fail every train and eval
+    _, cfg, _, _ = workdir
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, vocab_size=30))
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
     out = tmp_path / "data"

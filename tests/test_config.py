@@ -162,6 +162,10 @@ def test_validate_rejects_bad_scalars():
             Config().taskgen, multi_intent_fraction=-0.1))
     with pytest.raises(ConfigError, match="multi_intent_fraction"):
         cfg.validate()
+    # an empty split is refused at load, not later by gen-data
+    for name in ("n_train", "n_eval_single", "n_eval_multi"):
+        with pytest.raises(ConfigError, match=f"taskgen.{name} must be >= 1"):
+            Config.from_dict({"taskgen": {name: 0}})
     # a non-finite number passes every range check above, so the loader
     # refuses it
     for value in (float("nan"), float("inf")):

@@ -130,7 +130,7 @@ def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch, tmp_pat
         with monkeypatch.context() as m:
             _cpus(m, cpus)
             m.setattr(ToyTransformer, "loss_graph", spying_loss_graph)
-            reports = train_stage(model, "experts", data, cfg)
+            reports = train_stage(model, "experts", data)
         after = model.param_checksums()
         calls = [json.loads(line) for line in log.read_text().splitlines()]
         pids = {pid for pid, *_ in calls}
@@ -179,7 +179,7 @@ def test_expert_workers_equal_in_process(train_setup, monkeypatch, tmp_path):
             _cpus(m, cpus)
             m.setattr(training, "_blas_thread_setter", lambda: pinning if setter else None)
             model = ToyTransformer(cfg)
-            reports = train_stage(model, "experts", data, cfg)
+            reports = train_stage(model, "experts", data)
         assert multiprocessing.active_children() == []
         assert pins.read_text().split() == (["1"] * 4 if (cpus, setter) == (4, True) else [])
         outcomes.append((model.param_checksums(), reports))
@@ -195,16 +195,16 @@ def test_failed_run_changes_no_params_and_leaves_no_workers(train_setup, monkeyp
     run_stage = training._run_stage
     message = "non-finite loss in stage 'expert:increment'"
 
-    def failing_run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache):
+    def failing_run_stage(model, samples, adapter_id, stage, stage_tag, cache):
         if stage_tag == "expert:increment":
             raise FloatingPointError(message)
-        return run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache)
+        return run_stage(model, samples, adapter_id, stage, stage_tag, cache)
 
     monkeypatch.setattr(training, "_run_stage", failing_run_stage)
     model = ToyTransformer(cfg)
     before = model.param_checksums()
     with pytest.raises(FloatingPointError) as err:
-        train_stage(model, "experts", data, cfg)
+        train_stage(model, "experts", data)
     assert type(err.value) is FloatingPointError and str(err.value) == message
     assert model.param_checksums() == before
     assert multiprocessing.active_children() == []
@@ -217,10 +217,10 @@ def test_dead_worker_fails_the_stage_and_leaves_no_workers(train_setup, monkeypa
     _cpus(monkeypatch, 4)
     run_stage = training._run_stage
 
-    def dying_run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache):
+    def dying_run_stage(model, samples, adapter_id, stage, stage_tag, cache):
         if stage_tag == "expert:increment":
             os._exit(1)
-        return run_stage(model, samples, adapter_id, stage, seed, stage_tag, cache)
+        return run_stage(model, samples, adapter_id, stage, stage_tag, cache)
 
     def hung(signum, frame):
         raise TimeoutError("train_stage is still waiting on a dead worker")
@@ -232,7 +232,7 @@ def test_dead_worker_fails_the_stage_and_leaves_no_workers(train_setup, monkeypa
     signal.alarm(60)
     try:
         with pytest.raises(BrokenProcessPool):
-            train_stage(model, "experts", data, cfg)
+            train_stage(model, "experts", data)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -244,7 +244,7 @@ def test_training_reduces_loss(train_setup):
     cfg, data = train_setup
     cfg5 = _shrunk(cfg, epochs=5)
     model = ToyTransformer(cfg5)
-    reports = train_stage(model, "experts", data, cfg5)
+    reports = train_stage(model, "experts", data)
     report = reports[model.task_adapter_ids.index("identity")]
     assert report.final_loss < report.initial_loss
 
@@ -253,7 +253,7 @@ def test_train_premerged_touches_only_premerged(train_setup):
     cfg, data = train_setup
     model = ToyTransformer(cfg)
     before = model.param_checksums()
-    (report,) = train_stage(model, "premerged", data, cfg)
+    (report,) = train_stage(model, "premerged", data)
     after = model.param_checksums()
     touched = {n for n in before if before[n] != after[n]}
     assert touched == set(model.adapter_param_names("premerged"))
@@ -264,13 +264,13 @@ def test_router_stage_requires_earlier_stages(train_setup):
     cfg, data = train_setup
     model = ToyTransformer(cfg)
     with pytest.raises(StageOrderError, match="expert"):
-        train_stage(model, "router", data, cfg)
-    train_stage(model, "experts", data, cfg)
+        train_stage(model, "router", data)
+    train_stage(model, "experts", data)
     with pytest.raises(StageOrderError, match="pre-merged"):
-        train_stage(model, "router", data, cfg)
-    train_stage(model, "premerged", data, cfg)
+        train_stage(model, "router", data)
+    train_stage(model, "premerged", data)
     before = model.param_checksums()
-    (report,) = train_stage(model, "router", data, cfg)
+    (report,) = train_stage(model, "router", data)
     after = model.param_checksums()
     touched = {n for n in before if before[n] != after[n]}
     assert touched == set(model.router_param_names())
@@ -282,7 +282,7 @@ def test_stage_runs_are_seed_deterministic(train_setup):
     runs = []
     for _ in range(2):
         model = ToyTransformer(cfg)
-        reps = train_stage(model, "experts", data, cfg)
+        reps = train_stage(model, "experts", data)
         runs.append(([r.epoch_losses for r in reps],
                      model.param_checksums(
                          model.adapter_param_names("increment"))))
@@ -299,13 +299,13 @@ def test_empty_bucket_and_unknown_stage_rejected(train_setup, monkeypatch):
     monkeypatch.setattr(training, "PrefixCache", no_work)
     model = ToyTransformer(cfg)
     with pytest.raises(KeyError, match="unknown stage"):
-        train_stage(model, "ghost", data, cfg)
+        train_stage(model, "ghost", data)
     for stage in ("experts", "premerged", "router"):
         with pytest.raises(ValueError, match="empty training dataset"):
-            train_stage(model, stage, [], cfg)
+            train_stage(model, stage, [])
     no_echo = [s for s in data if "echo_first" not in s.relevant_experts["style"]]
     with pytest.raises(ValueError, match=r"empty data bucket for task\(s\) \['echo_first'\]"):
-        train_stage(model, "experts", no_echo, cfg)
+        train_stage(model, "experts", no_echo)
 
 
 def test_evaluate_report_fields(train_setup):
