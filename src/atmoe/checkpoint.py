@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import STAGES, Config, ConfigError, write_text
+from .config import STAGES, Config, ConfigError
 from .model import ToyTransformer
+from .numerics import write_text
 
 FORMAT_VERSION = 2
 

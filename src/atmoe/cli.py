@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, canonical_json, load_checkpoint, save_checkpoint
-from .config import STAGES, Config, ConfigError, ModelSection, load_config, write_text
+from .config import STAGES, Config, ConfigError, ModelSection, load_config
 from .model import ToyTransformer
-from .numerics import derive_rng, mix_seed
-from .taskgen import PAYLOAD_BASE, PAYLOAD_SIZE, TaskCatalog, generate, read_jsonl, write_jsonl
+from .numerics import derive_rng, mix_seed, write_text
+from .taskgen import (PAYLOAD_IDS, TaskCatalog, check_groups, generate, per_task_split,
+                      read_jsonl, write_jsonl)
 from .training import StageOrderError, evaluate, grad_check, train_stage
 
 CSV_HEADER = ("layer,token_index,group_id,group_name,expert_slot,"
@@ -41,6 +42,7 @@ def _write_json(path: str | Path, doc: dict) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
+    check_groups(cfg.groups)
     tg = cfg.taskgen
     catalog = TaskCatalog(payload_min_len=tg.payload_min, payload_max_len=tg.payload_max)
     if catalog.max_sequence_len() > cfg.model.max_seq_len:
@@ -48,9 +50,9 @@ def cmd_gen_data(args) -> int:
             f"taskgen.payload_max {tg.payload_max} gives sequences of up to "
             f"{catalog.max_sequence_len()} tokens, above model.max_seq_len "
             f"{cfg.model.max_seq_len}")
-    if cfg.model.vocab_size < PAYLOAD_BASE + PAYLOAD_SIZE:
+    if cfg.model.vocab_size < PAYLOAD_IDS.stop:
         raise ConfigError(f"model.vocab_size {cfg.model.vocab_size} cannot hold the payload "
-                          f"token ids up to {PAYLOAD_BASE + PAYLOAD_SIZE - 1}")
+                          f"token ids up to {PAYLOAD_IDS.stop - 1}")
     seeds = {name: mix_seed(tg.seed, f"data:{name}")
              for name in ("train", "eval_single", "eval_multi")}
     datasets = {
@@ -58,6 +60,8 @@ def cmd_gen_data(args) -> int:
         "eval_single": generate(catalog, tg.n_eval_single, seeds["eval_single"], 0.0),
         "eval_multi": generate(catalog, tg.n_eval_multi, seeds["eval_multi"], 1.0),
     }
+    # every expert the config trains needs a training sample
+    per_task_split(datasets["train"], [e for g in cfg.groups for e in g.experts])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, samples in datasets.items():

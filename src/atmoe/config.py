@@ -1,8 +1,9 @@
 """Experiment configuration: one JSON document with model / router / atmoe /
 taskgen / training sections, mirrored by frozen-ish dataclasses.
 
-Every default that the rest of the package relies on is stated here once and
-also written out verbatim in ``configs/default.json``.
+Every default that the rest of the package relies on is stated here once (the
+default groups are those of the task table, ``taskgen.TASKS``) and also
+written out verbatim in ``configs/default.json``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from .numerics import write_text
+from .taskgen import GROUPS, PAYLOAD_IDS
 
 PREMERGED_ID = "premerged"  # the merged-data adapter's id, reserved in groups
 STAGES = ("experts", "premerged", "router")  # the training pipeline, in run order
@@ -84,21 +88,14 @@ TrainingSection = dataclasses.make_dataclass("TrainingSection", [
 ])
 
 
-def default_groups() -> tuple[GroupDef, ...]:
-    return (
-        GroupDef("function", ("identity", "reverse", "increment")),
-        GroupDef("domain", ("low_range", "high_range")),
-        GroupDef("style", ("plain_end", "echo_first")),
-    )
-
-
 @dataclass
 class Config:
     seed: int = 42
     model: ModelSection = field(default_factory=ModelSection)
     router: RouterSection = field(default_factory=RouterSection)
     atmoe: AtMoeSection = field(default_factory=AtMoeSection)
-    groups: tuple[GroupDef, ...] = field(default_factory=default_groups)
+    groups: tuple[GroupDef, ...] = field(default_factory=lambda: tuple(
+        GroupDef(name, tasks) for name, tasks in GROUPS.items()))
     taskgen: TaskGenSection = field(default_factory=TaskGenSection)
     training: TrainingSection = field(default_factory=TrainingSection)
 
@@ -124,11 +121,11 @@ class Config:
         if m.base_init == "coded":
             # The coded reservoir hardwires a 32-coordinate feature layout and a
             # 5-head circuit split across the first two blocks; the token code
-            # covers the benchmark vocabulary (ids 0..39).
+            # covers the benchmark vocabulary (ids below PAYLOAD_IDS.stop).
             if m.d_model < 32:
                 raise ConfigError("coded base_init needs model.d_model >= 32")
-            if m.vocab_size < 40:
-                raise ConfigError("coded base_init needs model.vocab_size >= 40")
+            if m.vocab_size < PAYLOAD_IDS.stop:
+                raise ConfigError(f"coded base_init needs model.vocab_size >= {PAYLOAD_IDS.stop}")
             if m.n_layers < 2:
                 raise ConfigError("coded base_init needs model.n_layers >= 2")
             if m.n_heads != 4:
@@ -262,13 +259,3 @@ def load_config(path: str | Path) -> Config:
 
 def save_config(cfg: Config, path: str | Path) -> None:
     write_text(path, json.dumps(cfg.to_dict(), indent=2) + "\n")
-
-
-def write_text(path: str | Path, text: str) -> None:
-    """Write ``text``, already serialised in full, to a ``.tmp`` sibling and
-    rename it over ``path``, so a failed write leaves the old file intact."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    tmp.replace(path)

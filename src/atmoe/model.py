@@ -42,7 +42,7 @@ from . import autograd as ag
 from .config import PREMERGED_ID, Config
 from .numerics import derive_rng
 from .router import routing, slot_mask
-from .taskgen import EOS, PAYLOAD_BASE, PAYLOAD_SIZE, TASK_TOKENS
+from .taskgen import EOS, PAYLOAD_IDS, TASKS
 
 EMBED_STD = 0.1
 READOUT_STD = 0.02
@@ -60,7 +60,8 @@ PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.attn.")  # name prefixes
 # ---------------------------------------------------------------------------
 # Coded-reservoir layout. First 32 residual coordinates:
 #   0:4   payload token code (two planes, angles k and 9k times 2*pi/32)
-#   4:9   control code: instruction tokens 3..7 one-hot
+#   4:9   control code: one-hot of the instruction tokens of the task
+#         table (taskgen.TASKS), in token order
 #   9:15  position code (two planes, angles t and 7t, triangle representation)
 #   15    constant coordinate: query anchor for the instruction-pool head,
 #         raised inside the instruction region (positions 1..3) so the same
@@ -216,11 +217,10 @@ class ToyTransformer:
         instruction one-hots (scaled to equal norm) in the CC block."""
         m = self.cfg.model
         codes = np.zeros((m.vocab_size, m.d_model))
-        payload = np.arange(PAYLOAD_SIZE)
-        codes[PAYLOAD_BASE: PAYLOAD_BASE + PAYLOAD_SIZE, _PC] = \
-            CODE_TOK_SCALE * _plane_code(payload, _TOK_PLANES)
-        for slot, tok in enumerate(sorted(TASK_TOKENS.values())):
-            codes[tok, _CC.start + slot] = CODE_TOK_SCALE * np.sqrt(2.0)
+        codes[PAYLOAD_IDS.start: PAYLOAD_IDS.stop, _PC] = \
+            CODE_TOK_SCALE * _plane_code(np.arange(len(PAYLOAD_IDS)), _TOK_PLANES)
+        instructions = sorted(t.token for t in TASKS.values() if t.token is not None)
+        codes[instructions, _CC] = CODE_TOK_SCALE * np.sqrt(2.0) * np.eye(_CC.stop - _CC.start)
         return codes
 
     def _coded_ffn(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
@@ -287,8 +287,9 @@ class ToyTransformer:
             r = 2 * dh  # instruction pool: constant query, region-raised keys
             wq[r, _CONST] = CODE_QK_INSTR
             wk[r, _CONST] = CODE_QK_INSTR
-            wv[r + 1: r + 6, _CC] = np.eye(5)
-            wo[_CC, r + 1: r + 6] = CODE_V_INSTR * np.eye(5)
+            eye_cc = np.eye(_CC.stop - _CC.start)
+            wv[r + 1: r + 1 + len(eye_cc), _CC] = eye_cc
+            wo[_CC, r + 1: r + 1 + len(eye_cc)] = CODE_V_INSTR * eye_cc
         else:
             for head, source, dest in ((0, _PC, _FWD), (1, _PREV2, _REV)):
                 r = head * dh

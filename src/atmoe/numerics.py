@@ -1,8 +1,10 @@
-"""Seeded random streams and a central-difference gradient oracle, in float64."""
+"""Seeded random streams and a central-difference gradient oracle, in float64,
+and the one writer every output file goes through."""
 
 from __future__ import annotations
 
 import zlib
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -47,3 +49,13 @@ def mix_seed(seed: int, *tags: str) -> int:
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [zlib.crc32(t.encode("utf-8")) for t in tags]
     state = np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text``, already serialised in full, to a ``.tmp`` sibling and
+    rename it over ``path``, so a failed write leaves the old file intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    tmp.replace(path)

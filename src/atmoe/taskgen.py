@@ -1,13 +1,13 @@
 """Deterministic synthetic corpus with ground-truth expert relevance.
 
-Each sample composes one task per category: a sequence transform (function
+Each sample composes one task per group: a sequence transform (function
 group), a payload token range (domain group), and a terminator convention
 (style group). Because relevance labels are known by construction, routing
 behavior can be scored exactly instead of eyeballed.
 
-Token map: BOS=0, SEP=1, EOS=2; instruction tokens 3..7 name the function and
-style tasks (the domain is implied by the payload range); payload ids 8..23
-are the low range and 24..39 the high range; remaining vocabulary is unused.
+Token map: BOS=0, SEP=1, EOS=2; the function and style tasks' instruction
+tokens and the domain tasks' payload ranges are those of ``TASKS``; the
+remaining vocabulary is unused.
 """
 
 from __future__ import annotations
@@ -15,30 +15,60 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import write_text
-from .numerics import derive_rng
+from .numerics import derive_rng, write_text
 
 BOS, SEP, EOS = 0, 1, 2
-PAYLOAD_BASE = 8
-PAYLOAD_SIZE = 32
-LOW_RANGE = (8, 24)  # half-open
-HIGH_RANGE = (24, 40)
-DOMAIN_RANGE = {"low_range": LOW_RANGE, "high_range": HIGH_RANGE}  # payload ids per domain
 
-FUNCTION_TASKS = ("identity", "reverse", "increment")
-DOMAIN_TASKS = tuple(DOMAIN_RANGE)
-STYLE_TASKS = ("plain_end", "echo_first")
 
-TASK_TOKENS = {
-    "identity": 3,
-    "reverse": 4,
-    "increment": 5,
-    "plain_end": 6,
-    "echo_first": 7,
+class Task(NamedTuple):
+    group: str
+    token: int | None = None  # instruction token; a domain task has none
+    payload: range | None = None  # payload ids of a domain task
+    transform: Callable[[list[int]], list[int]] | None = None
+
+
+# The one statement of the benchmark's task taxonomy. A function task's
+# transform maps the payload to the target body, a style task's maps the
+# original payload to the terminator. A domain task has no instruction token:
+# the payload itself is the evidence. Within a group, ``generate`` draws in
+# table order.
+TASKS = {
+    "identity": Task("function", token=3, transform=list),
+    "reverse": Task("function", token=4, transform=lambda p: p[::-1]),
+    "increment": Task("function", token=5, transform=lambda p: [
+        PAYLOAD_IDS.start + (t - PAYLOAD_IDS.start + 1) % len(PAYLOAD_IDS) for t in p]),
+    "low_range": Task("domain", payload=range(8, 24)),
+    "high_range": Task("domain", payload=range(24, 40)),
+    "plain_end": Task("style", token=6, transform=lambda p: [EOS]),
+    "echo_first": Task("style", token=7, transform=lambda p: [p[0], EOS]),
 }
+GROUPS = {g: tuple(n for n, t in TASKS.items() if t.group == g)
+          for g in dict.fromkeys(t.group for t in TASKS.values())}
+PAYLOAD_IDS = range(min(TASKS[d].payload.start for d in GROUPS["domain"]),
+                    max(TASKS[d].payload.stop for d in GROUPS["domain"]))
+
+
+def check_groups(groups) -> None:
+    """Every configured group must be a group of ``TASKS`` and hold only its
+    tasks: the generator labels relevance by those names."""
+    for g in groups:
+        if g.name not in GROUPS:
+            raise ValueError(f"group {g.name!r} is not a task group; the groups are {list(GROUPS)}")
+        for e in g.experts:
+            _task(e, g.name)
+
+
+def _task(name: str, group: str) -> Task:
+    task = TASKS.get(name)
+    if task is None or task.group != group:
+        raise ValueError(f"unknown {group} task {name!r}; the {group} tasks are "
+                         f"{list(GROUPS[group])}")
+    return task
+
 
 @dataclass
 class TaskCatalog:
@@ -71,48 +101,25 @@ class Sample:
         return range(sep, sep + len(self.target_tokens))
 
 
-def apply_function(task: str, payload: list[int]) -> list[int]:
-    if task == "identity":
-        return list(payload)
-    if task == "reverse":
-        return list(reversed(payload))
-    if task == "increment":
-        return [PAYLOAD_BASE + ((t - PAYLOAD_BASE + 1) % PAYLOAD_SIZE) for t in payload]
-    raise ValueError(f"unknown function task {task!r}")
-
-
-def terminator(style: str, payload: list[int]) -> list[int]:
-    if style == "plain_end":
-        return [EOS]
-    if style == "echo_first":
-        return [payload[0], EOS]
-    raise ValueError(f"unknown style task {style!r}")
-
-
 def make_target(function_tasks: list[str], style: str, payload: list[int]) -> list[int]:
     out = list(payload)
-    for task in function_tasks:
-        out = apply_function(task, out)
-    return out + terminator(style, payload)
+    for name in function_tasks:
+        out = _task(name, "function").transform(out)
+    return out + _task(style, "style").transform(payload)
 
 
 def make_sample(function_tasks: list[str], domain: str, style: str,
                 payload: list[int]) -> Sample:
-    if domain not in DOMAIN_RANGE:
-        raise ValueError(f"unknown domain task {domain!r}")
-    lo, hi = DOMAIN_RANGE[domain]
-    if any(not lo <= t < hi for t in payload):
+    ids = _task(domain, "domain").payload
+    if any(t not in ids for t in payload):
         raise ValueError(f"payload leaves the {domain} range")
-    instruction = [BOS] + [TASK_TOKENS[t] for t in function_tasks] + [TASK_TOKENS[style]]
+    target = make_target(function_tasks, style, payload)
+    picked = [*function_tasks, domain, style]
     return Sample(
-        instruction_tokens=instruction,
+        instruction_tokens=[BOS] + [TASKS[n].token for n in picked if TASKS[n].token is not None],
         input_tokens=list(payload),
-        target_tokens=make_target(function_tasks, style, payload),
-        relevant_experts={
-            "function": list(function_tasks),
-            "domain": [domain],
-            "style": [style],
-        },
+        target_tokens=target,
+        relevant_experts={g: [n for n in picked if TASKS[n].group == g] for g in GROUPS},
     )
 
 
@@ -124,29 +131,33 @@ def generate(catalog: TaskCatalog, n: int, seed: int,
     if not 0.0 <= multi_intent_fraction <= 1.0:
         raise ValueError(f"multi_intent_fraction must lie in [0, 1], got {multi_intent_fraction}")
     rng = derive_rng(seed, "taskgen")
+    functions, domains, styles = GROUPS["function"], GROUPS["domain"], GROUPS["style"]
     samples = []
     for _ in range(n):
         multi = bool(rng.random() < multi_intent_fraction)
-        picks = rng.permutation(len(FUNCTION_TASKS))[: 2 if multi else 1]
-        fn_tasks = [FUNCTION_TASKS[i] for i in picks]
-        domain = DOMAIN_TASKS[int(rng.integers(len(DOMAIN_TASKS)))]
-        style = STYLE_TASKS[int(rng.integers(len(STYLE_TASKS)))]
+        picks = rng.permutation(len(functions))[: 2 if multi else 1]
+        fn_tasks = [functions[i] for i in picks]
+        domain = domains[int(rng.integers(len(domains)))]
+        style = styles[int(rng.integers(len(styles)))]
         length = int(rng.integers(catalog.payload_min_len, catalog.payload_max_len + 1))
-        lo, hi = DOMAIN_RANGE[domain]
-        payload = [int(t) for t in rng.integers(lo, hi, size=length)]
+        ids = TASKS[domain].payload
+        payload = [int(t) for t in rng.integers(ids.start, ids.stop, size=length)]
         samples.append(make_sample(fn_tasks, domain, style, payload))
     return samples
 
 
-def per_task_split(samples: list[Sample]) -> dict[str, list[Sample]]:
-    """Bucket samples under every task relevant to them."""
-    if not samples:
-        raise ValueError("cannot split an empty dataset")
-    buckets: dict[str, list[Sample]] = {}
+def per_task_split(samples: list[Sample], expert_ids) -> dict[str, list[Sample]]:
+    """The samples relevant to each of ``expert_ids``, in that order; any empty
+    bucket is a ValueError naming every empty one."""
+    buckets: dict[str, list[Sample]] = {e: [] for e in expert_ids}
     for s in samples:
         for ids in s.relevant_experts.values():
             for task in ids:
-                buckets.setdefault(task, []).append(s)
+                if task in buckets:
+                    buckets[task].append(s)
+    empty = [e for e, bucket in buckets.items() if not bucket]
+    if empty:
+        raise ValueError(f"empty data bucket for task(s) {empty}")
     return buckets
 
 

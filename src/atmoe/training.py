@@ -26,7 +26,7 @@ import numpy as np
 from .config import PREMERGED_ID, STAGES
 from .model import ToyTransformer
 from .numerics import derive_rng, finite_diff_grad
-from .taskgen import Sample, batch_arrays, per_task_split
+from .taskgen import Sample, batch_arrays, check_groups, per_task_split
 
 EVAL_BATCH = 64
 PREFIX_CHUNK = 64
@@ -240,14 +240,12 @@ def train_stage(model: ToyTransformer, stage: str, samples: list[Sample]) -> lis
     ``model.params`` changes only once every run has succeeded."""
     if stage not in STAGES:
         raise KeyError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    check_groups(model.groups)
     if not samples:
         raise ValueError(f"empty training dataset for stage {stage!r}")
     if stage == "experts":
-        buckets = per_task_split(samples)
-        empty = [tid for tid in model.task_adapter_ids if not buckets.get(tid)]
-        if empty:
-            raise ValueError(f"empty data bucket for task(s) {empty}")
-        runs = [(tid, buckets[tid], f"expert:{tid}") for tid in model.task_adapter_ids]
+        buckets = per_task_split(samples, model.task_adapter_ids)
+        runs = [(tid, bucket, f"expert:{tid}") for tid, bucket in buckets.items()]
     elif stage == "premerged":
         runs = [(PREMERGED_ID, samples, "premerged")]
     else:

@@ -22,7 +22,7 @@ from atmoe.cli import CSV_HEADER, jitter_params, main, parameter_classes
 from atmoe.config import PREMERGED_ID, Config, GroupDef
 from atmoe.model import ToyTransformer
 from atmoe.router import routing, slot_mask
-from atmoe.taskgen import read_jsonl, per_task_split
+from atmoe.taskgen import GROUPS, per_task_split, read_jsonl
 from atmoe.training import evaluate, grad_check
 
 from conftest import with_lam
@@ -231,12 +231,11 @@ def test_a5_desk_experiment(pipeline):
     data_dir = pipeline["run1"] / "data"
     eval_single = read_jsonl(data_dir / "eval_single.jsonl")
     eval_multi = read_jsonl(data_dir / "eval_multi.jsonl")
-    buckets = per_task_split(eval_single)
+    buckets = per_task_split(eval_single, GROUPS["function"])
 
     # (a) every function expert beats the frozen base on its own task by >=20%
     margins = {}
-    for task in ("identity", "reverse", "increment"):
-        own = buckets[task]
+    for task, own in buckets.items():
         base = evaluate(model, own, model.only(None)).mean_loss
         adapted = evaluate(model, own, model.only(task)).mean_loss
         margins[task] = 1.0 - adapted / base

@@ -15,11 +15,13 @@ import pytest
 from atmoe import cli, training
 from atmoe.checkpoint import canonical_json, checkpoint_checksum, load_checkpoint
 from atmoe.cli import CSV_HEADER, main
-from atmoe.config import Config, save_config
+from atmoe.config import STAGES, Config, GroupDef, save_config
 from atmoe.model import ToyTransformer
-from atmoe.taskgen import read_jsonl, write_jsonl
+from atmoe.taskgen import GROUPS, TASKS, read_jsonl, write_jsonl
 
 from conftest import tiny_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +94,7 @@ def test_train_stages_progress_and_reports(workdir):
     experts_report = json.loads(
         (root / "experts.json.report.json").read_text())
     trained = {r["adapter_id"] for r in experts_report["reports"]}
-    assert trained == {"identity", "reverse", "increment", "low_range",
-                       "high_range", "plain_end", "echo_first"}
+    assert trained == set(TASKS)
 
 
 def test_train_report_names_data_by_hash_not_path(workdir, tmp_path, monkeypatch):
@@ -456,6 +457,87 @@ def test_gen_data_rejects_vocab_below_the_payload_ids(workdir, tmp_path):
     out = tmp_path / "data"
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_gen_data_reproduces_the_committed_default_data(tmp_path):
+    # the task table and the generator fix these bytes
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(ROOT / "configs" / "default.json"),
+                 "--out", str(out)]) == 0
+    committed = ROOT / "runs" / "verify" / "data"
+    names = sorted(p.name for p in committed.iterdir())
+    assert len(names) == 4 and names == sorted(p.name for p in out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (committed / name).read_bytes(), name
+
+
+def _with_groups(cfg: Config, groups: dict) -> Config:
+    return dataclasses.replace(cfg, groups=tuple(GroupDef(n, tuple(e)) for n, e in groups.items()))
+
+
+# groups the task table does not hold, each with the name its error must give
+TABLE_BREAKS = {
+    "renamed_group": ({"fn" if n == "function" else n: e for n, e in GROUPS.items()}, "'fn'"),
+    "unknown_expert": ({**GROUPS, "function": ("identity", "reverse", "sort")}, "'sort'"),
+    "domain_expert_in_style": ({**GROUPS, "domain": ("high_range",),
+                                "style": ("plain_end", "echo_first", "low_range")}, "'low_range'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_BREAKS))
+def test_gen_data_and_train_reject_groups_outside_the_task_table(workdir, tmp_path, monkeypatch,
+                                                                 capsys, case):
+    # the generator labels relevance with the table's names, so such an expert
+    # would get no training sample, or its group no routing label; refused
+    # before any sample is generated and, in every stage, before any work
+    _, cfg, _, data = workdir
+    groups, offender = TABLE_BREAKS[case]
+    cfg_path = tmp_path / "cfg.json"
+    save_config(_with_groups(cfg, groups), cfg_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached generation, the prefix cache or training")
+
+    monkeypatch.setattr(cli, "generate", no_work)
+    monkeypatch.setattr(training, "PrefixCache", no_work)
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert offender in capsys.readouterr().err
+    assert not out.exists()
+    for stage in STAGES:
+        ckpt_out = tmp_path / f"{stage}.json"
+        assert main(["train", "--stage", stage, "--config", str(cfg_path), "--data", str(data),
+                     "--ckpt-out", str(ckpt_out)]) == 2
+        assert offender in capsys.readouterr().err
+        assert not ckpt_out.exists()
+
+
+def test_function_group_alone_still_runs(workdir, tmp_path):
+    # the groups are a selection from the table, not all of it
+    _, cfg, _, _ = workdir
+    cfg_path = tmp_path / "cfg.json"
+    save_config(_with_groups(cfg, {"function": GROUPS["function"]}), cfg_path)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(data)]) == 0
+    for prev, stage in zip((None,) + STAGES, STAGES):
+        argv = ["train", "--stage", stage, "--config", str(cfg_path), "--data", str(data),
+                "--ckpt-out", str(tmp_path / f"{stage}.json")]
+        if prev:
+            argv += ["--ckpt-in", str(tmp_path / f"{prev}.json")]
+        assert main(argv) == 0
+
+
+def test_gen_data_rejects_a_train_split_that_leaves_an_expert_without_samples(workdir, tmp_path,
+                                                                             capsys):
+    # 3 samples cannot reach all 7 experts; train --stage experts would refuse the data
+    _, cfg, _, _ = workdir
+    cfg_path = tmp_path / "cfg.json"
+    save_config(dataclasses.replace(cfg, taskgen=dataclasses.replace(cfg.taskgen, n_train=3)),
+                cfg_path)
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "empty data bucket for task(s)" in capsys.readouterr().err
+    assert list(out.glob("*.jsonl")) == []
 
 
 def test_train_and_eval_reject_overlong_data(workdir, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from atmoe import autograd as ag
 from atmoe import model as M
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config, load_config
-from atmoe.taskgen import PAYLOAD_BASE, TASK_TOKENS
+from atmoe.taskgen import PAYLOAD_IDS, TASKS
 
 from conftest import ROUTERS, spy_attention, tiny_config, with_lam
 
@@ -346,6 +346,12 @@ def test_default_init_is_pinned(base_init):
     assert hashlib.sha256(doc.encode()).hexdigest() == DEFAULT_INIT_DIGESTS[base_init]
 
 
+def test_control_code_block_holds_one_slot_per_instruction_token():
+    # the coded base lays the table's instruction tokens one-hot across _CC
+    tokens = [t.token for t in TASKS.values() if t.token is not None]
+    assert len(tokens) == M._CC.stop - M._CC.start
+
+
 def test_structured_base_reads_out_current_payload_token():
     # The frozen circuit exposes the current token's code through the
     # readout: at every payload position the base argmax is that token,
@@ -354,8 +360,8 @@ def test_structured_base_reads_out_current_payload_token():
     cfg = tiny_config(vocab_size=64, d_model=32, d_ff=64, n_heads=4,
                       n_layers=2, max_seq_len=24, base_init="coded")
     m = M.ToyTransformer(cfg)
-    p0 = PAYLOAD_BASE
-    tokens = np.array([0, TASK_TOKENS["identity"], TASK_TOKENS["plain_end"],
+    p0 = PAYLOAD_IDS.start
+    tokens = np.array([0, TASKS["identity"].token, TASKS["plain_end"].token,
                        p0 + 3, p0 + 7, p0 + 1, 1, p0 + 3])
     logits = seq_logits(m, tokens, m.only(None))
     for pos in (3, 4, 5, 7):

@@ -10,98 +10,94 @@ from hypothesis import strategies as st
 
 from atmoe.taskgen import (
     BOS,
-    DOMAIN_RANGE,
-    DOMAIN_TASKS,
     EOS,
-    FUNCTION_TASKS,
-    HIGH_RANGE,
-    LOW_RANGE,
-    PAYLOAD_BASE,
-    PAYLOAD_SIZE,
+    GROUPS,
+    PAYLOAD_IDS,
     SEP,
-    STYLE_TASKS,
     Sample,
-    TASK_TOKENS,
+    TASKS,
     TaskCatalog,
-    apply_function,
     batch_arrays,
     generate,
     make_sample,
     make_target,
     per_task_split,
     read_jsonl,
-    terminator,
     write_jsonl,
 )
 
-payloads = st.lists(st.integers(PAYLOAD_BASE, PAYLOAD_BASE + PAYLOAD_SIZE - 1),
-                    min_size=1, max_size=8)
+payloads = st.lists(st.integers(PAYLOAD_IDS.start, PAYLOAD_IDS.stop - 1), min_size=1, max_size=8)
+
+
+def _fn(task, payload):
+    return TASKS[task].transform(payload)
 
 
 def test_token_map_is_pinned():
+    # these values fix the bytes of the generated data
     assert (BOS, SEP, EOS) == (0, 1, 2)
-    assert TASK_TOKENS == {"identity": 3, "reverse": 4, "increment": 5,
-                           "plain_end": 6, "echo_first": 7}
-    assert PAYLOAD_BASE == 8 and PAYLOAD_SIZE == 32
-    assert LOW_RANGE == (8, 24) and HIGH_RANGE == (24, 40)
-    assert FUNCTION_TASKS == ("identity", "reverse", "increment")
-    assert DOMAIN_TASKS == ("low_range", "high_range")
-    assert STYLE_TASKS == ("plain_end", "echo_first")
-    assert DOMAIN_RANGE == {"low_range": LOW_RANGE, "high_range": HIGH_RANGE}
+    assert {n: t.token for n, t in TASKS.items() if t.token is not None} == {
+        "identity": 3, "reverse": 4, "increment": 5, "plain_end": 6, "echo_first": 7}
+    assert {n: t.payload for n, t in TASKS.items() if t.payload is not None} == {
+        "low_range": range(8, 24), "high_range": range(24, 40)}
+    assert PAYLOAD_IDS == range(8, 40)
+    assert GROUPS == {"function": ("identity", "reverse", "increment"),
+                      "domain": ("low_range", "high_range"),
+                      "style": ("plain_end", "echo_first")}
 
 
 @given(payloads)
 def test_identity_is_noop(p):
-    assert apply_function("identity", p) == p
+    assert _fn("identity", p) == p
 
 
 @given(payloads)
 def test_reverse_reverses_and_involutes(p):
-    assert apply_function("reverse", p) == p[::-1]
-    assert apply_function("reverse", apply_function("reverse", p)) == p
+    assert _fn("reverse", p) == p[::-1]
+    assert _fn("reverse", _fn("reverse", p)) == p
 
 
 @given(payloads)
 def test_increment_shifts_within_alphabet(p):
-    out = apply_function("increment", p)
+    out = _fn("increment", p)
     for before, after in zip(p, out):
-        assert after == PAYLOAD_BASE + ((before - PAYLOAD_BASE + 1)
-                                        % PAYLOAD_SIZE)
-        assert PAYLOAD_BASE <= after < PAYLOAD_BASE + PAYLOAD_SIZE
+        assert after == PAYLOAD_IDS.start + (before - PAYLOAD_IDS.start + 1) % len(PAYLOAD_IDS)
+        assert after in PAYLOAD_IDS
 
 
 def test_increment_wraps_at_alphabet_top():
-    top = PAYLOAD_BASE + PAYLOAD_SIZE - 1
-    assert apply_function("increment", [top]) == [PAYLOAD_BASE]
+    assert _fn("increment", [PAYLOAD_IDS.stop - 1]) == [PAYLOAD_IDS.start]
 
 
-def test_apply_function_rejects_unknown():
-    with pytest.raises(ValueError):
-        apply_function("nope", [8, 9])
+def test_make_target_rejects_unknown_task():
+    # a name outside the table, or one from another group
+    for functions, style in ((["nope"], "plain_end"), (["plain_end"], "plain_end"),
+                             (["identity"], "reverse"), (["identity"], "low_range")):
+        with pytest.raises(ValueError, match="unknown (function|style) task"):
+            make_target(functions, style, [8, 9])
 
 
 def test_terminators():
-    assert terminator("plain_end", [10, 11]) == [EOS]
-    assert terminator("echo_first", [10, 11]) == [10, EOS]
+    assert _fn("plain_end", [10, 11]) == [EOS]
+    assert _fn("echo_first", [10, 11]) == [10, EOS]
 
 
 def test_make_target_applies_functions_in_order():
     p = [8, 9, 10]
     t1 = make_target(["reverse", "increment"], "plain_end", p)
-    assert t1 == apply_function("increment", apply_function("reverse", p)) + [EOS]
+    assert t1 == _fn("increment", _fn("reverse", p)) + [EOS]
     # elementwise increment commutes with reverse; instruction order still
     # means left-to-right application
     assert t1 == make_target(["increment", "reverse"], "plain_end", p)
     # the echo style repeats the first token of the *original* payload
-    inner = apply_function("increment", apply_function("reverse", p))
+    inner = _fn("increment", _fn("reverse", p))
     assert make_target(["reverse", "increment"], "echo_first", p) == (
         inner + [p[0], EOS])
 
 
 def test_make_sample_structure_and_relevance():
     s = make_sample(["reverse"], "low_range", "echo_first", [9, 12, 8])
-    assert s.instruction_tokens == [BOS, TASK_TOKENS["reverse"],
-                                    TASK_TOKENS["echo_first"]]
+    assert s.instruction_tokens == [BOS, TASKS["reverse"].token, TASKS["echo_first"].token]
     assert s.input_tokens == [9, 12, 8]
     assert s.target_tokens == [8, 12, 9, 9, EOS]  # echo repeats payload[0]
     assert s.relevant_experts == {"function": ["reverse"],
@@ -120,9 +116,8 @@ def test_make_sample_multi_intent_relevance():
     s = make_sample(["reverse", "increment"], "high_range", "plain_end",
                     [25, 30])
     assert s.relevant_experts["function"] == ["reverse", "increment"]
-    assert s.instruction_tokens == [BOS, TASK_TOKENS["reverse"],
-                                    TASK_TOKENS["increment"],
-                                    TASK_TOKENS["plain_end"]]
+    assert s.instruction_tokens == [BOS, TASKS["reverse"].token, TASKS["increment"].token,
+                                    TASKS["plain_end"].token]
 
 
 def test_make_sample_enforces_domain_range():
@@ -157,8 +152,8 @@ def test_generate_fraction_endpoints():
 def test_generate_respects_domain_payload_ranges():
     cat = TaskCatalog()
     for s in generate(cat, 120, seed=6, multi_intent_fraction=0.3):
-        lo, hi = DOMAIN_RANGE[s.relevant_experts["domain"][0]]
-        assert all(lo <= t < hi for t in s.input_tokens)
+        ids = TASKS[s.relevant_experts["domain"][0]].payload
+        assert all(t in ids for t in s.input_tokens)
         assert cat.payload_min_len <= len(s.input_tokens) <= cat.payload_max_len
 
 
@@ -173,19 +168,27 @@ def test_generate_validates_arguments():
 def test_per_task_split_buckets_by_relevance():
     cat = TaskCatalog()
     samples = generate(cat, 200, seed=9, multi_intent_fraction=0.5)
-    split = per_task_split(samples)
-    group_of = {**dict.fromkeys(FUNCTION_TASKS, "function"),
-                **dict.fromkeys(DOMAIN_TASKS, "domain"), **dict.fromkeys(STYLE_TASKS, "style")}
-    assert set(split) <= set(group_of)
+    split = per_task_split(samples, list(TASKS))
+    assert list(split) == list(TASKS)
     for task, bucket in split.items():
-        group = group_of[task]
         for s in bucket:
-            assert task in s.relevant_experts[group]
+            assert task in s.relevant_experts[TASKS[task].group]
     # every sample lands in each of its relevant buckets
     n_by_count = sum(len(b) for b in split.values())
     expected = sum(sum(len(v) for v in s.relevant_experts.values())
                    for s in samples)
     assert n_by_count == expected
+    # only the ids asked for, in the order asked
+    assert list(per_task_split(samples, ["reverse", "identity"])) == ["reverse", "identity"]
+
+
+def test_per_task_split_names_every_empty_bucket():
+    samples = [make_sample(["reverse"], "low_range", "plain_end", [9, 10])]
+    with pytest.raises(ValueError, match=r"empty data bucket for task\(s\) "
+                                         r"\['identity', 'high_range'\]"):
+        per_task_split(samples, ["identity", "reverse", "low_range", "high_range"])
+    with pytest.raises(ValueError, match=r"\['reverse'\]"):
+        per_task_split([], ["reverse"])
 
 
 def test_batch_arrays_shapes_and_masking():

@@ -141,7 +141,7 @@ def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch, tmp_pat
         assert set(runs) == set(want)
         if cpus == 1:
             assert list(dict.fromkeys(runs)) == want
-        split = per_task_split(data)
+        split = per_task_split(data, ids)
         st = cfg.training.experts
         assert [runs.count(w) for w in want] == [
             st.epochs * math.ceil(len(split[aid]) / st.batch_size) for aid in ids]
