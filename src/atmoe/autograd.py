@@ -339,27 +339,23 @@ def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     return _make((of @ wo.data.T).reshape(B, Tq, d), (a, wq, wk, wv, wo), bwd)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted mean of per-row ``-log p(target)`` over rows with weight > 0.
-
-    ``logits`` is [N, V]; ``targets`` [N] int; ``weights`` [N] non-negative.
-    """
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean of per-row ``-log p(target)``; ``logits`` is [N, V], ``targets``
+    [N] int."""
     targets = np.asarray(targets, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("cross_entropy: no rows carry weight")
+    n = len(targets)
+    if n == 0:
+        raise ValueError("cross_entropy: no rows to score")
     z = logits.data
     c = z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z - c).sum(axis=-1, keepdims=True)) + c
-    rows = np.arange(z.shape[0])
-    nll = lse[:, 0] - z[rows, targets]
-    loss = (nll * w).sum() / total
+    rows = np.arange(n)
+    loss = (lse[:, 0] - z[rows, targets]).sum() / n
 
     def bwd(g):
         p = np.exp(z - lse)
         p[rows, targets] -= 1.0
-        logits._accumulate(p * (w / total)[:, None] * g)
+        logits._accumulate(p * (1.0 / n) * g)
 
     return _make(np.asarray(loss), (logits,), bwd)
 

@@ -377,15 +377,16 @@ class ToyTransformer:
         ``prefix``, a constant from ``frozen_prefix``, replaces the embedding and
         block 0's attention, so their ``PREFIX_PARAMS`` must stay frozen.
 
-        ``rows``, sorted unique flat indices into the B*T positions, selects
-        the positions whose logits are needed: the last block past its
-        attention, the final norm and the unembedding run on them only, and
-        the logits are [len(rows), vocab] (``None``: all B*T). The last
-        attention queries only from the batch's first selected position
-        ``q0 = min(rows mod T)`` on; earlier blocks see every position, and
-        every position stays a key and a value, as each feeds later ones. The
-        pick is a ``getitem``, whose backward ``ga[rows] += g`` is right only
-        because no index repeats.
+        ``rows``, sorted unique flat indices ``b*T + p`` into the B*T
+        positions (``batch_arrays``; ``None`` is every position), selects the
+        positions whose logits are needed: the last block past its attention,
+        the final norm and the unembedding run on them only, and the logits
+        are [len(rows), vocab] in ``rows`` order. The last attention queries
+        only from the batch's first selected position ``q0 = min(rows mod T)``
+        on; earlier blocks see every position, and every position stays a key
+        and a value, as each feeds later ones. The pick is a ``getitem``,
+        whose backward ``ga[rows] += g`` is right only because no index
+        repeats.
 
         ``aux`` carries per-layer arrays: ``moe_input`` (the activation entering
         the expert projection, which is also the routing input) and
@@ -402,9 +403,9 @@ class ToyTransformer:
         if prefix is not None and any(P[n].requires_grad for n in P if n.startswith(PREFIX_PARAMS)):
             raise ValueError("a prefix needs frozen embeddings and block 0 attention")
         aux: dict = {"moe_input": [], "moe_output": [], "gw_nodes": [], "iw": []}
-        q0 = int((rows % T).min()) if rows is not None and len(rows) else 0
-        if q0:
-            rows = rows - q0 * (rows // T + 1)  # into the [B*(T-q0)] window
+        rows = np.arange(B * T) if rows is None else rows
+        q0 = int((rows % T).min()) if len(rows) else 0
+        rows = rows - q0 * (rows // T + 1)  # into the [B*(T-q0)] window
         t0 = [0] * (m.n_layers - 1) + [q0]  # each block's first query position
 
         h = self._prefix(tokens, P, t0[0]) if prefix is None else ag.Tensor(prefix[:, t0[0]:])
@@ -412,7 +413,7 @@ class ToyTransformer:
             b = f"blocks.{i}"
             h = ag.reshape(h if i == 0 else self._attend(h, P, i, t0[i]),
                            (B * (T - t0[i]), m.d_model))
-            if rows is not None and i == m.n_layers - 1:
+            if i == m.n_layers - 1:
                 h = ag.getitem(h, rows)
             x = ag.layer_norm(h)
             u = ag.gelu(ag.linear(x, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
@@ -457,15 +458,13 @@ class ToyTransformer:
 
     # ------------------------------------------------------------- inference
 
-    def loss_graph(self, tokens, targets, weights, trainable: Iterable[str] = (),
+    def loss_graph(self, tokens, rows, targets, trainable: Iterable[str] = (),
                    coef: np.ndarray | None = None, prefix: np.ndarray | None = None):
-        """Scored-position cross entropy; returns (loss Tensor, leaf dict, aux).
-        Only the rows with a nonzero weight reach the head (see ``build_graph``)."""
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        rows = np.flatnonzero(weights)
+        """Mean cross entropy of ``targets`` at the scored ``rows`` of ``tokens``
+        (the layout of ``batch_arrays``); returns (loss Tensor, leaf dict, aux).
+        Only ``rows`` reach the head (see ``build_graph``)."""
         logits, P, aux = self.build_graph(tokens, trainable, coef, rows, prefix)
-        loss = ag.cross_entropy(logits, np.asarray(targets).reshape(-1)[rows], weights[rows])
-        return loss, P, aux
+        return ag.cross_entropy(logits, targets), P, aux
 
     def layer_routing_trace(self, tokens) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per layer, the group [T, G] and intra-group [T, G, M] weights the

@@ -210,25 +210,19 @@ def read_jsonl(path: str | Path) -> list[Sample]:
     return samples
 
 
-def batch_arrays(samples: list[Sample], max_seq_len: int):
-    """Right-padded token/target/weight arrays for a batch of samples.
+def batch_arrays(samples: list[Sample]):
+    """The one batch layout: (tokens [B, T], rows, targets).
 
-    Returns (tokens [B, T], targets [B, T], weights [B, T]) where weights mark
-    the positions whose next-token prediction is scored. Padding reuses BOS;
-    causal masking keeps it invisible to scored positions.
+    ``tokens`` are the right-padded sequences; padding reuses BOS, and causal
+    masking keeps it invisible to scored positions. ``rows`` are the sorted
+    flat indices ``b*T + p`` of every sample's ``scored_positions``, and
+    ``targets`` the next token at each, ``tokens.reshape(-1)[rows + 1]``.
     """
-    lens = [len(s.tokens()) for s in samples]
-    T = max(lens)
-    if T > max_seq_len:
-        raise ValueError(f"sequence length {T} exceeds max_seq_len {max_seq_len}")
-    B = len(samples)
-    tokens = np.full((B, T), BOS, dtype=np.int64)
-    targets = np.zeros((B, T), dtype=np.int64)
-    weights = np.zeros((B, T), dtype=np.float64)
-    for b, s in enumerate(samples):
-        seq = s.tokens()
+    seqs = [s.tokens() for s in samples]
+    T = max(map(len, seqs))
+    tokens = np.full((len(seqs), T), BOS, dtype=np.int64)
+    for b, seq in enumerate(seqs):
         tokens[b, : len(seq)] = seq
-        for p in s.scored_positions():
-            targets[b, p] = seq[p + 1]
-            weights[b, p] = 1.0
-    return tokens, targets, weights
+    rows = np.array([b * T + p for b, s in enumerate(samples) for p in s.scored_positions()],
+                    dtype=np.int64)
+    return tokens, rows, tokens.reshape(-1)[rows + 1]

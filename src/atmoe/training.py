@@ -105,14 +105,6 @@ class EvalReport:
     mean_group_kl: float | None
 
 
-def _valid_mask(batch: list[Sample], T: int) -> np.ndarray:
-    """1.0 where a position holds a real (non-padding) token."""
-    mask = np.zeros((len(batch), T))
-    for b, s in enumerate(batch):
-        mask[b, : len(s.tokens())] = 1.0
-    return mask
-
-
 class PrefixCache:
     """``frozen_prefix`` of each distinct sequence's real tokens: one float64
     [sum of lengths, d_model] array and each sequence's row offset."""
@@ -127,8 +119,9 @@ class PrefixCache:
         self.data = np.frombuffer(mmap.mmap(-1, 8 * n * d)).reshape(n, d)
         for c in range(0, len(uniq), PREFIX_CHUNK):
             chunk = uniq[c : c + PREFIX_CHUNK]
-            h = model.frozen_prefix(batch_arrays(chunk, model.cfg.model.max_seq_len)[0])
-            self.data[starts[c] : starts[c + len(chunk)]] = h[_valid_mask(chunk, h.shape[1]) > 0]
+            h = model.frozen_prefix(batch_arrays(chunk)[0])
+            for b, s in enumerate(chunk):
+                self.data[starts[c + b] : starts[c + b + 1]] = h[b, : len(s.tokens())]
 
     def batch(self, batch: list[Sample], T: int) -> np.ndarray:
         """The prefix [B, T, d_model] of a batch; pad rows are 0."""
@@ -149,7 +142,6 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | N
     else:
         trainable, coef = model.router_param_names(), None
     opt = Adam(model.params, trainable, stage.learning_rate)
-    max_len = model.cfg.model.max_seq_len
     losses = []
     for epoch in range(stage.epochs):
         order = derive_rng(model.cfg.seed, "train", stage_tag,
@@ -157,8 +149,8 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | N
         nll_sum, n_scored = 0.0, 0
         for start in range(0, len(order), stage.batch_size):
             batch = [samples[int(i)] for i in order[start : start + stage.batch_size]]
-            tokens, targets, weights = batch_arrays(batch, max_len)
-            loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, coef,
+            tokens, rows, targets = batch_arrays(batch)
+            loss, P, _ = model.loss_graph(tokens, rows, targets, trainable, coef,
                                           cache.batch(batch, tokens.shape[1]))
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"non-finite loss in stage {stage_tag!r}")
@@ -166,9 +158,8 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | N
             grads = {n: (P[n].grad if P[n].grad is not None else np.zeros_like(model.params[n]))
                      for n in trainable}
             opt.step(grads)
-            w = weights.sum()
-            nll_sum += float(loss.data) * w
-            n_scored += w
+            nll_sum += float(loss.data) * len(rows)
+            n_scored += len(rows)
         losses.append(nll_sum / n_scored)
     return losses, {n: model.params[n] for n in trainable}
 
@@ -289,9 +280,12 @@ def evaluate(model: ToyTransformer, data: list[Sample],
     ``build_graph``); scores only target positions. The samples are batched
     in a stable sort by length, so each batch pads to nearly its own length;
     the counts do not depend on the order of ``data``. Routing is scored from
-    the graph's own weights, so only for the learned mixture."""
+    the graph's own weights, so only for the learned mixture, against the
+    relevance labels of the task table's groups, which the configured groups
+    must be (``check_groups``)."""
     if not data:
         raise ValueError("evaluate needs a nonempty dataset")
+    check_groups(model.groups)
     data = sorted(data, key=lambda s: len(s.tokens()))
     cfg = model.cfg
     L, G = cfg.model.n_layers, cfg.n_groups
@@ -301,10 +295,8 @@ def evaluate(model: ToyTransformer, data: list[Sample],
 
     for start in range(0, len(data), EVAL_BATCH):
         batch = data[start : start + EVAL_BATCH]
-        tokens, targets, weights = batch_arrays(batch, cfg.model.max_seq_len)
-        rows = np.flatnonzero(weights)
+        tokens, rows, tg = batch_arrays(batch)
         logits_t, _, aux = model.build_graph(tokens, (), coef, rows)
-        tg = targets.reshape(-1)[rows]
         z = logits_t.data
         c = z.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(z - c).sum(axis=-1)) + c[:, 0]
@@ -363,14 +355,9 @@ def grad_check(model: ToyTransformer, tokens, parameter_subset,
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size < 2:
         raise ValueError("need a 1-D token sequence of length >= 2")
-    T = tokens.size
-    targets = np.zeros((1, T), dtype=np.int64)
-    weights = np.zeros((1, T))
-    targets[0, : T - 1] = tokens[1:]
-    weights[0, : T - 1] = 1.0
-    tokens = tokens[None, :]
+    tokens, rows, targets = tokens[None, :], np.arange(tokens.size - 1), tokens[1:]
 
-    loss_t, P, _ = model.loss_graph(tokens, targets, weights, trainable=names)
+    loss_t, P, _ = model.loss_graph(tokens, rows, targets, trainable=names)
     if not np.isfinite(loss_t.data):
         raise FloatingPointError("non-finite loss at the evaluation point")
     loss_t.backward()
@@ -391,7 +378,7 @@ def grad_check(model: ToyTransformer, tokens, parameter_subset,
             size = originals[n].size
             model.params[n] = theta[off : off + size].reshape(originals[n].shape)
             off += size
-        loss, _, _ = model.loss_graph(tokens, targets, weights)
+        loss, _, _ = model.loss_graph(tokens, rows, targets)
         return float(loss.data)
 
     try:

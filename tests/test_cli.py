@@ -512,6 +512,29 @@ def test_gen_data_and_train_reject_groups_outside_the_task_table(workdir, tmp_pa
         assert not ckpt_out.exists()
 
 
+def test_eval_rejects_checkpoint_groups_outside_the_task_table(workdir, tmp_path, monkeypatch,
+                                                              capsys):
+    # routing accuracy looks each group's name up in the relevance labels; a
+    # re-signed checkpoint with a renamed group is refused before any batch
+    # (else it would score that group 0.0)
+    root, _, _, data = workdir
+    doc = json.loads((root / "router.json").read_text())
+    for group in doc["config"]["groups"]:
+        if group["name"] == "function":
+            group["name"] = "fn"
+    renamed = _rechecksummed(doc, tmp_path / "renamed.json")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached a batch")
+
+    monkeypatch.setattr(training, "batch_arrays", no_work)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--ckpt", str(renamed), "--data", str(data / "eval_single.jsonl"),
+                 "--out", str(out)]) == 2
+    assert "'fn'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_function_group_alone_still_runs(workdir, tmp_path):
     # the groups are a selection from the table, not all of it
     _, cfg, _, _ = workdir

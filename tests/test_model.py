@@ -15,7 +15,7 @@ from atmoe import autograd as ag
 from atmoe import model as M
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config, load_config
-from atmoe.taskgen import PAYLOAD_IDS, TASKS
+from atmoe.taskgen import PAYLOAD_IDS, TASKS, TaskCatalog, batch_arrays, generate
 
 from conftest import ROUTERS, spy_attention, tiny_config, with_lam
 
@@ -36,14 +36,10 @@ def seq_logits(model, tokens, coef=None):
 
 
 def scored(tokens, positions):
-    """``loss_graph``'s arrays for one sequence, scoring the next token after
-    each of ``positions``."""
-    positions = np.asarray(positions)
-    targets = np.zeros((1, len(tokens)), dtype=np.int64)
-    weights = np.zeros((1, len(tokens)))
-    targets[0, positions] = tokens[positions + 1]
-    weights[0, positions] = 1.0
-    return tokens[None, :], targets, weights
+    """``loss_graph``'s (tokens, rows, targets) for one sequence, scoring the
+    next token after each of ``positions``."""
+    rows = np.asarray(positions, dtype=np.int64)
+    return tokens[None, :], rows, tokens[rows + 1]
 
 
 def test_param_registry_is_exact():
@@ -238,13 +234,12 @@ def _routed_model(router, n_layers=2):
 
 
 def _scored_batch(cfg, seed=21):
-    """Tokens [3, 6] whose scored positions are a minority."""
+    """(tokens [3, 6], rows, targets) whose scored rows are a minority."""
     rng = np.random.default_rng(seed)
     tokens = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
-    targets = rng.integers(0, cfg.model.vocab_size, size=(3, 6))
-    weights = np.zeros((3, 6))
-    weights[0, 2:5] = weights[1, 1:3] = weights[2, 5] = 1.0
-    return tokens, targets, weights
+    rows = np.array([2, 3, 4, 7, 8, 17])  # positions 2-4, 1-2 and 5
+    targets = rng.integers(0, cfg.model.vocab_size, size=(3, 6)).reshape(-1)[rows]
+    return tokens, rows, targets
 
 
 def _grads(P, names, params):
@@ -274,10 +269,10 @@ def test_graph_moe_output_matches_blend_equation(router):
 @pytest.mark.parametrize("stage", ["base", "expert", "premerged", "router", "all"])
 def test_loss_graph_on_scored_rows_matches_full_row_graph(router, lam, stage):
     # loss_graph runs the last block past attention and the head on the
-    # scored rows only; the reference runs every row and lets the zero
-    # weights drop the rest inside the cross entropy
+    # scored rows only; the reference runs every row and picks the scored
+    # ones from the full logits
     model = _routed_model(router)
-    tokens, targets, weights = _scored_batch(model.cfg)
+    tokens, rows, targets = _scored_batch(model.cfg)
     model = with_lam(model, lam)
     expert = model.task_adapter_ids[1]
     coef, trainable = {
@@ -287,12 +282,13 @@ def test_loss_graph_on_scored_rows_matches_full_row_graph(router, lam, stage):
         "router": (None, model.router_param_names()),
         "all": (None, sorted(model.params)),
     }[stage]
-    loss, P, aux = model.loss_graph(tokens, targets, weights, trainable, coef)
+    loss, P, aux = model.loss_graph(tokens, rows, targets, trainable, coef)
     loss.backward()
     logits, P_ref, _ = model.build_graph(tokens, trainable, coef)
-    ref = ag.cross_entropy(logits, targets.reshape(-1), weights.reshape(-1))
+    assert logits.shape[0] == tokens.size
+    ref = ag.cross_entropy(ag.getitem(logits, rows), targets)
     ref.backward()
-    assert aux["moe_output"][-1].shape[0] == int(weights.sum())
+    assert aux["moe_output"][-1].shape[0] == len(rows)
     assert _close(loss.data, ref.data)
     for name, g, want in zip(trainable, _grads(P, trainable, model.params),
                              _grads(P_ref, trainable, model.params)):
@@ -388,13 +384,13 @@ def _stage_setup(model, stage):
 def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
     # the frozen prefix as a constant against the graph from token ids
     model = with_lam(_routed_model(router, n_layers), lam)
-    tokens, targets, weights = _scored_batch(model.cfg)
+    tokens, rows, targets = _scored_batch(model.cfg)
     coef, trainable = _stage_setup(model, stage)
     prefix = model.frozen_prefix(tokens)
     assert prefix.shape == tokens.shape + (model.cfg.model.d_model,)
     runs = []
     for pre in (prefix, None):
-        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, coef, pre)
+        loss, P, _ = model.loss_graph(tokens, rows, targets, trainable, coef, pre)
         loss.backward()
         runs.append((loss.data, _grads(P, trainable, model.params)))
     (loss, grads), (want_loss, want_grads) = runs
@@ -406,11 +402,11 @@ def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_last_attention_queries_from_first_scored_position(monkeypatch, n_layers):
     model = _routed_model({}, n_layers)
-    tokens, targets, weights = _scored_batch(model.cfg)
-    q0 = int(np.nonzero(weights)[1].min())
+    tokens, rows, targets = _scored_batch(model.cfg)
+    q0 = int((rows % tokens.shape[1]).min())
     assert q0 > 0
     calls = spy_attention(monkeypatch)
-    model.loss_graph(tokens, targets, weights)
+    model.loss_graph(tokens, rows, targets)
     assert calls == [0] * (n_layers - 1) + [q0]
     calls.clear()
     model.layer_routing_trace(tokens[0])
@@ -422,22 +418,44 @@ def test_last_attention_queries_from_first_scored_position(monkeypatch, n_layers
 def test_prefix_rejects_trainable_prefix_parameter(name):
     model = _routed_model({})
     assert name.startswith(M.PREFIX_PARAMS) and name in model.params
-    tokens, targets, weights = _scored_batch(model.cfg)
+    tokens, rows, targets = _scored_batch(model.cfg)
     with pytest.raises(ValueError):
-        model.loss_graph(tokens, targets, weights, [name, "unembed"],
+        model.loss_graph(tokens, rows, targets, [name, "unembed"],
                          prefix=model.frozen_prefix(tokens))
+
+
+def test_graph_rejects_overlong_and_out_of_vocab_tokens():
+    # batch_arrays pads to the longest sample and checks nothing; every batch
+    # reaches the token check through build_graph or frozen_prefix
+    model = M.ToyTransformer(tiny_config(vocab_size=40, max_seq_len=8))
+    samples = generate(TaskCatalog(), 8, seed=11, multi_intent_fraction=0.0)
+    tokens, rows, targets = batch_arrays(samples)
+    assert tokens.shape[1] > 8
+    fits = tokens[:, :8]
+    model.frozen_prefix(fits)
+    model.build_graph(fits)
+    for bad, match in ((tokens, "exceeds max_seq_len 8"),
+                       (np.where(fits == 0, 40, fits), "out of vocabulary"),
+                       (fits - 1, "out of vocabulary")):
+        with pytest.raises(ValueError, match=match):
+            model.frozen_prefix(bad)
+        with pytest.raises(ValueError, match=match):
+            model.build_graph(bad)
+    with pytest.raises(ValueError, match="exceeds max_seq_len"):
+        model.loss_graph(tokens, rows, targets)
 
 
 @pytest.mark.parametrize("router", ROUTERS)
 def test_pad_columns_leave_loss_and_router_gradient_unchanged(router):
     # unscored positions appended after every sequence change nothing
     model = _routed_model(router)
-    tokens, targets, weights = _scored_batch(model.cfg)
+    tokens, rows, targets = _scored_batch(model.cfg)
     names = model.router_param_names()
+    T = tokens.shape[1]
     runs = []
     for pad in (0, 2):
-        wide = [np.pad(a, ((0, 0), (0, pad))) for a in (tokens, targets, weights)]
-        loss, P, _ = model.loss_graph(*wide, names)
+        wide = np.pad(tokens, ((0, 0), (0, pad)))
+        loss, P, _ = model.loss_graph(wide, rows // T * (T + pad) + rows % T, targets, names)
         loss.backward()
         runs.append((loss.data, _grads(P, names, model.params)))
     (loss, grads), (want_loss, want_grads) = runs

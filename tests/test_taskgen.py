@@ -194,26 +194,22 @@ def test_per_task_split_names_every_empty_bucket():
 def test_batch_arrays_shapes_and_masking():
     cat = TaskCatalog()
     samples = generate(cat, 16, seed=10, multi_intent_fraction=0.3)
-    max_len = max(len(s.tokens()) for s in samples)
-    tokens, targets, weights = batch_arrays(samples, max_len)
-    assert tokens.shape == targets.shape == weights.shape == (16, max_len)
+    T = max(len(s.tokens()) for s in samples)
+    tokens, rows, targets = batch_arrays(samples)
+    assert tokens.shape == (16, T)
+    assert rows.dtype == targets.dtype == np.int64
+    assert list(rows) == sorted(rows)
+    want = [b * T + p for b, s in enumerate(samples) for p in s.scored_positions()]
+    assert list(rows) == want
     for i, s in enumerate(samples):
         seq = s.tokens()
         np.testing.assert_array_equal(tokens[i, :len(seq)], seq)
-        scored = np.zeros(max_len)
-        for p in s.scored_positions():
-            scored[p] = 1.0
-            assert targets[i, p] == seq[p + 1] if p + 1 < len(seq) else True
-        np.testing.assert_array_equal(weights[i], scored)
+        np.testing.assert_array_equal(tokens[i, len(seq):], BOS)
+        mine = (rows // T == i)
+        positions = rows[mine] % T
         # positions at/after the final token are never scored
-        assert weights[i, len(seq) - 1:].sum() == 0.0
-
-
-def test_batch_arrays_rejects_overflow():
-    cat = TaskCatalog()
-    samples = generate(cat, 8, seed=11, multi_intent_fraction=0.0)
-    with pytest.raises(ValueError):
-        batch_arrays(samples, 3)
+        assert positions.max() < len(seq) - 1
+        np.testing.assert_array_equal(targets[mine], [seq[p + 1] for p in positions])
 
 
 def test_jsonl_roundtrip(tmp_path):

@@ -9,15 +9,18 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
+from atmoe.checkpoint import load_checkpoint
 from atmoe.cli import jitter_params
+from atmoe.config import load_config
 from atmoe.model import ToyTransformer
 from atmoe.router import routing
-from atmoe.taskgen import TaskCatalog, batch_arrays, generate, per_task_split
+from atmoe.taskgen import TaskCatalog, batch_arrays, generate, per_task_split, read_jsonl
 from atmoe import training
 from atmoe.training import (
     Adam,
@@ -31,6 +34,9 @@ from atmoe.training import (
 )
 
 from conftest import ROUTERS, spy_attention, tiny_config
+
+ROOT = Path(__file__).resolve().parents[1]
+VERIFY = ROOT / "runs" / "verify"  # scripts/run_pipeline.py --workdir runs/verify
 
 
 def _mix(model, mode, adapter_id=None):
@@ -120,10 +126,10 @@ def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch, tmp_pat
     for cpus in (1, 4):
         log = tmp_path / f"loss_graph_{cpus}.jsonl"
 
-        def spying_loss_graph(self, tokens, targets, weights, trainable, coef, prefix):
+        def spying_loss_graph(self, tokens, rows, targets, trainable, coef, prefix):
             with log.open("a") as fh:
                 fh.write(json.dumps([os.getpid(), coef.tolist(), list(trainable)]) + "\n")
-            return loss_graph(self, tokens, targets, weights, trainable, coef, prefix)
+            return loss_graph(self, tokens, rows, targets, trainable, coef, prefix)
 
         model = ToyTransformer(cfg)
         before = model.param_checksums()
@@ -289,6 +295,27 @@ def test_stage_runs_are_seed_deterministic(train_setup):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("stage,ckpt_in", [("experts", None), ("premerged", "experts"),
+                                           ("router", "premerged")])
+def test_one_epoch_reproduces_the_committed_first_epoch_loss(stage, ckpt_in):
+    # pins the training path to runs/verify: one epoch of each stage, from a
+    # fresh default model or the committed checkpoint of the stage before,
+    # gives every run's committed first-epoch loss
+    if ckpt_in is None:
+        model = ToyTransformer(load_config(ROOT / "configs" / "default.json"))
+    else:
+        model = load_checkpoint(VERIFY / f"ckpt_{ckpt_in}.json").model
+    sec, cfg = dataclasses.replace, model.cfg
+    one = sec(cfg.training, **{stage: sec(getattr(cfg.training, stage), epochs=1)})
+    model = ToyTransformer(sec(cfg, training=one), model.params)
+    reports = train_stage(model, stage, read_jsonl(VERIFY / "data" / "train.jsonl"))
+    committed = json.loads((VERIFY / f"ckpt_{stage}.json.report.json").read_text())["reports"]
+    assert [r.adapter_id for r in reports] == [c["adapter_id"] for c in committed]
+    for r, c in zip(reports, committed):
+        want = c["epoch_losses"][0]
+        assert abs(r.epoch_losses[0] - want) <= 1e-12 * abs(want), r.adapter_id
+
+
 def test_empty_bucket_and_unknown_stage_rejected(train_setup, monkeypatch):
     # both before any prefix is computed
     cfg, data = train_setup
@@ -386,13 +413,11 @@ def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
     ent, n = 0.0, 0
     for start in range(0, len(data), 64):
         batch = data[start: start + 64]
-        tokens, _, weights = batch_arrays(batch, cfg.model.max_seq_len)
+        tokens, rows, _ = batch_arrays(batch)
         _, _, aux = model.build_graph(tokens)
-        b_idx, t_idx = np.nonzero(weights)
-        rows = b_idx * tokens.shape[1] + t_idx
         for i in range(cfg.model.n_layers):
             wg, wd = (model.params[f"blocks.{i}.moe.{w}"] for w in ("wg", "wd"))
-            for row, b in zip(rows, b_idx):
+            for row, b in zip(rows, rows // tokens.shape[1]):
                 gw, iw, _ = oracle.route(aux["moe_input"][i][row], wg, wd, oracle.slot_mask(cfg),
                                          cfg.router.tau_g, cfg.router.tau_d)
                 ent -= float((gw * np.log(gw)).sum())
@@ -496,16 +521,17 @@ def test_prefix_from_cache_matches_token_path(train_setup, monkeypatch, router, 
     monkeypatch.setattr(training, "PREFIX_CHUNK", 5)
     cache = PrefixCache(model, data)
     batch = data[7:16]
-    tokens, targets, weights = batch_arrays(batch, cfg.model.max_seq_len)
-    mask = training._valid_mask(batch, tokens.shape[1])
-    assert not mask.all()
+    tokens, rows, targets = batch_arrays(batch)
+    lens = np.array([len(s.tokens()) for s in batch])
+    pad = np.arange(tokens.shape[1]) >= lens[:, None]
+    assert pad.any()
     prefix = cache.batch(batch, tokens.shape[1])
-    assert not prefix[mask == 0].any()
+    assert not prefix[pad].any()
     aid = model.task_adapter_ids[0] if mode == "adapter" else None
     trainable = model.adapter_param_names(aid) if aid else model.router_param_names()
     runs = []
     for pre in (prefix, None):
-        loss, P, _ = model.loss_graph(tokens, targets, weights, trainable, _mix(model, mode, aid),
+        loss, P, _ = model.loss_graph(tokens, rows, targets, trainable, _mix(model, mode, aid),
                                       pre)
         loss.backward()
         runs.append((loss.data, [P[n].grad for n in trainable]))
