@@ -119,21 +119,22 @@ class Config:
         if m.base_init not in ("coded", "random"):
             raise ConfigError('model.base_init must be "coded" or "random"')
         if m.base_init == "coded":
-            # The coded reservoir hardwires a 32-coordinate feature layout and a
-            # 5-head circuit split across the first two blocks; the token code
-            # covers the benchmark vocabulary (ids below PAYLOAD_IDS.stop).
-            if m.d_model < 32:
-                raise ConfigError("coded base_init needs model.d_model >= 32")
+            # The bounds of model.py's coded layout table; its token code covers
+            # the benchmark vocabulary (ids below PAYLOAD_IDS.stop).
+            from .model import CODE_PERIOD, CODED_HEADS, CODED_WIDTH, FFN_PASS_COORDS
+            if m.d_model < CODED_WIDTH:
+                raise ConfigError(f"coded base_init needs model.d_model >= {CODED_WIDTH}")
             if m.vocab_size < PAYLOAD_IDS.stop:
                 raise ConfigError(f"coded base_init needs model.vocab_size >= {PAYLOAD_IDS.stop}")
             if m.n_layers < 2:
                 raise ConfigError("coded base_init needs model.n_layers >= 2")
-            if m.n_heads != 4:
-                raise ConfigError("coded base_init needs model.n_heads == 4")
-            if m.max_seq_len > 32:
-                raise ConfigError("coded base_init needs model.max_seq_len <= 32")
-            if m.d_ff < 64:
-                raise ConfigError("coded base_init needs model.d_ff >= 64")
+            if m.n_heads != CODED_HEADS:
+                raise ConfigError(f"coded base_init needs model.n_heads == {CODED_HEADS}")
+            if m.max_seq_len > CODE_PERIOD:
+                raise ConfigError(f"coded base_init needs model.max_seq_len <= {CODE_PERIOD}")
+            if m.d_ff < 2 * len(FFN_PASS_COORDS):
+                raise ConfigError(
+                    f"coded base_init needs model.d_ff >= {2 * len(FFN_PASS_COORDS)}")
         if self.router.tau_g <= 0 or self.router.tau_d <= 0:
             raise ConfigError("router temperatures must be positive")
         if not 0.0 <= self.atmoe.lam <= 1.0:

@@ -10,16 +10,18 @@ The default frozen base ("coded" init) is a structured reservoir rather than a
 Gaussian soup. Rank-r adapters can only add a rank-r linear map of the FFN
 hidden state, which is far too small to *discover* sequence copying from random
 features; instead the frozen base is laid out so the relevant quantities are
-already linear functions of the residual stream:
+already linear functions of the residual stream, in the blocks that one table,
+``CODED_LAYOUT``, names:
 
-- payload tokens carry a two-plane rotation code in 4 coordinates, instruction
-  and EOS tokens a one-hot code, positions a rotation code plus a constant and
-  an instruction-region flag;
+- payload tokens carry a two-plane rotation code in ``tok``, instruction
+  tokens a one-hot code in ``ctrl``, positions a rotation code in ``pos`` and
+  a constant ``const``, raised over the instruction;
 - block 0 heads copy the previous / previous-previous token code into
-  dedicated coordinates and pool the instruction code into every position;
+  ``prev1`` / ``prev2`` and pool the instruction code into every position;
 - block 1 heads match the current token code against stored previous-token
-  codes, recovering "token after the occurrence of the current token" (forward
-  copy direction) and "token before it" (reverse direction).
+  codes, recovering "token after the occurrence of the current token"
+  (``fwd``) and "token before it" (``rev``);
+- each FFN up-projection passes the ``FFN_PASS`` blocks through unchanged.
 
 An adapter then only has to read one 4-coordinate block and write the token
 code (optionally relabeled) for the output logits, which is exactly rank 4,
@@ -34,6 +36,7 @@ the small property tests use it because they exercise arbitrary tiny shapes.
 from __future__ import annotations
 
 import hashlib
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -42,7 +45,7 @@ from . import autograd as ag
 from .config import PREMERGED_ID, Config
 from .numerics import derive_rng
 from .router import routing, slot_mask
-from .taskgen import EOS, PAYLOAD_IDS, TASKS
+from .taskgen import EOS, MAX_INSTRUCTION_LEN, PAYLOAD_IDS, TASKS
 
 EMBED_STD = 0.1
 READOUT_STD = 0.02
@@ -58,33 +61,46 @@ FAN_IN_INIT = ("wq", "wk", "wv", "wo", "up_w", "down_w0")
 PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.attn.")  # name prefixes
 
 # ---------------------------------------------------------------------------
-# Coded-reservoir layout. First 32 residual coordinates:
-#   0:4   payload token code (two planes, angles k and 9k times 2*pi/32)
-#   4:9   control code: one-hot of the instruction tokens of the task
-#         table (taskgen.TASKS), in token order
-#   9:15  position code (two planes, angles t and 7t, triangle representation)
-#   15    constant coordinate: query anchor for the instruction-pool head,
-#         raised inside the instruction region (positions 1..3) so the same
-#         head can pool it, and the readout direction for end-of-sequence
-#   16:20 previous-token payload code   (block-0 head 0)
-#   20:24 previous-previous token code  (block-0 head 1)
-#   24:28 forward match read            (block-1 head 0)
-#   28:32 reverse match read            (block-1 head 1)
-# Plane multipliers minimize the worst off-peak autocorrelation: (1, 9) gives
-# max dot 0.707 over 32 token ids, (1, 7) gives max 1.414/2 over 23 offsets.
-#
+# Coded-reservoir layout: the residual blocks as (name, width), in coordinate
+# order; each block starts where the one before it ends, and coordinates past
+# the last block hold init noise only. Tokens and positions turn once per
+# CODE_PERIOD: plane multipliers minimize the worst off-peak autocorrelation,
+# (1, 9) gives max dot 0.707 over 32 token ids, (1, 7) max 1.414/2 over 23
+# offsets. Of the CODED_HEADS heads per block, the ones noted below write their
+# blocks and block 0's head 2 pools the instruction code into every position's
+# ctrl; block 0's head 3 and block 1's heads 2 and 3 are unused.
+_INSTRUCTIONS = sorted(t.token for t in TASKS.values() if t.token is not None)
+CODED_LAYOUT = (
+    ("tok", 4),    # payload token code: two planes, angles k and 9k
+    ("ctrl", len(_INSTRUCTIONS)),  # one-hot of the task table's instruction tokens
+    ("pos", 6),    # position code: two planes, angles t and 7t, triangle representation
+    ("const", 1),  # constant: query anchor of the instruction-pool head, raised over
+                   # the instruction (positions 1 to MAX_INSTRUCTION_LEN - 1) so the
+                   # same head can pool it, and the end-of-sequence readout direction
+    ("prev1", 4),  # previous-token payload code (block 0, head 0)
+    ("prev2", 4),  # previous-previous token code (block 0, head 1)
+    ("fwd", 4),    # forward match read (block 1, head 0)
+    ("rev", 4),    # reverse match read (block 1, head 1)
+)
+CODED_BLOCKS = {name: slice(stop - w, stop) for (name, w), stop in
+                zip(CODED_LAYOUT, accumulate(w for _, w in CODED_LAYOUT))}
+CODED_WIDTH = sum(w for _, w in CODED_LAYOUT)
+CODED_HEADS = 4
+CODE_PERIOD = 32
+# The blocks the FFN passes through, in up_w row-pair order: the order in which
+# every adapter's A columns meet them, so it fixes every trained tensor.
+FFN_PASS = ("tok", "ctrl", "pos", "fwd", "rev", "const")
+FFN_PASS_COORDS = np.r_[tuple(CODED_BLOCKS[n] for n in FFN_PASS)]
+_PC, _CC, _POSC, _CONST, _PREV1, _PREV2, _FWD, _REV = (CODED_BLOCKS[n] for n in (
+    "tok", "ctrl", "pos", "const", "prev1", "prev2", "fwd", "rev"))
+_TOK_PLANES, _POS_PLANES = (1, 9), (1, 7)
+_CODE_ANGLE = 2.0 * np.pi / CODE_PERIOD
+
 # The position code stores each plane as three cosines 120 degrees apart
 # ("triangle" representation) instead of cosine/sine.  Each code is then
 # zero-sum by construction and the rotation operator annihilates the all-ones
 # direction, so layer norm's mean subtraction cancels out of the offset-head
 # scores exactly instead of contaminating near-tied attention margins.
-
-_PC, _CC, _POSC = slice(0, 4), slice(4, 9), slice(9, 15)
-_CONST = 15
-_PREV1, _PREV2 = slice(16, 20), slice(20, 24)
-_FWD, _REV = slice(24, 28), slice(28, 32)
-_TOK_PLANES, _POS_PLANES = (1, 9), (1, 7)
-_CODE_ANGLE = 2.0 * np.pi / 32.0
 _TRI_OFFS = np.array([0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0])
 
 CODE_TOK_SCALE = 3.0     # payload/control token code magnitude
@@ -134,12 +150,6 @@ def _tri_rot_back(planes: tuple[int, int], steps: int) -> np.ndarray:
         rot = np.array([[c, s], [-s, c]])
         out[3 * p: 3 * p + 3, 3 * p: 3 * p + 3] = (2.0 / 3.0) * T @ rot @ T.T
     return out
-
-
-def _tri_proj() -> np.ndarray:
-    """6x6 orthogonal projector onto the two triangle-code planes; used for
-    offset-head keys so they too ignore the all-ones (mean) direction."""
-    return _tri_rot_back(_POS_PLANES, 0)
 
 
 class ToyTransformer:
@@ -194,12 +204,8 @@ class ToyTransformer:
             b = f"blocks.{i}"
             P.update(zip((f"{b}.attn.{w}" for w in ("wq", "wk", "wv", "wo")),
                          self._coded_attention(lower=(i == 0))))
-            # paired +/- pass-through rows give adapters and routers an exact
-            # linear view of the readable code blocks (gelu(x) - gelu(-x) =
-            # x); the remaining rows are random gelu features for nonlinear
-            # cues such as end-of-sequence timing. The base down-projection is
-            # zeroed so the residual code coordinates stay clean and adapters
-            # own the whole FFN output.
+            # The base down-projection is zeroed so the residual code
+            # coordinates stay clean and adapters own the whole FFN output.
             P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"] = self._coded_ffn(f"{b}.ffn")
             P[f"{b}.ffn.down_w0"] = np.zeros((m.d_model, m.d_ff))
         # readout from clean codes only: non-predictable ids (BOS, SEP, unused)
@@ -213,32 +219,31 @@ class ToyTransformer:
         return P
 
     def _clean_token_codes(self) -> np.ndarray:
-        """Noise-free token geometry: payload rotation codes in the PC block,
-        instruction one-hots (scaled to equal norm) in the CC block."""
+        """Noise-free token geometry: payload rotation codes in the tok block,
+        instruction one-hots (scaled to equal norm) in the ctrl block."""
         m = self.cfg.model
         codes = np.zeros((m.vocab_size, m.d_model))
         codes[PAYLOAD_IDS.start: PAYLOAD_IDS.stop, _PC] = \
             CODE_TOK_SCALE * _plane_code(np.arange(len(PAYLOAD_IDS)), _TOK_PLANES)
-        instructions = sorted(t.token for t in TASKS.values() if t.token is not None)
-        codes[instructions, _CC] = CODE_TOK_SCALE * np.sqrt(2.0) * np.eye(_CC.stop - _CC.start)
+        codes[_INSTRUCTIONS, _CC] = CODE_TOK_SCALE * np.sqrt(2.0) * np.eye(len(_INSTRUCTIONS))
         return codes
 
     def _coded_ffn(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
         """Frozen FFN up-projection for the coded base: one +gain/-gain row
-        pair per readable coordinate, then random gelu features."""
+        pair per ``FFN_PASS_COORDS`` coordinate, which gives adapters and
+        routers an exact linear view of it (gelu(x) - gelu(-x) = x), then
+        random gelu features for nonlinear cues such as end-of-sequence
+        timing."""
         m = self.cfg.model
         rng = derive_rng(self.cfg.seed, "init", tag)
-        coords = [c for s in (_PC, _CC, _POSC, _FWD, _REV)
-                  for c in range(s.start, s.stop)] + [_CONST]
+        k = np.arange(len(FFN_PASS_COORDS))
+        n = 2 * len(k)
         up_w = np.zeros((m.d_ff, m.d_model))
         up_b = np.zeros(m.d_ff)
-        for k, c in enumerate(coords):
-            up_w[2 * k, c] = FFN_PASS_GAIN
-            up_w[2 * k + 1, c] = -FFN_PASS_GAIN
-        tail = m.d_ff - 2 * len(coords)
-        up_w[2 * len(coords):] = rng.normal(
-            0.0, 1.0 / np.sqrt(m.d_model), size=(tail, m.d_model))
-        up_b[2 * len(coords):] = rng.normal(0.0, 0.5, size=tail)
+        up_w[2 * k, FFN_PASS_COORDS] = FFN_PASS_GAIN
+        up_w[2 * k + 1, FFN_PASS_COORDS] = -FFN_PASS_GAIN
+        up_w[n:] = rng.normal(0.0, 1.0 / np.sqrt(m.d_model), size=(m.d_ff - n, m.d_model))
+        up_b[n:] = rng.normal(0.0, 0.5, size=m.d_ff - n)
         return up_w, up_b
 
     def _coded_tok_emb(self) -> np.ndarray:
@@ -264,30 +269,30 @@ class ToyTransformer:
         pos = np.arange(m.max_seq_len)
         emb[:, _POSC] += CODE_POS_SCALE * _tri_code(pos, _POS_PLANES)
         emb[:, _CONST] += CODE_POS_SCALE
-        flag_hi = min(4, m.max_seq_len)
-        emb[1:flag_hi, _CONST] += CODE_FLAG_SCALE
+        emb[1:MAX_INSTRUCTION_LEN, _CONST] += CODE_FLAG_SCALE
         return emb
 
     def _coded_attention(self, lower: bool) -> tuple[np.ndarray, ...]:
-        """Hand-set heads; dh = d_model//4. Lower block: head 0 copies the
-        previous token code, head 1 the previous-previous code, head 2 pools
-        the instruction region. Upper blocks: head 0 reads the token after the
-        occurrence of the current token, head 1 the token before it."""
+        """Hand-set heads of width d_model // CODED_HEADS, wired as the layout
+        table notes; the lower block fills prev1, prev2 and ctrl, upper blocks
+        fwd and rev."""
         d = self.cfg.model.d_model
-        dh = d // 4
+        dh = d // CODED_HEADS
         wq, wk, wv, wo = (np.zeros((d, d)) for _ in range(4))
         eye4 = np.eye(4)
         if lower:
             for head, steps, dest in ((0, 1, _PREV1), (1, 2, _PREV2)):
                 r = head * dh
                 wq[r: r + 6, _POSC] = CODE_QK_OFFSET * _tri_rot_back(_POS_PLANES, steps)
-                wk[r: r + 6, _POSC] = CODE_QK_OFFSET * _tri_proj()
+                # keys through the projector onto the two planes (no rotation),
+                # so they too ignore the all-ones (mean) direction
+                wk[r: r + 6, _POSC] = CODE_QK_OFFSET * _tri_rot_back(_POS_PLANES, 0)
                 wv[r: r + 4, _PC] = eye4
                 wo[dest, r: r + 4] = CODE_V_PREV * eye4
             r = 2 * dh  # instruction pool: constant query, region-raised keys
             wq[r, _CONST] = CODE_QK_INSTR
             wk[r, _CONST] = CODE_QK_INSTR
-            eye_cc = np.eye(_CC.stop - _CC.start)
+            eye_cc = np.eye(len(_INSTRUCTIONS))
             wv[r + 1: r + 1 + len(eye_cc), _CC] = eye_cc
             wo[_CC, r + 1: r + 1 + len(eye_cc)] = CODE_V_INSTR * eye_cc
         else:

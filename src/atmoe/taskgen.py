@@ -22,6 +22,7 @@ import numpy as np
 from .numerics import derive_rng, write_text
 
 BOS, SEP, EOS = 0, 1, 2
+MAX_INSTRUCTION_LEN = 4  # BOS, two function tokens and a style token
 
 
 class Task(NamedTuple):
@@ -78,10 +79,9 @@ class TaskCatalog:
     payload_max_len: int = 8
 
     def max_sequence_len(self) -> int:
-        """Longest sample ``generate`` can produce: BOS, two function tokens and
-        a style token, the payload, SEP, the transformed payload and a
-        two-token terminator."""
-        return 2 * self.payload_max_len + 7
+        """Longest sample ``generate`` can produce: the longest instruction,
+        the payload, SEP, the transformed payload and a two-token terminator."""
+        return MAX_INSTRUCTION_LEN + 2 * self.payload_max_len + 3
 
 
 @dataclass

@@ -14,7 +14,6 @@ ground-truth expert-relevance labels carried with each sample.
 from __future__ import annotations
 
 import ctypes
-import math
 import mmap
 import multiprocessing
 import os
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import cross_entropy
 from .config import PREMERGED_ID, STAGES
 from .model import ToyTransformer
 from .numerics import derive_rng, finite_diff_grad
@@ -102,7 +102,6 @@ class EvalReport:
     token_accuracy: float
     routing_accuracy: dict[str, float] | None  # group name -> argmax hit rate
     mean_group_entropy: float | None
-    mean_group_kl: float | None
 
 
 class PrefixCache:
@@ -287,8 +286,7 @@ def evaluate(model: ToyTransformer, data: list[Sample],
         raise ValueError("evaluate needs a nonempty dataset")
     check_groups(model.groups)
     data = sorted(data, key=lambda s: len(s.tokens()))
-    cfg = model.cfg
-    L, G = cfg.model.n_layers, cfg.n_groups
+    L = model.cfg.model.n_layers
     learned = coef is None
     nll_sum, n_scored, n_correct = 0.0, 0, 0
     ent_sum, hits = 0.0, {g.name: 0 for g in model.groups}
@@ -296,12 +294,9 @@ def evaluate(model: ToyTransformer, data: list[Sample],
     for start in range(0, len(data), EVAL_BATCH):
         batch = data[start : start + EVAL_BATCH]
         tokens, rows, tg = batch_arrays(batch)
-        logits_t, _, aux = model.build_graph(tokens, (), coef, rows)
-        z = logits_t.data
-        c = z.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(z - c).sum(axis=-1)) + c[:, 0]
-        nll_sum += float((lse - z[np.arange(len(rows)), tg]).sum())
-        n_correct += int((z.argmax(axis=-1) == tg).sum())
+        logits, _, aux = model.build_graph(tokens, (), coef, rows)
+        nll_sum += float(cross_entropy(logits, tg).data) * len(rows)
+        n_correct += int((logits.data.argmax(axis=-1) == tg).sum())
         n_scored += len(rows)
         if not learned:
             continue
@@ -320,15 +315,13 @@ def evaluate(model: ToyTransformer, data: list[Sample],
                 hits[group.name] += int(relevant[g][np.arange(len(rows)), slots].sum())
 
     n_routed = L * n_scored  # every layer routes every scored row
-    mean_h = ent_sum / n_routed if learned else None
     return EvalReport(
         n_samples=len(data),
         n_scored_tokens=n_scored,
         mean_loss=nll_sum / n_scored,
         token_accuracy=n_correct / n_scored,
         routing_accuracy={name: h / n_routed for name, h in hits.items()} if learned else None,
-        mean_group_entropy=mean_h,
-        mean_group_kl=math.log(G) - mean_h if learned else None,
+        mean_group_entropy=ent_sum / n_routed if learned else None,
     )
 
 

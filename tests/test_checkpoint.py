@@ -252,9 +252,17 @@ def test_committed_eval_reports_match_the_current_code(tmp_path, name, split, fl
                  "--out", str(out)]) == 0
     got, want = (json.loads(p.read_text()) for p in (out, VERIFY / f"{name}.json"))
     assert set(got) == set(want)
-    for key in ("mean_loss", "mean_group_entropy", "mean_group_kl"):
+    for key in ("mean_loss", "mean_group_entropy"):
         assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0), key
     assert got == want
+
+
+def test_committed_routing_csv_matches_the_current_code(tmp_path):
+    # the committed routing dump, recomputed as the pipeline script runs it
+    out = tmp_path / "routing.csv"
+    assert main(["inspect", "--ckpt", str(VERIFY / "ckpt_router.json"),
+                 "--tokens", "0,3,6,1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (VERIFY / "routing.csv").read_bytes()
 
 
 @pytest.mark.parametrize("field,text", [pytest.param("stage_completed", '"experts"', id="head"),

@@ -220,7 +220,7 @@ def test_eval_constant_mixture_writes_null_routing(workdir, tmp_path, flags):
                  "--data", str(data / "eval_single.jsonl"), *flags, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["mode"] == flags[1] and doc["n_samples"] == 12
-    assert doc["routing_accuracy"] is doc["mean_group_entropy"] is doc["mean_group_kl"] is None
+    assert doc["routing_accuracy"] is doc["mean_group_entropy"] is None
     assert '"routing_accuracy": null' in out.read_text()
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from atmoe.config import (
@@ -15,6 +16,7 @@ from atmoe.config import (
     load_config,
     save_config,
 )
+from atmoe.model import CODE_PERIOD, CODED_HEADS, CODED_WIDTH, FFN_PASS_COORDS, ToyTransformer
 
 
 def _with_model(cfg, **kw):
@@ -105,18 +107,28 @@ def test_validate_rejects_inconsistent_models():
 
 
 def test_validate_enforces_structured_base_requirements():
+    # the bounds derive from the coded layout table; README states these values
+    d_ff_min = 2 * len(FFN_PASS_COORDS)
+    assert (CODED_WIDTH, d_ff_min, CODED_HEADS, CODE_PERIOD) == (32, 48, 4, 32)
     checks = [
-        (dict(d_model=16, n_heads=4), "d_model"),
+        (dict(d_model=CODED_WIDTH - 1), "d_model"),  # also not divisible by n_heads
+        (dict(d_model=CODED_WIDTH - CODED_HEADS), f"d_model >= {CODED_WIDTH}"),
         (dict(vocab_size=39), "vocab_size"),
         (dict(n_layers=1), "n_layers"),
-        (dict(n_heads=8), "n_heads"),
-        (dict(max_seq_len=40), "max_seq_len"),
-        (dict(d_ff=32), "d_ff"),
+        (dict(n_heads=8), f"n_heads == {CODED_HEADS}"),
+        (dict(max_seq_len=CODE_PERIOD + 1), f"max_seq_len <= {CODE_PERIOD}"),
+        (dict(d_ff=d_ff_min - 1), f"d_ff >= {d_ff_min}"),
     ]
     for overrides, needle in checks:
         cfg = _with_model(Config(), base_init="coded", **overrides)
         with pytest.raises(ConfigError, match=needle):
             cfg.validate()
+    # each bound itself is accepted, and a model at the smallest d_ff builds
+    for overrides in (dict(d_model=CODED_WIDTH), dict(max_seq_len=CODE_PERIOD)):
+        _with_model(Config(), base_init="coded", **overrides).validate()
+    model = ToyTransformer(_with_model(Config(), base_init="coded", d_ff=d_ff_min))
+    logits, _, _ = model.build_graph(np.array([[0, 3, 6, 8, 9, 1, 8, 9, 2]]))
+    assert np.isfinite(logits.data).all()
     # the same shapes are fine under random init (except real invariants)
     _with_model(Config(), base_init="random", vocab_size=39,
                 n_layers=1, max_seq_len=40, d_ff=32).validate()

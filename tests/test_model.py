@@ -342,10 +342,37 @@ def test_default_init_is_pinned(base_init):
     assert hashlib.sha256(doc.encode()).hexdigest() == DEFAULT_INIT_DIGESTS[base_init]
 
 
-def test_control_code_block_holds_one_slot_per_instruction_token():
-    # the coded base lays the table's instruction tokens one-hot across _CC
+def test_coded_layout_blocks_tile_the_code_width():
+    # blocks sit in table order with no gap or overlap; the control code has one
+    # slot per instruction token of the task table
+    stop = 0
+    for name, width in M.CODED_LAYOUT:
+        assert width > 0 and M.CODED_BLOCKS[name] == slice(stop, stop + width)
+        stop += width
+    assert stop == M.CODED_WIDTH and len(M.CODED_BLOCKS) == len(M.CODED_LAYOUT)
     tokens = [t.token for t in TASKS.values() if t.token is not None]
-    assert len(tokens) == M._CC.stop - M._CC.start
+    assert M.CODED_BLOCKS["ctrl"] == slice(M.CODED_BLOCKS["tok"].stop,
+                                           M.CODED_BLOCKS["tok"].stop + len(tokens))
+    assert len(set(M.FFN_PASS)) == len(M.FFN_PASS) and set(M.FFN_PASS) <= set(M.CODED_BLOCKS)
+
+
+def test_coded_ffn_pass_rows_read_exactly_their_blocks():
+    # row pair k of each layer's up_w reads the k-th FFN_PASS coordinate at
+    # +/- gain and nothing else, with zero bias, so gelu(x) - gelu(-x) = x
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")
+    model = M.ToyTransformer(cfg)
+    for i in range(cfg.model.n_layers):
+        up_w, up_b = (model.params[f"blocks.{i}.ffn.{w}"] for w in ("up_w", "up_b"))
+        row = 0
+        for name in M.FFN_PASS:
+            block = M.CODED_BLOCKS[name]
+            width = block.stop - block.start
+            want = np.zeros((width, cfg.model.d_model))
+            want[:, block] = M.FFN_PASS_GAIN * np.eye(width)
+            np.testing.assert_array_equal(up_w[row: row + 2 * width: 2], want, err_msg=name)
+            np.testing.assert_array_equal(up_w[row + 1: row + 2 * width: 2], -want, err_msg=name)
+            row += 2 * width
+        assert row == 2 * len(M.FFN_PASS_COORDS) and not up_b[:row].any()
 
 
 def test_structured_base_reads_out_current_payload_token():
