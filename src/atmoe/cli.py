@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, canonical_json, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import STAGES, Config, ConfigError, ModelSection, load_config
 from .model import ToyTransformer
 from .numerics import derive_rng, mix_seed, write_text
@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
 
     if args.ckpt_in:
         model = load_checkpoint(args.ckpt_in).model
-        if canonical_json(model.cfg.to_dict()) != canonical_json(cfg.to_dict()):
+        if model.cfg != cfg:
             raise ConfigError("config file disagrees with the checkpoint's embedded config")
     else:
         model = ToyTransformer(cfg)

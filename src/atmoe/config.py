@@ -1,9 +1,10 @@
-"""Experiment configuration: one JSON document with model / router / atmoe /
-taskgen / training sections, mirrored by frozen-ish dataclasses.
-
-Every default that the rest of the package relies on is stated here once (the
-default groups are those of the task table, ``taskgen.TASKS``) and also
-written out verbatim in ``configs/default.json``.
+"""Experiment configuration. The dataclasses below are the schema of its one
+JSON document: ``Config.from_dict`` and ``to_dict`` walk their fields and
+type hints, so a section is an object, a tuple a list, and a field's key its
+name or its ``metadata["key"]``. Every default that the rest of the package
+relies on is stated here once (the default groups are those of the task
+table, ``taskgen.TASKS``) and also written out verbatim in
+``configs/default.json``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .numerics import write_text
 from .taskgen import GROUPS, PAYLOAD_IDS
@@ -50,7 +51,7 @@ class RouterSection:
 
 @dataclass
 class AtMoeSection:
-    lam: float = 0.5  # serialized as "lambda"
+    lam: float = field(default=0.5, metadata={"key": "lambda"})  # a keyword as a key
 
 
 @dataclass
@@ -166,87 +167,66 @@ class Config:
                                   "and learning_rate >= 0")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "model": dataclasses.asdict(self.model),
-            "router": dataclasses.asdict(self.router),
-            "atmoe": {"lambda": self.atmoe.lam},
-            "groups": [{"name": g.name, "experts": list(g.experts)} for g in self.groups],
-            "taskgen": dataclasses.asdict(self.taskgen),
-            "training": dataclasses.asdict(self.training),
-        }
+        return _dump(self)
 
     @staticmethod
     def from_dict(doc: dict[str, Any]) -> "Config":
-        _reject_unknown(_object(doc, "config document"), {
-            "seed", "model", "router", "atmoe", "groups", "taskgen", "training"}, "top level")
-        cfg = Config(seed=_typed(doc.get("seed", 42), "int", "seed"))
-        if "model" in doc:
-            cfg.model = _section(ModelSection, doc["model"], "model")
-        if "router" in doc:
-            cfg.router = _section(RouterSection, doc["router"], "router")
-        if "atmoe" in doc:
-            _reject_unknown(_object(doc["atmoe"], "atmoe"), {"lambda"}, "atmoe")
-            cfg.atmoe = AtMoeSection(lam=_typed(doc["atmoe"].get("lambda", 0.5), "float",
-                                                "atmoe.lambda"))
-        if "groups" in doc:
-            if not isinstance(doc["groups"], list):
-                raise ConfigError("groups must be a JSON list")
-            groups = []
-            for g in doc["groups"]:
-                if set(_object(g, "groups[]")) != {"name", "experts"} or \
-                        not isinstance(g["experts"], list):
-                    raise ConfigError('each group needs exactly a "name" and a list of "experts"')
-                groups.append(GroupDef(_typed(g["name"], "str", "groups[].name"), tuple(
-                    _typed(e, "str", "groups[].experts[]") for e in g["experts"])))
-            cfg.groups = tuple(groups)
-        if "taskgen" in doc:
-            cfg.taskgen = _section(TaskGenSection, doc["taskgen"], "taskgen")
-        if "training" in doc:
-            _reject_unknown(_object(doc["training"], "training"), set(STAGES), "training")
-            cfg.training = TrainingSection(**{
-                stage: _section(StageSection, sec, f"training.{stage}")
-                for stage, sec in doc["training"].items()})
+        cfg = _load(Config, doc, "")
         cfg.validate()
         return cfg
 
 
-def _reject_unknown(doc: dict, known: set[str], where: str) -> None:
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata.get("key", f.name)
 
 
-def _object(doc, where: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    return doc
+def _dump(value):
+    """The JSON value of a section, a tuple of sections or a scalar."""
+    if dataclasses.is_dataclass(value):
+        return {_key(f): _dump(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value
 
 
-def _typed(value, kind: str, where: str):
-    """``value`` as a field of type ``kind`` ("int", "float" or "str"); a null,
-    a bool, a fraction in an int field or a non-finite number is an error."""
-    if kind == "str" and isinstance(value, str):
+def _load(kind, doc, where: str):
+    """``doc`` as a value of type ``kind``, named ``where`` in errors: a
+    section from a JSON object holding only its keys and every key without a
+    default, a tuple from a list, a scalar through ``_typed``."""
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{where or 'config document'} must be a JSON object")
+        fields = {_key(f): f for f in dataclasses.fields(kind)}
+        unknown = set(doc) - set(fields)
+        if unknown:
+            raise ConfigError(f"unknown keys in {where or 'top level'}: {sorted(unknown)}")
+        missing = [k for k, f in fields.items() if k not in doc and
+                   f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ConfigError(f"missing keys in {where}: {missing}")
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _load(hints[f.name], doc[k], f"{where}.{k}" if where else k)
+                       for k, f in fields.items() if k in doc})
+    if get_origin(kind) is tuple:
+        if not isinstance(doc, list):
+            raise ConfigError(f"{where} must be a JSON list")
+        item = get_args(kind)[0]
+        return tuple(_load(item, v, f"{where}[]") for v in doc)
+    return _typed(doc, kind, where)
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` as a field of type ``kind`` (int, float or str); a null, a
+    bool, a fraction in an int field or a non-finite number is an error."""
+    if kind is str and isinstance(value, str):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if kind == "int" and (isinstance(value, int) or value.is_integer()):
+        if kind is int and (isinstance(value, int) or value.is_integer()):
             return int(value)
-        if kind == "float" and abs(value) <= sys.float_info.max:
+        if kind is float and abs(value) <= sys.float_info.max:
             return float(value)
-    want = {"int": "an integer", "float": "a finite number", "str": "a string"}[kind]
+    want = {int: "an integer", float: "a finite number", str: "a string"}[kind]
     raise ConfigError(f"{where} must be {want}, got {json.dumps(value)}")
-
-
-def _section(cls, doc, where: str):
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    _reject_unknown(_object(doc, where), set(fields), where)
-    required = [f.name for f in dataclasses.fields(cls)
-                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    missing = [n for n in required if n not in doc]
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {missing}")
-    return cls(**{name: _typed(value, fields[name], f"{where}.{name}")
-                  for name, value in doc.items()})
 
 
 def load_config(path: str | Path) -> Config:

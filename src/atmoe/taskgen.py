@@ -178,16 +178,25 @@ def _list_of(doc: dict, key: str, kind: type) -> list:
 
 
 def sample_from_dict(doc: dict) -> Sample:
-    """The sample of one JSONL record; a missing key or a value of the wrong
-    JSON type is a ValueError."""
+    """The sample of one JSONL record; a missing key, a value of the wrong
+    JSON type or a relevance label outside ``TASKS`` is a ValueError. Each
+    group of ``TASKS`` must be labelled with at least one of its tasks."""
     rel = doc.get("relevant_experts") if isinstance(doc, dict) else None
     if not isinstance(rel, dict):
         raise ValueError("a sample must be a JSON object with an object 'relevant_experts'")
+    if set(rel) != set(GROUPS):
+        raise ValueError(f"'relevant_experts' must label the groups {list(GROUPS)}, "
+                         f"got {list(rel)}")
+    for group in GROUPS:
+        if not _list_of(rel, group, str):
+            raise ValueError(f"'relevant_experts' names no {group} task")
+        for name in rel[group]:
+            _task(name, group)
     return Sample(
         instruction_tokens=_list_of(doc, "instruction", int),
         input_tokens=_list_of(doc, "input", int),
         target_tokens=_list_of(doc, "target", int),
-        relevant_experts={k: _list_of(rel, k, str) for k in rel},
+        relevant_experts=rel,
     )
 
 

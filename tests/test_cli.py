@@ -729,6 +729,11 @@ BAD_DATA_LINES = {
     "instruction_null_token": lambda r: dict(r, instruction=[None]),
     "line_is_list": lambda r: list(r.values()),
     "relevant_experts_list": lambda r: dict(r, relevant_experts=[1]),
+    # labels outside the task table would score routing 0.0 or shrink a bucket
+    "relevant_experts_unknown_task": lambda r: dict(r, relevant_experts=dict(
+        r["relevant_experts"], function=["bogus"])),
+    "relevant_experts_missing_group": lambda r: dict(r, relevant_experts={
+        g: ids for g, ids in r["relevant_experts"].items() if g != "domain"}),
 }
 
 

@@ -3,6 +3,7 @@ and the structural constraints validate() enforces."""
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -67,15 +68,34 @@ def test_failed_save_leaves_the_previous_file(tmp_path):
 def test_shipped_default_config_matches_code_defaults():
     path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
     assert load_config(path) == Config()
+    # every default is written out, not filled in by the loader
+    assert json.loads(path.read_text()) == Config().to_dict()
+
+
+def _dotted(path) -> str:
+    """The name the loader gives a path into the document: ("groups", 0,
+    "name") is "groups[].name"."""
+    return "".join("[]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError, match="unknown"):
+    with pytest.raises(ConfigError, match=r"unknown keys in top level: \['modle'\]"):
         Config.from_dict({"modle": {}})
-    with pytest.raises(ConfigError, match="unknown"):
-        Config.from_dict({"model": {"d_modle": 32}})
-    with pytest.raises(ConfigError, match="unknown"):
-        Config.from_dict({"training": {"mystery": 1}})
+    # an unknown key inside each section object is refused and names it
+    for path in (("model",), ("router",), ("atmoe",), ("taskgen",), ("training",),
+                 ("training", "experts"), ("training", "premerged"), ("training", "router"),
+                 ("groups", 1)):
+        doc = Config().to_dict()
+        _at(doc, path)["mystery"] = 1
+        with pytest.raises(ConfigError,
+                           match=f"unknown keys in {re.escape(_dotted(path))}: \\['mystery'\\]"):
+            Config.from_dict(doc)
     # the sequence-mean routing input, the input-independent slot logits,
     # the group-entropy bonus and the per-stage Adam constants are gone, not
     # ignored
@@ -93,6 +113,28 @@ def test_unknown_keys_rejected():
             doc = {section: doc}
         with pytest.raises(ConfigError, match=f"unknown keys in {section}: \\['{key}'\\]"):
             Config.from_dict(doc)
+
+
+def _leaves(doc, path=()):
+    """(path, value) of every scalar in a JSON document, lists included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+LEAVES = dict(_leaves(Config().to_dict()))
+
+
+@pytest.mark.parametrize("path", LEAVES, ids=lambda p: ".".join(map(str, p)))
+def test_leaf_of_wrong_json_type_names_its_dotted_path(path):
+    # a string where a number belongs, a number where a string belongs
+    doc = Config().to_dict()
+    _at(doc, path[:-1])[path[-1]] = 1 if isinstance(LEAVES[path], str) else "1"
+    with pytest.raises(ConfigError, match=f"^{re.escape(_dotted(path))} must be "):
+        Config.from_dict(doc)
 
 
 def test_validate_rejects_inconsistent_models():
