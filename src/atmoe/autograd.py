@@ -276,7 +276,12 @@ def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     Masked slots get an additive -inf, so they come out exactly 0."""
     if mask is not None:
         z += np.where(mask, 0.0, -np.inf)
-    z -= z.max(axis=-1, keepdims=True)
+    # the row max column by column: numpy's reduction pays per row, and these
+    # rows are short; a max is exact in any order
+    top = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j], out=top)
+    z -= top[..., None]
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z

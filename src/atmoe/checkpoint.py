@@ -1,19 +1,24 @@
 """Self-describing JSON checkpoints.
 
 One canonical JSON document (sorted keys, compact separators) carries the full
-config, the stage marker, and every named parameter as its shape and a
-flat row-major list of float64 values, which round-trip bit-identically. The
-sha256 checksum, verified on load, covers two parts in turn: the canonical
+config, the stage marker, and every named parameter as its shape and its data:
+the base64 of its row-major little-endian float64 bytes, as a JSON header over
+raw tensor bytes in the manner of safetensors. The bytes round-trip
+bit-identically and a load decodes them without parsing a decimal per value.
+The sha256 checksum, verified on load, covers two parts in turn: the canonical
 JSON of the document without ``tensors`` and ``checksum``, then, per tensor
-in sorted name order, the canonical JSON of ``[name, shape]`` and the data as
-little-endian float64 bytes. A load thus hashes the parsed arrays instead of
-re-encoding the document. Writes go to a temp file first and rename into place.
+in sorted name order, the canonical JSON of ``[name, shape]`` and the decoded
+bytes. A load refuses bad base64, a byte count other than 8 per entry of the
+shape, and non-finite values, as a save does. Writes go to a temp file first
+and rename into place.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +28,7 @@ from .config import STAGES, Config, ConfigError
 from .model import ToyTransformer
 from .numerics import write_text
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -39,36 +44,48 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _digest(doc: dict, arrays: dict[str, np.ndarray]) -> str:
-    """The checksum of ``doc`` whose tensors hold ``arrays`` (name -> values)."""
+def _digest(doc: dict, raw: dict[str, bytes]) -> str:
+    """The checksum of ``doc`` whose tensors hold ``raw`` (name -> <f8 bytes)."""
     head = {k: v for k, v in doc.items() if k not in ("tensors", "checksum")}
     h = hashlib.sha256(canonical_json(head).encode("utf-8"))
-    for name in sorted(arrays):
+    for name in sorted(raw):
         h.update(canonical_json([name, doc["tensors"][name]["shape"]]).encode("utf-8"))
-        h.update(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        h.update(raw[name])
     return h.hexdigest()
 
 
+def _decoded(name: str, data) -> bytes:
+    """The bytes a tensor's ``data`` encodes, which must be strict base64."""
+    if isinstance(data, str):
+        try:
+            return base64.b64decode(data, validate=True)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            pass
+    raise CheckpointError(f"tensor {name!r} data is not base64 of float64 bytes")
+
+
 def checkpoint_checksum(doc: dict) -> str:
-    return _digest(doc, {name: np.asarray(entry["data"], dtype=np.float64)
+    return _digest(doc, {name: _decoded(name, entry["data"])
                          for name, entry in doc["tensors"].items()})
 
 
 def checkpoint_doc(model: ToyTransformer, stage_completed: str) -> dict:
     check_stage(stage_completed)
-    tensors = {}
+    tensors, raw = {}, {}
     for name in sorted(model.params):
         arr = model.params[name]
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"parameter {name!r} holds non-finite values")
-        tensors[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+        raw[name] = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        tensors[name] = {"shape": list(arr.shape),
+                         "data": base64.b64encode(raw[name]).decode("ascii")}
     doc = {
         "format_version": FORMAT_VERSION,
         "config": model.cfg.to_dict(),
         "stage_completed": stage_completed,
         "tensors": tensors,
     }
-    doc["checksum"] = _digest(doc, model.params)
+    doc["checksum"] = _digest(doc, raw)
     return doc
 
 
@@ -93,8 +110,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             doc = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint {path} is not valid UTF-8 JSON: {exc}") from exc
     return restore_checkpoint(doc)
 
 
@@ -108,23 +125,25 @@ def restore_checkpoint(doc: dict) -> LoadedCheckpoint:
         raise CheckpointError(f"unsupported checkpoint format_version {doc['format_version']!r}")
     if not isinstance(doc["tensors"], dict):
         raise CheckpointError("checkpoint 'tensors' must be a JSON object")
-    flat = {}
+    raw = {}
     for name, entry in doc["tensors"].items():
         if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
             held = sorted(entry) if isinstance(entry, dict) else type(entry).__name__
             raise CheckpointError(f"tensor {name!r} holds {held}, not the f64 'shape' and 'data'")
-        try:
-            flat[name] = np.asarray(entry["data"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"tensor {name!r} data is not a list of numbers") from exc
-    if _digest(doc, flat) != doc["checksum"]:
+        raw[name] = _decoded(name, entry["data"])
+    if _digest(doc, raw) != doc["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch (corrupt or edited file)")
     params = {}
-    for name, data in flat.items():
-        try:
-            params[name] = data.reshape(doc["tensors"][name]["shape"])
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"tensor {name!r} data disagrees with its shape") from exc
+    for name, data in raw.items():
+        shape = doc["tensors"][name]["shape"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+                and len(data) == 8 * math.prod(shape)):
+            raise CheckpointError(f"tensor {name!r} holds {len(data)} bytes, which disagrees "
+                                  f"with its shape {shape}")
+        # a writable native-order copy: frombuffer gives a read-only view of the bytes
+        params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(params[name])):
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
     stage = doc["stage_completed"]
     check_stage(stage)
     try:

@@ -10,6 +10,7 @@ table, ``taskgen.TASKS``) and also written out verbatim in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -189,6 +190,12 @@ def _dump(value):
     return value
 
 
+@functools.cache
+def _hints(kind: type) -> dict[str, Any]:
+    """A section's resolved field types, evaluated once per class."""
+    return get_type_hints(kind)
+
+
 def _load(kind, doc, where: str):
     """``doc`` as a value of type ``kind``, named ``where`` in errors: a
     section from a JSON object holding only its keys and every key without a
@@ -204,7 +211,7 @@ def _load(kind, doc, where: str):
                    f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
         if missing:
             raise ConfigError(f"missing keys in {where}: {missing}")
-        hints = get_type_hints(kind)
+        hints = _hints(kind)
         return kind(**{f.name: _load(hints[f.name], doc[k], f"{where}.{k}" if where else k)
                        for k, f in fields.items() if k in doc})
     if get_origin(kind) is tuple:

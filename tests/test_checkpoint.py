@@ -1,6 +1,8 @@
 """JSON checkpoints: bit-exact roundtrip, checksum tamper detection, the
-stage marker set, and canonical serialization."""
+stage marker set, canonical serialization, and the base64 float64 tensor data
+of format 3."""
 
+import base64
 import hashlib
 import json
 from pathlib import Path
@@ -38,6 +40,16 @@ def model():
     return m
 
 
+def _encoded(values) -> str:
+    """A tensor's ``data``: the base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _values(entry: dict) -> np.ndarray:
+    """A tensor entry's decoded values, flat."""
+    return np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
+
+
 def test_roundtrip_is_bit_identical(model, tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, model, "experts")
@@ -61,7 +73,8 @@ def test_doc_structure_and_checksum(model):
     entry = doc["tensors"]["tok_emb"]
     assert set(entry) == {"shape", "data"}
     assert entry["shape"] == list(model.params["tok_emb"].shape)
-    assert len(entry["data"]) == model.params["tok_emb"].size
+    # data is the base64 of the row-major little-endian float64 bytes
+    assert entry["data"] == _encoded(model.params["tok_emb"].ravel())
     assert doc["checksum"] == checkpoint_checksum(doc)
     # the seeds live in the embedded config only
     assert set(doc) == {"format_version", "config", "stage_completed", "tensors", "checksum"}
@@ -71,7 +84,11 @@ def test_tamper_detection(model, tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, model, "router")
     doc = json.loads(path.read_text())
-    doc["tensors"]["tok_emb"]["data"][0] += 1e-12
+    entry = doc["tensors"]["tok_emb"]
+    raw = bytearray(base64.b64decode(entry["data"]))
+    raw[0] ^= 1  # the lowest mantissa bit of the first value
+    assert np.frombuffer(raw, dtype="<f8")[0] != model.params["tok_emb"].flat[0]
+    entry["data"] = base64.b64encode(raw).decode("ascii")
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="checksum"):
         load_checkpoint(path)
@@ -176,7 +193,7 @@ def _reshaped(model, edits: dict) -> dict:
     doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
     for name, shape in edits.items():
         doc["tensors"][name] = {"shape": list(shape),
-                                "data": [0.5] * int(np.prod(shape))}
+                                "data": _encoded([0.5] * int(np.prod(shape)))}
     doc["checksum"] = checkpoint_checksum(doc)
     return doc
 
@@ -201,7 +218,7 @@ def test_restore_rejects_mis_shaped_tensors(model):
 
 def test_restore_rejects_unknown_dtype(model):
     doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
-    doc["tensors"]["tok_emb"]["dtype"] = "f32"  # v2 stores f64 only
+    doc["tensors"]["tok_emb"]["dtype"] = "f32"  # v3 stores f64 only
     doc["checksum"] = checkpoint_checksum(doc)
     with pytest.raises(CheckpointError, match="dtype"):
         restore_checkpoint(doc)
@@ -281,3 +298,93 @@ def test_non_json_literal_is_a_corrupt_checkpoint(tmp_path, field, text, literal
     with pytest.raises(CheckpointError, match=f"non-JSON literal {literal}"):
         load_checkpoint(path)
     assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path / "absent.jsonl")]) == 4
+
+
+def _refused_by_the_cli(path: Path, tmp_path: Path) -> None:
+    """``eval`` and ``inspect`` on ``path`` exit 4 (corrupt checkpoint) and
+    write nothing."""
+    out = tmp_path / "out"
+    assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path / "absent.jsonl"),
+                 "--out", str(out)]) == 4
+    assert main(["inspect", "--ckpt", str(path), "--tokens", "0,3,6,1", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf])
+def test_non_finite_bytes_are_refused_at_load(model, tmp_path, value):
+    # NaN and Inf have no decimal literal to reject, but they fit in the
+    # bytes; a load refuses them as a save does, even under a valid checksum
+    doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
+    entry = doc["tensors"]["blocks.0.moe.wg"]
+    values = _values(entry).copy()
+    values[3] = value
+    entry["data"] = _encoded(values)
+    doc["checksum"] = checkpoint_checksum(doc)
+    with pytest.raises(CheckpointError, match="'blocks.0.moe.wg' holds non-finite values"):
+        restore_checkpoint(doc)
+    path = tmp_path / "ckpt.json"
+    path.write_text(canonical_json(doc))
+    _refused_by_the_cli(path, tmp_path)
+
+
+def _rebytes(edit):
+    """An edit of a tensor's decoded bytes, as an edit of its ``data``."""
+    return lambda data: base64.b64encode(edit(base64.b64decode(data))).decode("ascii")
+
+
+# (edit of one tensor's data, whether the checksum is recomputed, error);
+# a data string that does not decode cannot be re-signed
+BAD_TENSOR_DATA = {
+    "not_base64": (lambda data: "@" + data[1:], False, "not base64"),
+    "whitespace": (lambda data: data[:8] + "\n" + data[8:], False, "not base64"),
+    "missing_padding": (lambda data: data[:-1], False, "not base64"),
+    "non_ascii": (lambda data: "é" + data[1:], False, "not base64"),
+    "decimal_list": (lambda data: [0.5], False, "not base64"),
+    "one_value_short": (_rebytes(lambda raw: raw[:-8]), True, "disagrees with its shape"),
+    "one_value_long": (_rebytes(lambda raw: raw + bytes(8)), True, "disagrees with its shape"),
+    "not_whole_values": (_rebytes(lambda raw: raw[:-3]), True, "disagrees with its shape"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TENSOR_DATA)
+def test_bad_tensor_data_is_a_corrupt_checkpoint(model, tmp_path, case):
+    edit, resign, error = BAD_TENSOR_DATA[case]
+    doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
+    entry = doc["tensors"]["pos_emb"]
+    entry["data"] = edit(entry["data"])
+    if resign:
+        doc["checksum"] = checkpoint_checksum(doc)
+    with pytest.raises(CheckpointError, match=f"'pos_emb' .*{error}"):
+        restore_checkpoint(doc)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc))
+    _refused_by_the_cli(path, tmp_path)
+
+
+def test_format_2_document_is_refused(model, tmp_path):
+    # a format-2 file, decimal lists under the unchanged checksum definition
+    doc = json.loads(canonical_json(checkpoint_doc(model, "experts")))
+    assert FORMAT_VERSION == 3
+    doc["format_version"] = 2
+    head = {k: v for k, v in doc.items() if k not in ("tensors", "checksum")}
+    h = hashlib.sha256(canonical_json(head).encode())
+    for name in sorted(doc["tensors"]):
+        entry = doc["tensors"][name]
+        entry["data"] = _values(entry).tolist()
+        h.update(canonical_json([name, entry["shape"]]).encode())
+        h.update(np.asarray(entry["data"], dtype="<f8").tobytes())
+    doc["checksum"] = h.hexdigest()
+    with pytest.raises(CheckpointError, match="unsupported checkpoint format_version 2"):
+        restore_checkpoint(doc)
+    path = tmp_path / "ckpt.json"
+    path.write_text(canonical_json(doc))
+    _refused_by_the_cli(path, tmp_path)
+
+
+def test_checkpoint_that_is_not_utf8_is_a_corrupt_checkpoint(tmp_path, capsys):
+    path = tmp_path / "ckpt.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(CheckpointError, match="not valid UTF-8 JSON"):
+        load_checkpoint(path)
+    _refused_by_the_cli(path, tmp_path)
+    assert capsys.readouterr().err.count("not valid UTF-8 JSON") == 2
