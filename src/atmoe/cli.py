@@ -61,7 +61,7 @@ def cmd_gen_data(args) -> int:
         "eval_multi": generate(catalog, tg.n_eval_multi, seeds["eval_multi"], 1.0),
     }
     # every expert the config trains needs a training sample
-    per_task_split(datasets["train"], [e for g in cfg.groups for e in g.experts])
+    per_task_split(datasets["train"], cfg.expert_ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, samples in datasets.items():
@@ -186,21 +186,6 @@ def gradcheck_config(seed: int = 7) -> Config:
     return cfg
 
 
-def parameter_classes(model: ToyTransformer) -> dict[str, list[str]]:
-    """Trainable parameter families, keyed for the verification report."""
-    L = model.cfg.model.n_layers
-    return {
-        "group_router": [f"blocks.{i}.moe.wg" for i in range(L)],
-        "intra_router": [f"blocks.{i}.moe.wd" for i in range(L)],
-        "lora_a": [f"blocks.{i}.moe.experts.{aid}.A"
-                   for i in range(L) for aid in model.adapter_ids],
-        "lora_b": [f"blocks.{i}.moe.experts.{aid}.B"
-                   for i in range(L) for aid in model.adapter_ids],
-        "embeddings": ["tok_emb", "pos_emb"],
-        "unembedding": ["unembed"],
-    }
-
-
 def jitter_params(model: ToyTransformer, std: float = 0.05) -> None:
     """Push every tensor off its init point; an all-zero B silences the A
     gradient and would make that class's check vacuous."""
@@ -218,7 +203,7 @@ def cmd_gradcheck(args) -> int:
     T = min(cfg.model.max_seq_len, 6)
     tokens = derive_rng(cfg.seed, "gradcheck:tokens").integers(0, cfg.model.vocab_size, size=T)
     errors = {}
-    for idx, (name, names) in enumerate(parameter_classes(model).items()):
+    for idx, (name, names) in enumerate(model.param_classes().items()):
         errors[name] = grad_check(model, tokens, names,
                                   inject_error=(args.inject_error and idx == 0))
     worst = max(errors.values())

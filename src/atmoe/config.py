@@ -109,6 +109,11 @@ class Config:
     def max_group_size(self) -> int:
         return max(len(g.experts) for g in self.groups)
 
+    @property
+    def expert_ids(self) -> list[str]:
+        """The task adapters' ids, group by group."""
+        return [e for g in self.groups for e in g.experts]
+
     def validate(self) -> None:
         m = self.model
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len", "rank"):
@@ -146,7 +151,7 @@ class Config:
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise ConfigError("group names must be unique")
-        ids = [e for g in self.groups for e in g.experts]
+        ids = self.expert_ids
         if len(set(ids)) != len(ids):
             raise ConfigError("expert ids must be unique across groups")
         if PREMERGED_ID in ids:
@@ -240,7 +245,7 @@ def load_config(path: str | Path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return Config.from_dict(doc)
 

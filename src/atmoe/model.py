@@ -57,6 +57,10 @@ ADAPTER_STD = 0.02  # LoRA A factors; B starts at 0, so a fresh adapter is inert
 INIT_STD = {"tok_emb": EMBED_STD, "pos_emb": EMBED_STD, "unembed": READOUT_STD,
             "wg": ROUTER_STD, "wd": ROUTER_STD, "A": ADAPTER_STD}
 FAN_IN_INIT = ("wq", "wk", "wv", "wo", "up_w", "down_w0")
+# Gradient-check classes by kind, in report order; frozen attention and FFN in none
+GRAD_CLASSES = {"group_router": ("wg",), "intra_router": ("wd",), "lora_a": ("A",),
+                "lora_b": ("B",), "embeddings": ("tok_emb", "pos_emb"),
+                "unembedding": ("unembed",)}
 
 PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.attn.")  # name prefixes
 
@@ -157,7 +161,7 @@ class ToyTransformer:
         cfg.validate()
         self.cfg = cfg
         self.groups = cfg.groups
-        self.task_adapter_ids = [e for g in self.groups for e in g.experts]
+        self.task_adapter_ids = cfg.expert_ids
         self.adapter_ids = self.task_adapter_ids + [PREMERGED_ID]
         self.slot_mask = slot_mask(self.groups)
         self.params = params if params is not None else self._init_params()
@@ -330,8 +334,13 @@ class ToyTransformer:
         return np.array([float(aid == adapter_id) for aid in self.adapter_ids])
 
     def router_param_names(self) -> list[str]:
-        return [f"blocks.{i}.moe.{p}"
-                for i in range(self.cfg.model.n_layers) for p in ("wg", "wd")]
+        return [n for n in self.param_shapes() if n.rsplit(".", 1)[-1] in ("wg", "wd")]
+
+    def param_classes(self) -> dict[str, list[str]]:
+        """Each ``GRAD_CLASSES`` class's parameter names, in registry order."""
+        names = list(self.param_shapes())
+        return {cls: [n for n in names if n.rsplit(".", 1)[-1] in kinds]
+                for cls, kinds in GRAD_CLASSES.items()}
 
     def frozen_outside(self, trainable: Iterable[str]) -> list[str]:
         return sorted(set(self.params) - set(trainable))
@@ -396,7 +405,7 @@ class ToyTransformer:
         ``aux`` carries per-layer arrays: ``moe_input`` (the activation entering
         the expert projection, which is also the routing input) and
         ``moe_output`` (what the projection returns), plus for the learned
-        mixture ``gw_nodes`` (group weight nodes) and ``iw`` (intra-group weights
+        mixture ``gw`` (group weights [N, G]) and ``iw`` (intra-group weights
         [N, G, M]). The last layer's arrays hold ``rows`` only.
         """
         if coef is not None and np.shape(coef) != (len(self.adapter_ids),):
@@ -407,7 +416,7 @@ class ToyTransformer:
         P = ag.parameters(self.params, trainable)
         if prefix is not None and any(P[n].requires_grad for n in P if n.startswith(PREFIX_PARAMS)):
             raise ValueError("a prefix needs frozen embeddings and block 0 attention")
-        aux: dict = {"moe_input": [], "moe_output": [], "gw_nodes": [], "iw": []}
+        aux: dict = {"moe_input": [], "moe_output": [], "gw": [], "iw": []}
         rows = np.arange(B * T) if rows is None else rows
         q0 = int((rows % T).min()) if len(rows) else 0
         rows = rows - q0 * (rows // T + 1)  # into the [B*(T-q0)] window
@@ -445,7 +454,7 @@ class ToyTransformer:
         lam, G, M = self.cfg.atmoe.lam, self.cfg.n_groups, self.cfg.max_group_size
         r = self.cfg.router
         gw, iw = routing(u, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"], self.slot_mask, r.tau_g, r.tau_d)
-        aux["gw_nodes"].append(gw)
+        aux["gw"].append(gw.data)
         aux["iw"].append(iw.data)
         comb = ag.mul(ag.reshape(gw, (N, G, 1)), iw)
         # Adapter coefficients in ``adapter_ids`` order: ``pick`` moves slot
@@ -476,4 +485,4 @@ class ToyTransformer:
         learned mixture computes for one token sequence."""
         tokens = np.asarray(tokens, dtype=np.int64)
         _, _, aux = self.build_graph(tokens[None, :])
-        return [(gw.data, iw) for gw, iw in zip(aux["gw_nodes"], aux["iw"])]
+        return list(zip(aux["gw"], aux["iw"]))

@@ -73,10 +73,10 @@ def _task(name: str, group: str) -> Task:
 
 @dataclass
 class TaskCatalog:
-    """Payload length bounds of the generated samples."""
+    """Payload length bounds of the generated samples (``taskgen.payload_*``)."""
 
-    payload_min_len: int = 3
-    payload_max_len: int = 8
+    payload_min_len: int
+    payload_max_len: int
 
     def max_sequence_len(self) -> int:
         """Longest sample ``generate`` can produce: the longest instruction,
@@ -206,14 +206,14 @@ def write_jsonl(path: str | Path, samples: list[Sample]) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[Sample]:
-    """The samples of a JSONL file; a line that is not a sample is a ValueError
-    naming the file and the line."""
+    """The samples of a JSONL file; a line that is not a UTF-8 sample is a
+    ValueError naming the file and the line."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    samples.append(sample_from_dict(json.loads(line)))
+                    samples.append(sample_from_dict(json.loads(line.decode("utf-8"))))
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {n}: {exc}") from None
     return samples

@@ -254,10 +254,10 @@ def train_stage(model: ToyTransformer, stage: str, samples: list[Sample]) -> lis
 def _require_trained_adapters(model: ToyTransformer) -> None:
     """The one stage-order rule: router training is vacuous over all-zero adapters
     (delta is identically 0), and an untouched B matrix marks a skipped stage."""
-    L = model.cfg.model.n_layers
+    lora_b = set(model.param_classes()["lora_b"])
 
     def untouched(aid: str) -> bool:
-        return not any(model.params[f"blocks.{i}.moe.experts.{aid}.B"].any() for i in range(L))
+        return not any(model.params[n].any() for n in model.adapter_param_names(aid) if n in lora_b)
 
     if all(untouched(aid) for aid in model.task_adapter_ids):
         raise StageOrderError("task experts look untrained; run the expert stage first")
@@ -308,7 +308,7 @@ def evaluate(model: ToyTransformer, data: list[Sample],
         for i in range(L):
             # the last layer's arrays hold the scored rows only
             at = rows if i < L - 1 else slice(None)
-            gw, iw = aux["gw_nodes"][i].data[at], aux["iw"][i][at]
+            gw, iw = aux["gw"][i][at], aux["iw"][i][at]
             ent_sum += float(_entropy_rows(gw).sum())
             for g, group in enumerate(model.groups):
                 slots = iw[:, g, : len(group.experts)].argmax(axis=-1)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from atmoe import autograd as ag
-from atmoe.config import Config, ModelSection
+from atmoe.cli import gradcheck_config
+from atmoe.config import Config, TaskGenSection
 from atmoe.model import ToyTransformer
 from atmoe.numerics import derive_rng
 from atmoe.taskgen import TaskCatalog, generate
@@ -20,11 +21,9 @@ ROUTERS = [{}, {"tau_g": 0.5, "tau_d": 2.0}, {"tau_g": 2.0, "tau_d": 0.5}]
 
 
 def tiny_config(seed: int = 7, **model_overrides) -> Config:
-    cfg = Config(seed=seed)
-    fields = dict(vocab_size=8, d_model=4, n_layers=1, n_heads=2, d_ff=8,
-                  max_seq_len=8, rank=2, base_init="random")
-    fields.update(model_overrides)
-    cfg.model = ModelSection(**fields)
+    """``gradcheck``'s tiny random-base config with ``model_overrides``."""
+    cfg = gradcheck_config(seed)
+    cfg.model = dataclasses.replace(cfg.model, **model_overrides)
     cfg.validate()
     return cfg
 
@@ -66,7 +65,8 @@ def tiny_tokens(tiny_cfg) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def catalog() -> TaskCatalog:
-    return TaskCatalog()
+    tg = TaskGenSection()
+    return TaskCatalog(tg.payload_min, tg.payload_max)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import pytest
 
 import oracle
 from atmoe.checkpoint import load_checkpoint
-from atmoe.cli import CSV_HEADER, jitter_params, main, parameter_classes
+from atmoe.cli import CSV_HEADER, jitter_params, main
 from atmoe.config import PREMERGED_ID, Config, GroupDef
 from atmoe.model import ToyTransformer
 from atmoe.router import routing, slot_mask
@@ -134,7 +134,7 @@ def test_a2_gradient_verification():
         model = ToyTransformer(cfg)
         jitter_params(model)
         tokens = rng.integers(0, 8, size=6)
-        for cls_name, names in parameter_classes(model).items():
+        for cls_name, names in model.param_classes().items():
             err = grad_check(model, tokens, names)
             if err > worst:
                 worst, worst_class = err, cls_name

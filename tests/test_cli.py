@@ -437,6 +437,22 @@ def test_missing_files_give_clean_errors(tmp_path):
                  "--out", str(tmp_path / "d")]) == 2
 
 
+def test_gen_data_names_a_config_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "cfg.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
+    assert f"cannot read config {bad}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_eval_names_the_data_line_that_is_not_utf8(workdir, tmp_path, capsys):
+    root, _, _, data = workdir
+    lines = (data / "eval_single.jsonl").read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "eval.jsonl"
+    bad.write_bytes(b"".join(lines[:2]) + b"\xff\xfe" + lines[2])
+    assert main(["eval", "--ckpt", str(root / "router.json"), "--data", str(bad)]) == 2
+    assert f"{bad}: line 3: 'utf-8' codec" in capsys.readouterr().err
+
+
 def test_gen_data_rejects_payload_longer_than_max_seq_len(workdir, tmp_path):
     # payload_max 7 allows 2*7 + 7 = 21 tokens; the model takes 20
     _, cfg, _, _ = workdir

@@ -15,7 +15,7 @@ from atmoe import autograd as ag
 from atmoe import model as M
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config, load_config
-from atmoe.taskgen import PAYLOAD_IDS, TASKS, TaskCatalog, batch_arrays, generate
+from atmoe.taskgen import PAYLOAD_IDS, TASKS, batch_arrays, generate
 
 from conftest import ROUTERS, spy_attention, tiny_config, with_lam
 
@@ -53,6 +53,36 @@ def test_param_registry_is_exact():
     frozen = m.frozen_outside(["tok_emb"])
     assert "tok_emb" not in frozen
     assert set(frozen) | {"tok_emb"} == set(m.params)
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_param_classes_hold_each_trained_tensor_once(n_layers):
+    m = M.ToyTransformer(tiny_config(n_layers=n_layers))
+    classes = m.param_classes()
+    trained = [n for aid in m.adapter_ids for n in m.adapter_param_names(aid)]
+    trained += m.router_param_names()
+    for name in trained:
+        assert sum(name in names for names in classes.values()) == 1, name
+    # besides them only the embeddings and the readout, which gradcheck trains
+    assert {n for names in classes.values() for n in names} - set(trained) == {
+        "tok_emb", "pos_emb", "unembed"}
+
+
+def test_default_param_classes_are_the_explicit_lists():
+    # the lists the gradient check was first written with, in their order;
+    # --inject-error corrupts the first class, the group router
+    m = M.ToyTransformer(load_config(Path(__file__).resolve().parents[1] / "configs" /
+                                     "default.json"))
+    L = range(m.cfg.model.n_layers)
+    want = {
+        "group_router": [f"blocks.{i}.moe.wg" for i in L],
+        "intra_router": [f"blocks.{i}.moe.wd" for i in L],
+        "lora_a": [f"blocks.{i}.moe.experts.{aid}.A" for i in L for aid in m.adapter_ids],
+        "lora_b": [f"blocks.{i}.moe.experts.{aid}.B" for i in L for aid in m.adapter_ids],
+        "embeddings": ["tok_emb", "pos_emb"],
+        "unembedding": ["unembed"],
+    }
+    assert list(m.param_classes().items()) == list(want.items())
 
 
 def test_construction_from_params_reproduces_logits(tiny_tokens):
@@ -219,8 +249,8 @@ def test_build_graph_exposes_routing_internals(tiny_model, tiny_tokens):
     assert logits.data.shape == (len(tiny_tokens),
                                  tiny_model.cfg.model.vocab_size)
     assert set(P) == set(tiny_model.params)
-    assert set(aux) == {"moe_input", "moe_output", "gw_nodes", "iw"}
-    assert len(aux["gw_nodes"]) == tiny_model.cfg.model.n_layers
+    assert set(aux) == {"moe_input", "moe_output", "gw", "iw"}
+    assert len(aux["gw"]) == tiny_model.cfg.model.n_layers
 
 
 def _routed_model(router, n_layers=2):
@@ -451,11 +481,11 @@ def test_prefix_rejects_trainable_prefix_parameter(name):
                          prefix=model.frozen_prefix(tokens))
 
 
-def test_graph_rejects_overlong_and_out_of_vocab_tokens():
+def test_graph_rejects_overlong_and_out_of_vocab_tokens(catalog):
     # batch_arrays pads to the longest sample and checks nothing; every batch
     # reaches the token check through build_graph or frozen_prefix
     model = M.ToyTransformer(tiny_config(vocab_size=40, max_seq_len=8))
-    samples = generate(TaskCatalog(), 8, seed=11, multi_intent_fraction=0.0)
+    samples = generate(catalog, 8, seed=11, multi_intent_fraction=0.0)
     tokens, rows, targets = batch_arrays(samples)
     assert tokens.shape[1] > 8
     fits = tokens[:, :8]

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 import atmoe
-from atmoe.cli import parameter_classes
 from atmoe.config import load_config
 from atmoe.model import ToyTransformer
 
@@ -83,6 +82,6 @@ def test_every_stored_tensor_is_trained_checked_or_varied():
     model = models[0]
     trained = {n for aid in model.adapter_ids for n in model.adapter_param_names(aid)}
     trained |= set(model.router_param_names())
-    checked = {n for names in parameter_classes(model).values() for n in names}
+    checked = {n for names in model.param_classes().values() for n in names}
     varied = {n for m in models for n, a in m.params.items() if np.ptp(a) > 0.0}
     assert [n for n in model.param_shapes() if n not in trained | checked | varied] == []

@@ -129,45 +129,40 @@ def test_make_sample_enforces_domain_range():
         make_sample(["identity"], "bogus", "plain_end", [30, 31])
 
 
-def test_generate_deterministic_and_sized():
-    cat = TaskCatalog()
-    a = generate(cat, 50, seed=77, multi_intent_fraction=0.4)
-    b = generate(cat, 50, seed=77, multi_intent_fraction=0.4)
-    c = generate(cat, 50, seed=78, multi_intent_fraction=0.4)
+def test_generate_deterministic_and_sized(catalog):
+    a = generate(catalog, 50, seed=77, multi_intent_fraction=0.4)
+    b = generate(catalog, 50, seed=77, multi_intent_fraction=0.4)
+    c = generate(catalog, 50, seed=78, multi_intent_fraction=0.4)
     assert len(a) == 50
     assert [s.tokens() for s in a] == [s.tokens() for s in b]
     assert [s.tokens() for s in a] != [s.tokens() for s in c]
 
 
-def test_generate_fraction_endpoints():
-    cat = TaskCatalog()
-    singles = generate(cat, 40, seed=5, multi_intent_fraction=0.0)
+def test_generate_fraction_endpoints(catalog):
+    singles = generate(catalog, 40, seed=5, multi_intent_fraction=0.0)
     assert all(len(s.relevant_experts["function"]) == 1 for s in singles)
-    multis = generate(cat, 40, seed=5, multi_intent_fraction=1.0)
+    multis = generate(catalog, 40, seed=5, multi_intent_fraction=1.0)
     for s in multis:
         fns = s.relevant_experts["function"]
         assert len(fns) == 2 and len(set(fns)) == 2
 
 
-def test_generate_respects_domain_payload_ranges():
-    cat = TaskCatalog()
-    for s in generate(cat, 120, seed=6, multi_intent_fraction=0.3):
+def test_generate_respects_domain_payload_ranges(catalog):
+    for s in generate(catalog, 120, seed=6, multi_intent_fraction=0.3):
         ids = TASKS[s.relevant_experts["domain"][0]].payload
         assert all(t in ids for t in s.input_tokens)
-        assert cat.payload_min_len <= len(s.input_tokens) <= cat.payload_max_len
+        assert catalog.payload_min_len <= len(s.input_tokens) <= catalog.payload_max_len
 
 
-def test_generate_validates_arguments():
-    cat = TaskCatalog()
+def test_generate_validates_arguments(catalog):
     with pytest.raises(ValueError):
-        generate(cat, 0, seed=1, multi_intent_fraction=0.3)
+        generate(catalog, 0, seed=1, multi_intent_fraction=0.3)
     with pytest.raises(ValueError):
-        generate(cat, 5, seed=1, multi_intent_fraction=1.5)
+        generate(catalog, 5, seed=1, multi_intent_fraction=1.5)
 
 
-def test_per_task_split_buckets_by_relevance():
-    cat = TaskCatalog()
-    samples = generate(cat, 200, seed=9, multi_intent_fraction=0.5)
+def test_per_task_split_buckets_by_relevance(catalog):
+    samples = generate(catalog, 200, seed=9, multi_intent_fraction=0.5)
     split = per_task_split(samples, list(TASKS))
     assert list(split) == list(TASKS)
     for task, bucket in split.items():
@@ -191,9 +186,8 @@ def test_per_task_split_names_every_empty_bucket():
         per_task_split([], ["reverse"])
 
 
-def test_batch_arrays_shapes_and_masking():
-    cat = TaskCatalog()
-    samples = generate(cat, 16, seed=10, multi_intent_fraction=0.3)
+def test_batch_arrays_shapes_and_masking(catalog):
+    samples = generate(catalog, 16, seed=10, multi_intent_fraction=0.3)
     T = max(len(s.tokens()) for s in samples)
     tokens, rows, targets = batch_arrays(samples)
     assert tokens.shape == (16, T)
@@ -212,9 +206,8 @@ def test_batch_arrays_shapes_and_masking():
         np.testing.assert_array_equal(targets[mine], [seq[p + 1] for p in positions])
 
 
-def test_jsonl_roundtrip(tmp_path):
-    cat = TaskCatalog()
-    samples = generate(cat, 12, seed=13, multi_intent_fraction=0.5)
+def test_jsonl_roundtrip(tmp_path, catalog):
+    samples = generate(catalog, 12, seed=13, multi_intent_fraction=0.5)
     path = tmp_path / "data.jsonl"
     write_jsonl(path, samples)
     back = read_jsonl(path)

@@ -20,7 +20,7 @@ from atmoe.cli import jitter_params
 from atmoe.config import load_config
 from atmoe.model import ToyTransformer
 from atmoe.router import routing
-from atmoe.taskgen import TaskCatalog, batch_arrays, generate, per_task_split, read_jsonl
+from atmoe.taskgen import batch_arrays, generate, per_task_split, read_jsonl
 from atmoe import training
 from atmoe.training import (
     Adam,
@@ -105,10 +105,10 @@ def test_adam_rejects_unknown_names():
 
 
 @pytest.fixture(scope="module")
-def train_setup():
+def train_setup(catalog):
     cfg = _shrunk(tiny_config(seed=11, vocab_size=40, max_seq_len=20))
-    catalog = TaskCatalog(payload_max_len=5)
-    data = generate(catalog, 48, seed=101, multi_intent_fraction=0.3)
+    data = generate(dataclasses.replace(catalog, payload_max_len=5), 48, seed=101,
+                    multi_intent_fraction=0.3)
     return cfg, data
 
 
