@@ -12,12 +12,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-
-import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import STAGES, Config, ConfigError, ModelSection, load_config
@@ -31,7 +28,6 @@ CSV_HEADER = ("layer,token_index,group_id,group_name,expert_slot,"
               "adapter_id,group_weight,intra_weight,combined_weight")
 PAD_SLOT = "PAD"  # the adapter_id of a padded slot
 GRAD_TOLERANCE = 1e-4
-MODES = ("full", "base", "adapter")  # eval --mode: the learned mixture, no adapter, one adapter
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
@@ -120,7 +116,7 @@ def cmd_train(args) -> int:
     _write_json(f"{args.ckpt_out}.report.json", report_doc)
     for r in reports:
         label = r.adapter_id or "routers"
-        print(f"{args.stage}/{label}: loss {r.initial_loss:.4f} -> {r.final_loss:.4f} "
+        print(f"{args.stage}/{label}: loss {r.epoch_losses[0]:.4f} -> {r.epoch_losses[-1]:.4f} "
               f"over {r.epochs} epochs ({r.n_samples} samples)")
     print(f"checkpoint: {args.ckpt_out} (stage_completed={args.stage})")
     return 0
@@ -131,21 +127,17 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.lam is not None and not 0.0 <= args.lam <= 1.0:  # NaN fails too
         raise ValueError(f"--lam must lie in [0, 1], got {args.lam}")
-    if (args.adapter_id is None) == (args.mode == "adapter"):
-        raise ValueError("--adapter-id is required by --mode adapter and valid only there")
-    if args.lam is not None and args.mode != "full":
-        raise ValueError("--lam applies only to --mode full")
     model = load_checkpoint(args.ckpt).model
-    if args.adapter_id is not None and args.adapter_id not in model.adapter_ids:
-        raise ValueError(f"unknown adapter id {args.adapter_id!r}; the checkpoint has "
-                       f"{model.adapter_ids}")
+    # None is the learned mixture; "none" the frozen base alone
+    coef = None if args.only is None else model.only(None if args.only == "none" else args.only)
     data = read_jsonl(args.data)
     _check_samples(data, model.cfg.model, args.data)
     if args.lam is not None:
         atmoe = dataclasses.replace(model.cfg.atmoe, lam=args.lam)
         model = ToyTransformer(dataclasses.replace(model.cfg, atmoe=atmoe), model.params)
-    report = evaluate(model, data, None if args.mode == "full" else model.only(args.adapter_id))
-    doc = {"mode": args.mode, **dataclasses.asdict(report)}
+    report = evaluate(model, data, coef)
+    doc = {"only": args.only, "lambda": model.cfg.atmoe.lam if coef is None else None,
+           **dataclasses.asdict(report)}
     if args.out:  # before stdout, which a closed pipe makes raise
         _write_json(args.out, doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -160,7 +152,11 @@ def cmd_inspect(args) -> int:
     fields = [t.strip() for t in args.tokens.split(",") if t.strip()]
     if not fields:
         raise ValueError("no tokens given")
-    tokens = np.asarray([int(t) for t in fields], dtype=np.int64)
+    tokens = [int(t) for t in fields]
+    vocab = model.cfg.model.vocab_size
+    bad = [t for t in tokens if not 0 <= t < vocab]
+    if bad:  # a negative id would index from the end, a huge one overflow int64
+        raise ValueError(f"token id {bad[0]} lies outside [0, {vocab})")
     lines = [CSV_HEADER]
     for layer_i, (gw, iw) in enumerate(model.layer_routing_trace(tokens)):
         for t_i in range(len(tokens)):
@@ -195,8 +191,6 @@ def jitter_params(model: ToyTransformer, std: float = 0.05) -> None:
 
 
 def cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
-        raise ValueError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     cfg = load_config(args.config) if args.config else gradcheck_config()
     model = ToyTransformer(cfg)
     jitter_params(model)
@@ -207,11 +201,11 @@ def cmd_gradcheck(args) -> int:
         errors[name] = grad_check(model, tokens, names,
                                   inject_error=(args.inject_error and idx == 0))
     worst = max(errors.values())
-    passed = worst < args.tolerance
+    passed = worst < GRAD_TOLERANCE
     doc = {
         "classes": errors,
         "max_rel_error": worst,
-        "tolerance": args.tolerance,
+        "tolerance": GRAD_TOLERANCE,
         "passed": passed,
     }
     if args.out:  # before stdout, which a closed pipe makes raise
@@ -243,9 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--mode", default="full", choices=MODES)
-    e.add_argument("--adapter-id", default=None)
-    e.add_argument("--lam", type=float, default=None)
+    mixture = e.add_mutually_exclusive_group()
+    mixture.add_argument("--only", default=None, metavar="ID|none",
+                         help="one adapter alone, or none (the frozen base)")
+    mixture.add_argument("--lam", type=float, default=None)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_eval)
 
@@ -257,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     c.add_argument("--config", default=None)
-    c.add_argument("--tolerance", type=float, default=GRAD_TOLERANCE)
     c.add_argument("--inject-error", action="store_true")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_gradcheck)
@@ -278,7 +272,8 @@ def main(argv=None) -> int:
         print(f"error: a training worker died; no checkpoint written ({exc})", file=sys.stderr)
         return 6
     except (ConfigError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

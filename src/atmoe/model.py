@@ -330,7 +330,7 @@ class ToyTransformer:
         """The constant mixture of ``adapter_id`` alone: its one-hot row over
         ``adapter_ids``, or the all-zero row (no adapter) for None."""
         if adapter_id is not None and adapter_id not in self.adapter_ids:
-            raise KeyError(f"unknown adapter id: {adapter_id!r}")
+            raise KeyError(f"unknown adapter id: {adapter_id!r}; the model has {self.adapter_ids}")
         return np.array([float(aid == adapter_id) for aid in self.adapter_ids])
 
     def router_param_names(self) -> list[str]:

@@ -82,14 +82,6 @@ class TrainReport:
     learning_rate: float
     epoch_losses: list[float]
 
-    @property
-    def initial_loss(self) -> float:
-        return self.epoch_losses[0]
-
-    @property
-    def final_loss(self) -> float:
-        return self.epoch_losses[-1]
-
 
 @dataclass
 class EvalReport:
@@ -342,9 +334,6 @@ def grad_check(model: ToyTransformer, tokens, parameter_subset,
     names = list(parameter_subset)
     if not names:
         raise ValueError("empty parameter subset")
-    missing = [n for n in names if n not in model.params]
-    if missing:
-        raise KeyError(f"unknown parameters: {missing}")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size < 2:
         raise ValueError("need a 1-D token sequence of length >= 2")

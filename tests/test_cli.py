@@ -161,11 +161,10 @@ def test_eval_command_writes_report(workdir, tmp_path, capsys):
     root, _, _, data = workdir
     out = tmp_path / "eval.json"
     rc = main(["eval", "--ckpt", str(root / "router.json"),
-               "--data", str(data / "eval_single.jsonl"), "--mode", "full",
-               "--out", str(out)])
+               "--data", str(data / "eval_single.jsonl"), "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
-    assert doc["mode"] == "full" and doc["n_samples"] == 12
+    assert doc["only"] is None and doc["n_samples"] == 12
     assert set(doc["routing_accuracy"]) == {"function", "domain", "style"}
     printed = json.loads(capsys.readouterr().out)
     assert printed == doc
@@ -184,7 +183,7 @@ def test_closed_stdout_still_writes_out_file(workdir, tmp_path, monkeypatch):
     # print fail; the --out file is written before it, and main exits 2
     root, _, _, data = workdir
     commands = {"eval": ["eval", "--ckpt", str(root / "router.json"),
-                         "--data", str(data / "eval_single.jsonl"), "--mode", "full"],
+                         "--data", str(data / "eval_single.jsonl")],
                 "gradcheck": ["gradcheck"]}
     for name, argv in commands.items():
         want, got = tmp_path / f"{name}_want.json", tmp_path / f"{name}_got.json"
@@ -200,18 +199,16 @@ def test_eval_lam_override_matches_premerged_adapter(workdir, tmp_path):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["eval", "--ckpt", str(root / "router.json"),
                  "--data", str(data / "eval_single.jsonl"),
-                 "--mode", "full", "--lam", "0.0", "--out", str(out_a)]) == 0
+                 "--lam", "0.0", "--out", str(out_a)]) == 0
     assert main(["eval", "--ckpt", str(root / "router.json"),
                  "--data", str(data / "eval_single.jsonl"),
-                 "--mode", "adapter", "--adapter-id", "premerged",
-                 "--out", str(out_b)]) == 0
+                 "--only", "premerged", "--out", str(out_b)]) == 0
     a = json.loads(out_a.read_text())
     b = json.loads(out_b.read_text())
     assert a["mean_loss"] == pytest.approx(b["mean_loss"], rel=1e-12)
 
 
-@pytest.mark.parametrize("flags", [["--mode", "base"],
-                                   ["--mode", "adapter", "--adapter-id", "reverse"]])
+@pytest.mark.parametrize("flags", [["--only", "none"], ["--only", "reverse"]])
 def test_eval_constant_mixture_writes_null_routing(workdir, tmp_path, flags):
     # no router runs without the learned mixture, so there is no routing to report
     root, _, _, data = workdir
@@ -219,7 +216,7 @@ def test_eval_constant_mixture_writes_null_routing(workdir, tmp_path, flags):
     assert main(["eval", "--ckpt", str(root / "router.json"),
                  "--data", str(data / "eval_single.jsonl"), *flags, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["mode"] == flags[1] and doc["n_samples"] == 12
+    assert doc["only"] == flags[1] and doc["n_samples"] == 12
     assert doc["routing_accuracy"] is doc["mean_group_entropy"] is None
     assert '"routing_accuracy": null' in out.read_text()
 
@@ -241,13 +238,44 @@ def test_eval_rejects_lam_outside_unit_interval(workdir, tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("flags", [
-    ["--mode", "full", "--adapter-id", "bogus"],
-    ["--mode", "base", "--adapter-id", "identity"],
-    ["--mode", "base", "--lam", "0.5"],
-    ["--mode", "adapter", "--adapter-id", "identity", "--lam", "0.5"],
-    ["--mode", "adapter"],
+    ["--only", "identity", "--lam", "0.5"],
+    ["--only", "none", "--lam", "0.0"],
+    ["--lam", "1.0", "--only", "premerged"],
+    ["--lam", "0.5", "--only", "none"],
+    ["--only", "bogus", "--lam", "0.5"],
 ])
 def test_eval_rejects_flags_its_mode_does_not_use(workdir, tmp_path, monkeypatch, flags):
+    # a constant mixture (--only) runs no router, so it takes no lambda:
+    # argparse exits 2 before the checkpoint loads
+    root, _, _, data = workdir
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached checkpoint loading or evaluation")
+
+    for name in ("load_checkpoint", "evaluate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "eval.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", str(root / "router.json"),
+              "--data", str(data / "eval_multi.jsonl"), *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_eval_report_names_its_mixture(workdir, tmp_path):
+    # "only" is null for the learned mixture, which reports the lambda it ran at
+    root, cfg, _, data = workdir
+    forms = {(): (None, cfg.atmoe.lam), ("--lam", "0.25"): (None, 0.25),
+             ("--only", "none"): ("none", None), ("--only", "reverse"): ("reverse", None)}
+    for flags, (only, lam) in forms.items():
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--ckpt", str(root / "router.json"),
+                     "--data", str(data / "eval_single.jsonl"), *flags, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["only"], doc["lambda"]) == (only, lam), flags
+
+
+def test_eval_rejects_adapter_id_the_checkpoint_lacks(workdir, tmp_path, monkeypatch, capsys):
     root, _, _, data = workdir
 
     def no_work(*args, **kwargs):
@@ -257,23 +285,11 @@ def test_eval_rejects_flags_its_mode_does_not_use(workdir, tmp_path, monkeypatch
         monkeypatch.setattr(cli, name, no_work)
     out = tmp_path / "eval.json"
     assert main(["eval", "--ckpt", str(root / "router.json"),
-                 "--data", str(data / "eval_multi.jsonl"), *flags, "--out", str(out)]) == 2
+                 "--data", str(data / "eval_multi.jsonl"), "--only", "bogus",
+                 "--out", str(out)]) == 2
     assert not out.exists()
-
-
-def test_eval_rejects_adapter_id_the_checkpoint_lacks(workdir, tmp_path, monkeypatch):
-    root, _, _, data = workdir
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("reached data reading or evaluation")
-
-    for name in ("read_jsonl", "evaluate"):
-        monkeypatch.setattr(cli, name, no_work)
-    out = tmp_path / "eval.json"
-    assert main(["eval", "--ckpt", str(root / "router.json"),
-                 "--data", str(data / "eval_multi.jsonl"), "--mode", "adapter",
-                 "--adapter-id", "bogus", "--out", str(out)]) == 2
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown adapter id: 'bogus'; the model has ['identity', ")
 
 
 def _rechecksummed(doc: dict, path: Path) -> Path:
@@ -388,6 +404,18 @@ def test_inspect_rejects_empty_tokens(workdir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["99999999999999999999", "-1", "40"])
+def test_inspect_rejects_token_id_outside_vocab(workdir, tmp_path, capsys, bad):
+    # vocab_size is 40; a huge id would overflow int64, a negative one wrap
+    root, _, _, _ = workdir
+    out = tmp_path / "x.csv"
+    rc = main(["inspect", "--ckpt", str(root / "router.json"),
+               f"--tokens=3,{bad}", "--out", str(out)])
+    assert rc == 2
+    assert f"token id {bad} lies outside [0, 40)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gradcheck_passes_and_negative_control(tmp_path):
     out = tmp_path / "grad.json"
     assert main(["gradcheck", "--out", str(out)]) == 0
@@ -397,17 +425,6 @@ def test_gradcheck_passes_and_negative_control(tmp_path):
     assert set(doc["classes"]) == {"group_router", "intra_router", "lora_a",
                                    "lora_b", "embeddings", "unembedding"}
     assert main(["gradcheck", "--inject-error"]) == 5
-
-
-@pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])
-def test_gradcheck_rejects_bad_tolerance(tmp_path, monkeypatch, tol):
-    def no_work(*args, **kwargs):
-        raise AssertionError("reached the gradient sweep")
-
-    monkeypatch.setattr(cli, "grad_check", no_work)
-    out = tmp_path / "grad.json"
-    assert main(["gradcheck", f"--tolerance={tol}", "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 def test_train_experts_rejects_empty_task_bucket(workdir, tmp_path, monkeypatch):

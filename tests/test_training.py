@@ -39,12 +39,6 @@ ROOT = Path(__file__).resolve().parents[1]
 VERIFY = ROOT / "runs" / "verify"  # scripts/run_pipeline.py --workdir runs/verify
 
 
-def _mix(model, mode, adapter_id=None):
-    """The mixture of ``atmoe eval --mode``: the learned one for "full", else
-    the constant ``only(adapter_id)``."""
-    return None if mode == "full" else model.only(adapter_id)
-
-
 def _shrunk(cfg, epochs=2, batch=16, lr=1e-2):
     tr = cfg.training
     sec = dataclasses.replace
@@ -159,8 +153,6 @@ def test_train_expert_touches_only_its_adapter(train_setup, monkeypatch, tmp_pat
     assert isinstance(report, TrainReport)
     assert report.stage == "experts" and report.adapter_id == "reverse"
     assert len(report.epoch_losses) == cfg.training.experts.epochs
-    assert report.initial_loss == report.epoch_losses[0]
-    assert report.final_loss == report.epoch_losses[-1]
     assert all(np.isfinite(report.epoch_losses))
 
 
@@ -252,7 +244,7 @@ def test_training_reduces_loss(train_setup):
     model = ToyTransformer(cfg5)
     reports = train_stage(model, "experts", data)
     report = reports[model.task_adapter_ids.index("identity")]
-    assert report.final_loss < report.initial_loss
+    assert report.epoch_losses[-1] < report.epoch_losses[0]
 
 
 def test_train_premerged_touches_only_premerged(train_setup):
@@ -351,7 +343,7 @@ def test_evaluate_report_fields(train_setup):
     assert np.isfinite(learned.mean_group_entropy)
     assert 0.0 <= learned.mean_group_entropy <= np.log(cfg.n_groups) + 1e-12
     d = dataclasses.asdict(rep)
-    assert "mode" not in d and d["n_samples"] == 20
+    assert not d.keys() & {"only", "lambda"} and d["n_samples"] == 20
 
 
 def test_evaluate_modes_agree_on_fresh_model(train_setup):
@@ -398,16 +390,16 @@ def _routed_eval_model(cfg, router=None):
     return model
 
 
-@pytest.mark.parametrize("mode", ["full"])
+@pytest.mark.parametrize("coef", [None], ids=["full"])
 @pytest.mark.parametrize("router", ROUTERS)
-def test_evaluate_routing_matches_per_vector_router(train_setup, router, mode):
+def test_evaluate_routing_matches_per_vector_router(train_setup, router, coef):
     # evaluate reads the routing weights the graph computed on scored rows;
     # the oracle routes the full-row graph's expert inputs per vector. Only
-    # the learned mixture ("full") routes.
+    # the learned mixture (coef None) routes.
     cfg, data = train_setup
     model = _routed_eval_model(cfg, router)
     cfg = model.cfg
-    rep = evaluate(model, data, _mix(model, mode))
+    rep = evaluate(model, data, coef)
 
     hits = {g.name: 0 for g in model.groups}
     ent, n = 0.0, 0
@@ -456,20 +448,24 @@ def test_evaluate_batches_sorted_by_length_with_windowed_last_attention(train_se
     assert min(q0 for _, q0 in graphs) > 0
 
 
-@pytest.mark.parametrize("mode,aid", [("full", None), ("base", None), ("adapter", "reverse")])
-def test_evaluate_does_not_depend_on_sample_order(train_setup, monkeypatch, mode, aid):
+@pytest.mark.parametrize("mixture", [lambda m: None, lambda m: m.only(None),
+                                     lambda m: m.only("reverse")],
+                         ids=["full-None", "base-None", "adapter-reverse"])
+def test_evaluate_does_not_depend_on_sample_order(train_setup, monkeypatch, mixture):
+    # mixture(model) is the coef: learned, the frozen base alone, one expert alone
     cfg, data = train_setup
     model = _routed_eval_model(cfg)
+    coef = mixture(model)
     monkeypatch.setattr(training, "EVAL_BATCH", 8)
-    want = evaluate(model, data, _mix(model, mode, aid))
+    want = evaluate(model, data, coef)
     shuffled = [data[int(i)] for i in np.random.default_rng(5).permutation(len(data))]
     for order in (data[::-1], shuffled):
-        got = evaluate(model, order, _mix(model, mode, aid))
+        got = evaluate(model, order, coef)
         assert got.n_scored_tokens == want.n_scored_tokens
         assert got.token_accuracy == want.token_accuracy
         assert got.routing_accuracy == want.routing_accuracy
         assert got.mean_loss == pytest.approx(want.mean_loss, rel=1e-12, abs=0)
-        if mode == "full":
+        if coef is None:
             assert got.mean_group_entropy == pytest.approx(want.mean_group_entropy, rel=1e-12,
                                                            abs=0)
 
@@ -529,10 +525,10 @@ def test_prefix_from_cache_matches_token_path(train_setup, monkeypatch, router, 
     assert not prefix[pad].any()
     aid = model.task_adapter_ids[0] if mode == "adapter" else None
     trainable = model.adapter_param_names(aid) if aid else model.router_param_names()
+    coef = model.only(aid) if aid else None
     runs = []
     for pre in (prefix, None):
-        loss, P, _ = model.loss_graph(tokens, rows, targets, trainable, _mix(model, mode, aid),
-                                      pre)
+        loss, P, _ = model.loss_graph(tokens, rows, targets, trainable, coef, pre)
         loss.backward()
         runs.append((loss.data, [P[n].grad for n in trainable]))
     (loss, grads), (want_loss, want_grads) = runs
