@@ -34,6 +34,12 @@ def _write_json(path: str | Path, doc: dict) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _check_out_dir(path: str | None) -> None:
+    """Refuse a missing output directory before the work, not after it."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ValueError(f"the directory of {path} does not exist")
+
+
 # ------------------------------------------------------------------ gen-data
 
 def cmd_gen_data(args) -> int:
@@ -93,6 +99,7 @@ def _check_samples(samples, m: ModelSection, source: str | Path) -> None:
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.ckpt_out)  # the report goes beside the checkpoint
     cfg = load_config(args.config)
     train_path = Path(args.data) / "train.jsonl"
     samples = read_jsonl(train_path)
@@ -127,6 +134,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.lam is not None and not 0.0 <= args.lam <= 1.0:  # NaN fails too
         raise ValueError(f"--lam must lie in [0, 1], got {args.lam}")
+    _check_out_dir(args.out)
     model = load_checkpoint(args.ckpt).model
     # None is the learned mixture; "none" the frozen base alone
     coef = None if args.only is None else model.only(None if args.only == "none" else args.only)
@@ -147,6 +155,7 @@ def cmd_eval(args) -> int:
 # ------------------------------------------------------------------- inspect
 
 def cmd_inspect(args) -> int:
+    _check_out_dir(args.out)
     loaded = load_checkpoint(args.ckpt)
     model = loaded.model
     fields = [t.strip() for t in args.tokens.split(",") if t.strip()]
@@ -191,6 +200,7 @@ def jitter_params(model: ToyTransformer, std: float = 0.05) -> None:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_out_dir(args.out)
     cfg = load_config(args.config) if args.config else gradcheck_config()
     model = ToyTransformer(cfg)
     jitter_params(model)

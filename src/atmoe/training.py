@@ -6,18 +6,19 @@ way on the merged dataset. ``router`` trains only the per-layer routers
 through the learned mixture; every adapter and base weight stays untouched.
 A stage's runs are independent (each trains its own parameters over the
 shared frozen base), so ``experts`` runs them in forked worker processes, one
-BLAS thread each. Evaluation reports loss and token accuracy under any
-mixture, and for the learned one routing diagnostics against the
-ground-truth expert-relevance labels carried with each sample.
+BLAS thread each. Evaluation scores its batches on threads and reports loss
+and token accuracy under any mixture, and for the learned one routing
+diagnostics against the ground-truth expert-relevance labels of each sample.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import mmap
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,6 +266,32 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
+def _score_batch(model: ToyTransformer, coef: np.ndarray | None, batch: list[Sample]):
+    """One eval batch's NLL sum, scored rows and correct tokens, and for the
+    learned mixture each layer's entropy sum and each group's argmax hits."""
+    tokens, rows, tg = batch_arrays(batch)
+    logits, _, aux = model.build_graph(tokens, (), coef, rows)
+    nll = float(cross_entropy(logits, tg).data) * len(rows)
+    correct = int((logits.data.argmax(axis=-1) == tg).sum())
+    ents, hits = [], {g.name: 0 for g in model.groups}
+    if coef is not None:
+        return nll, len(rows), correct, ents, hits
+    # per group, [row, slot]: is that slot's expert relevant to the row's sample
+    relevant = [np.array([[e in s.relevant_experts.get(group.name, ()) for e in group.experts]
+                          for s in batch])[rows // tokens.shape[1]]
+                for group in model.groups]
+    L = model.cfg.model.n_layers
+    for i in range(L):
+        # the last layer's arrays hold the scored rows only
+        at = rows if i < L - 1 else slice(None)
+        gw, iw = aux["gw"][i][at], aux["iw"][i][at]
+        ents.append(float(_entropy_rows(gw).sum()))
+        for g, group in enumerate(model.groups):
+            slots = iw[:, g, : len(group.experts)].argmax(axis=-1)
+            hits[group.name] += int(relevant[g][np.arange(len(rows)), slots].sum())
+    return nll, len(rows), correct, ents, hits
+
+
 def evaluate(model: ToyTransformer, data: list[Sample],
              coef: np.ndarray | None = None) -> EvalReport:
     """Deterministic metrics pass under the adapter mixture ``coef`` (see
@@ -273,47 +300,40 @@ def evaluate(model: ToyTransformer, data: list[Sample],
     the counts do not depend on the order of ``data``. Routing is scored from
     the graph's own weights, so only for the learned mixture, against the
     relevance labels of the task table's groups, which the configured groups
-    must be (``check_groups``)."""
+    must be (``check_groups``). Batches run on one thread per CPU (up to one per
+    batch), pinning OpenBLAS to one thread from then on; on one CPU or with no
+    BLAS thread setter, in the calling thread. Summed in batch order, the report
+    is the same either way."""
     if not data:
         raise ValueError("evaluate needs a nonempty dataset")
     check_groups(model.groups)
     data = sorted(data, key=lambda s: len(s.tokens()))
-    L = model.cfg.model.n_layers
-    learned = coef is None
+    batches = [data[start : start + EVAL_BATCH] for start in range(0, len(data), EVAL_BATCH)]
+    score = functools.partial(_score_batch, model, coef)
+    workers = min(len(batches), len(os.sched_getaffinity(0)))
+    set_blas_threads = _blas_thread_setter() if workers > 1 else None
+    if set_blas_threads is None:
+        results = map(score, batches)
+    else:
+        set_blas_threads(1)  # numpy releases the GIL; BLAS threads would compete
+        # leaving the block joins every thread: none is alive when _fit_all forks
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(score, batches))
     nll_sum, n_scored, n_correct = 0.0, 0, 0
     ent_sum, hits = 0.0, {g.name: 0 for g in model.groups}
-
-    for start in range(0, len(data), EVAL_BATCH):
-        batch = data[start : start + EVAL_BATCH]
-        tokens, rows, tg = batch_arrays(batch)
-        logits, _, aux = model.build_graph(tokens, (), coef, rows)
-        nll_sum += float(cross_entropy(logits, tg).data) * len(rows)
-        n_correct += int((logits.data.argmax(axis=-1) == tg).sum())
-        n_scored += len(rows)
-        if not learned:
-            continue
-
-        # per group, [row, slot]: is that slot's expert relevant to the row's sample
-        relevant = [np.array([[e in s.relevant_experts.get(group.name, ()) for e in group.experts]
-                              for s in batch])[rows // tokens.shape[1]]
-                    for group in model.groups]
-        for i in range(L):
-            # the last layer's arrays hold the scored rows only
-            at = rows if i < L - 1 else slice(None)
-            gw, iw = aux["gw"][i][at], aux["iw"][i][at]
-            ent_sum += float(_entropy_rows(gw).sum())
-            for g, group in enumerate(model.groups):
-                slots = iw[:, g, : len(group.experts)].argmax(axis=-1)
-                hits[group.name] += int(relevant[g][np.arange(len(rows)), slots].sum())
-
-    n_routed = L * n_scored  # every layer routes every scored row
+    for nll, n, correct, ents, batch_hits in results:
+        nll_sum, n_scored, n_correct = nll_sum + nll, n_scored + n, n_correct + correct
+        for e in ents:
+            ent_sum += e
+        hits = {name: h + batch_hits[name] for name, h in hits.items()}
+    n_routed = model.cfg.model.n_layers * n_scored  # every layer routes every scored row
     return EvalReport(
         n_samples=len(data),
         n_scored_tokens=n_scored,
         mean_loss=nll_sum / n_scored,
         token_accuracy=n_correct / n_scored,
-        routing_accuracy={name: h / n_routed for name, h in hits.items()} if learned else None,
-        mean_group_entropy=ent_sum / n_routed if learned else None,
+        routing_accuracy={name: h / n_routed for name, h in hits.items()} if coef is None else None,
+        mean_group_entropy=ent_sum / n_routed if coef is None else None,
     )
 
 

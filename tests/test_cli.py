@@ -292,6 +292,33 @@ def test_eval_rejects_adapter_id_the_checkpoint_lacks(workdir, tmp_path, monkeyp
     assert err.startswith("error: unknown adapter id: 'bogus'; the model has ['identity', ")
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "inspect", "gradcheck"])
+def test_missing_output_directory_is_refused_before_any_work(workdir, tmp_path, monkeypatch,
+                                                             capsys, command):
+    # the write would fail only once the stage or report is done; the
+    # directory is checked before any data, checkpoint or training
+    root, _, cfg_path, data = workdir
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached data reading, checkpoint loading or the work")
+
+    for name in ("read_jsonl", "load_checkpoint", "train_stage", "evaluate", "grad_check"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "absent" / "out.json"
+    argv = {
+        "train": ["train", "--stage", "premerged", "--config", str(cfg_path),
+                  "--data", str(data), "--ckpt-in", str(root / "experts.json")],
+        "eval": ["eval", "--ckpt", str(root / "router.json"),
+                 "--data", str(data / "eval_multi.jsonl")],
+        "inspect": ["inspect", "--ckpt", str(root / "router.json"), "--tokens", "0,3,6,1"],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    flag = "--ckpt-out" if command == "train" else "--out"
+    assert main([*argv, flag, str(out)]) == 2
+    assert capsys.readouterr().err == f"error: the directory of {out} does not exist\n"
+    assert not out.parent.exists()
+
+
 def _rechecksummed(doc: dict, path: Path) -> Path:
     doc["checksum"] = checkpoint_checksum(doc)
     path.write_text(canonical_json(doc))

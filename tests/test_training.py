@@ -3,11 +3,13 @@ ordering guard, worker processes against the in-process path, evaluation
 metrics, and the gradient-check harness."""
 
 import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
 import os
 import signal
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -427,9 +429,11 @@ def test_evaluate_routing_matches_per_vector_router(train_setup, router, coef):
 def test_evaluate_batches_sorted_by_length_with_windowed_last_attention(train_setup, monkeypatch):
     # batch widths never fall, and the last block queries from each batch's
     # first scored position, after earlier blocks that query everywhere
+    # (on one CPU: this call order exists only when the batches run in turn)
     cfg, data = train_setup
     model = _routed_eval_model(cfg)
     monkeypatch.setattr(training, "EVAL_BATCH", 8)
+    _cpus(monkeypatch, 1)
     graphs = []
     build_graph = model.build_graph
 
@@ -448,11 +452,14 @@ def test_evaluate_batches_sorted_by_length_with_windowed_last_attention(train_se
     assert min(q0 for _, q0 in graphs) > 0
 
 
-@pytest.mark.parametrize("mixture", [lambda m: None, lambda m: m.only(None),
-                                     lambda m: m.only("reverse")],
-                         ids=["full-None", "base-None", "adapter-reverse"])
+# mixture(model) is the coef: learned, the frozen base alone, one expert alone
+MIXTURES = pytest.mark.parametrize("mixture", [lambda m: None, lambda m: m.only(None),
+                                               lambda m: m.only("reverse")],
+                                   ids=["full-None", "base-None", "adapter-reverse"])
+
+
+@MIXTURES
 def test_evaluate_does_not_depend_on_sample_order(train_setup, monkeypatch, mixture):
-    # mixture(model) is the coef: learned, the frozen base alone, one expert alone
     cfg, data = train_setup
     model = _routed_eval_model(cfg)
     coef = mixture(model)
@@ -468,6 +475,69 @@ def test_evaluate_does_not_depend_on_sample_order(train_setup, monkeypatch, mixt
         if coef is None:
             assert got.mean_group_entropy == pytest.approx(want.mean_group_entropy, rel=1e-12,
                                                            abs=0)
+
+
+@MIXTURES
+def test_evaluate_threads_equal_in_process(train_setup, monkeypatch, mixture):
+    # one CPU and no BLAS thread setter score every batch in this thread, four
+    # CPUs on a thread pool with OpenBLAS pinned to one thread: the same
+    # report, bit for bit, and no thread left behind
+    cfg, data = train_setup
+    model = _routed_eval_model(cfg)
+    coef = mixture(model)
+    monkeypatch.setattr(training, "EVAL_BATCH", 8)
+    set_blas_threads = training._blas_thread_setter()  # None without OpenBLAS
+    build_graph = model.build_graph
+    reports = []
+    for cpus, setter in ((1, True), (4, True), (4, False)):
+        pins, scorers = [], set()
+
+        def pinning(n):
+            pins.append(n)
+            if set_blas_threads is not None:
+                set_blas_threads(n)
+
+        def graph_spy(*args):
+            scorers.add(threading.get_ident())
+            return build_graph(*args)
+
+        with monkeypatch.context() as m:
+            _cpus(m, cpus)
+            m.setattr(training, "_blas_thread_setter", lambda: pinning if setter else None)
+            m.setattr(model, "build_graph", graph_spy)
+            threads = threading.active_count()
+            reports.append(evaluate(model, data, coef))
+        assert threading.active_count() == threads
+        pooled = (cpus, setter) == (4, True)
+        assert pins == ([1] if pooled else [])
+        assert (threading.get_ident() in scorers) is not pooled
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_failed_eval_batch_reaches_the_caller_and_leaves_no_threads(train_setup, monkeypatch,
+                                                                    cpus):
+    # the third batch's graph fails in this thread or on the pool; either way
+    # the caller gets that error and every pool thread is joined
+    cfg, data = train_setup
+    model = _routed_eval_model(cfg)
+    monkeypatch.setattr(training, "EVAL_BATCH", 8)
+    _cpus(monkeypatch, cpus)
+    pins = []
+    monkeypatch.setattr(training, "_blas_thread_setter", lambda: pins.append)
+    calls, build_graph = itertools.count(), model.build_graph
+
+    def failing_graph(*args):
+        if next(calls) == 2:
+            raise FloatingPointError("batch 3 failed")
+        return build_graph(*args)
+
+    monkeypatch.setattr(model, "build_graph", failing_graph)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="^batch 3 failed$"):
+        evaluate(model, data)
+    assert threading.active_count() == threads
+    assert pins == ([1] if cpus == 4 else [])
 
 
 def test_grad_check_passes_and_negative_control_fails(train_setup):
