@@ -42,13 +42,11 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # The first gradient is stored as an owned copy: several parents may
-        # receive the same ``g`` object (see ``add``), and later gradients are
-        # added in place.
-        if self.grad is None:
-            self.grad = np.broadcast_to(g, self.data.shape).copy()
-        else:
-            self.grad += g
+        # Stored as handed over, later ones summed out of place: no stored
+        # gradient is ever written, so nodes may share one (see ``add``).
+        if g.shape != self.data.shape:
+            raise ValueError(f"gradient of shape {g.shape} for a tensor of shape {self.data.shape}")
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Reverse accumulation from this (scalar) node."""
@@ -301,6 +299,13 @@ def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     ``1/sqrt(d/n_heads)`` before the softmax. Only positions ``q0`` and later
     are queries, so the output is [B, T - q0, d]; every position stays a key
     and a value.
+
+    A head whose ``wv`` rows or ``wo`` columns are all zero adds exact zeros.
+    While no weight needs a gradient, the heads outside the first to last
+    live head (a slice, so head arrays stay views) skip their scores,
+    softmax and backward and get zeros in the merged output and head
+    gradients. The projection, output and ``a`` gradient GEMMs keep their
+    full width, so every computed value keeps its summation order.
     """
     B, T, d = a.data.shape
     Tq = T - q0
@@ -308,12 +313,18 @@ def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     scale = 1.0 / np.sqrt(dh)
     af = a.data.reshape(B * T, d)
     aq = a.data[:, q0:].reshape(B * Tq, d)
+    live = np.flatnonzero(wv.data.reshape(n_heads, -1).any(axis=1)
+                          & wo.data.reshape(d, n_heads, dh).any(axis=(0, 2)))
+    heads = (slice(None) if any(w.requires_grad for w in (wq, wk, wv, wo))
+             else slice(live[0], live[-1] + 1) if len(live) else slice(0))
 
-    def split(xf):  # [B*n, d] -> [B, H, n, dh]
-        return xf.reshape(B, -1, n_heads, dh).transpose(0, 2, 1, 3)
+    def split(xf):  # [B*n, d] -> [B, live heads, n, dh]
+        return xf.reshape(B, -1, n_heads, dh).transpose(0, 2, 1, 3)[:, heads]
 
-    def merge(xh):  # [B, H, n, dh] -> [B*n, d]
-        return xh.transpose(0, 2, 1, 3).reshape(-1, d)
+    def merge(xh):  # [B, live heads, n, dh] -> [B*n, d], zero on the skipped heads
+        out = np.zeros((B, xh.shape[2], n_heads, dh))
+        out[:, :, heads] = xh.transpose(0, 2, 1, 3)
+        return out.reshape(-1, d)
 
     q, k, v = split(aq @ wq.data.T), split(af @ wk.data.T), split(af @ wv.data.T)
     causal = np.arange(T)[None, :] <= np.arange(q0, T)[:, None]  # [T - q0, T]

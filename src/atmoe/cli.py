@@ -20,8 +20,8 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import STAGES, Config, ConfigError, ModelSection, load_config
 from .model import ToyTransformer
 from .numerics import derive_rng, mix_seed, write_text
-from .taskgen import (PAYLOAD_IDS, TaskCatalog, check_groups, generate, per_task_split,
-                      read_jsonl, write_jsonl)
+from .taskgen import (PAYLOAD_IDS, TaskCatalog, check_groups, generate, parse_jsonl,
+                      per_task_split, read_jsonl, write_jsonl)
 from .training import StageOrderError, evaluate, grad_check, train_stage
 
 CSV_HEADER = ("layer,token_index,group_id,group_name,expert_slot,"
@@ -102,7 +102,8 @@ def cmd_train(args) -> int:
     _check_out_dir(args.ckpt_out)  # the report goes beside the checkpoint
     cfg = load_config(args.config)
     train_path = Path(args.data) / "train.jsonl"
-    samples = read_jsonl(train_path)
+    raw = train_path.read_bytes()  # hashed as parsed: the file may change mid-stage
+    samples = parse_jsonl(raw, train_path)
     _check_samples(samples, cfg.model, train_path)
 
     if args.ckpt_in:
@@ -116,7 +117,7 @@ def cmd_train(args) -> int:
     save_checkpoint(args.ckpt_out, model, args.stage)
     report_doc = {
         "stage": args.stage,
-        "data_sha256": hashlib.sha256(train_path.read_bytes()).hexdigest(),
+        "data_sha256": hashlib.sha256(raw).hexdigest(),
         "n_samples": len(samples),
         "reports": [dataclasses.asdict(r) for r in reports],
     }

@@ -441,34 +441,39 @@ class ToyTransformer:
 
     def _moe(self, u, P, layer: int, coef: np.ndarray | None, aux: dict):
         b = f"blocks.{layer}"
-        base = ag.linear(u, P[f"{b}.ffn.down_w0"])
         N = u.shape[0]
+        w0 = P[f"{b}.ffn.down_w0"]
+        # a frozen all-zero base projection (the coded base's) adds exact
+        # zeros: its GEMM and add are skipped
+        base = ag.linear(u, w0) if w0.requires_grad or w0.data.any() else None
         used = range(len(self.adapter_ids)) if coef is None else np.flatnonzero(coef)
         if not len(used):
-            return base
+            return ag.Tensor(np.zeros((N, self.cfg.model.d_model))) if base is None else base
         As = [P[f"{b}.moe.experts.{self.adapter_ids[k]}.A"] for k in used]
         Bs = [P[f"{b}.moe.experts.{self.adapter_ids[k]}.B"] for k in used]
         if coef is not None:
-            return ag.add(base, ag.lora_mixture(u, np.tile(np.take(coef, used), (N, 1)), As, Bs))
-
-        lam, G, M = self.cfg.atmoe.lam, self.cfg.n_groups, self.cfg.max_group_size
-        r = self.cfg.router
-        gw, iw = routing(u, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"], self.slot_mask, r.tau_g, r.tau_d)
-        aux["gw"].append(gw.data)
-        aux["iw"].append(iw.data)
-        comb = ag.mul(ag.reshape(gw, (N, G, 1)), iw)
-        # Adapter coefficients in ``adapter_ids`` order: ``pick`` moves slot
-        # (g, m) of the flattened weights to its adapter's column, times lam,
-        # and drops padded slots; the pre-merged column is the constant
-        # 1 - lam. At lam = 0 ``pick`` is all zeros, so the router gets an
-        # exact zero gradient.
-        slots = np.flatnonzero(self.slot_mask)
-        pick = np.zeros((G * M, len(used)))
-        pick[slots, np.arange(len(slots))] = lam
-        const = np.zeros(len(used))
-        const[-1] = 1.0 - lam
-        mix = ag.add(ag.matmul(ag.reshape(comb, (N, G * M)), pick), const)
-        return ag.add(base, ag.lora_mixture(u, mix, As, Bs))
+            mix = np.tile(np.take(coef, used), (N, 1))
+        else:
+            lam, G, M = self.cfg.atmoe.lam, self.cfg.n_groups, self.cfg.max_group_size
+            r = self.cfg.router
+            gw, iw = routing(u, P[f"{b}.moe.wg"], P[f"{b}.moe.wd"], self.slot_mask,
+                             r.tau_g, r.tau_d)
+            aux["gw"].append(gw.data)
+            aux["iw"].append(iw.data)
+            comb = ag.mul(ag.reshape(gw, (N, G, 1)), iw)
+            # Adapter coefficients in ``adapter_ids`` order: ``pick`` moves slot
+            # (g, m) of the flattened weights to its adapter's column, times lam,
+            # and drops padded slots; the pre-merged column is the constant
+            # 1 - lam. At lam = 0 ``pick`` is all zeros, so the router gets an
+            # exact zero gradient.
+            slots = np.flatnonzero(self.slot_mask)
+            pick = np.zeros((G * M, len(used)))
+            pick[slots, np.arange(len(slots))] = lam
+            const = np.zeros(len(used))
+            const[-1] = 1.0 - lam
+            mix = ag.add(ag.matmul(ag.reshape(comb, (N, G * M)), pick), const)
+        y = ag.lora_mixture(u, mix, As, Bs)
+        return y if base is None else ag.add(base, y)
 
     # ------------------------------------------------------------- inference
 

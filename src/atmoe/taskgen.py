@@ -206,16 +206,20 @@ def write_jsonl(path: str | Path, samples: list[Sample]) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[Sample]:
-    """The samples of a JSONL file; a line that is not a UTF-8 sample is a
-    ValueError naming the file and the line."""
+    """The samples of a JSONL file (see ``parse_jsonl``)."""
+    return parse_jsonl(Path(path).read_bytes(), path)
+
+
+def parse_jsonl(raw: bytes, source: str | Path) -> list[Sample]:
+    """The samples of JSONL bytes; a line that is not a UTF-8 sample is a
+    ValueError naming ``source`` and the line."""
     samples = []
-    with open(path, "rb") as fh:
-        for n, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    samples.append(sample_from_dict(json.loads(line.decode("utf-8"))))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {n}: {exc}") from None
+    for n, line in enumerate(raw.split(b"\n"), 1):
+        if line.strip():
+            try:
+                samples.append(sample_from_dict(json.loads(line.decode("utf-8"))))
+            except ValueError as exc:
+                raise ValueError(f"{source}: line {n}: {exc}") from None
     return samples
 
 

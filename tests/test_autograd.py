@@ -328,6 +328,83 @@ def test_windowed_attention_is_the_full_attention_past_q0():
             _assert_rel_close(grads[name], want[name])
 
 
+# which heads of four are dead, and how: "wv" zeroes their value rows, "wo"
+# their output columns, "both" both
+DEAD_HEADS = [pytest.param("wv", (2, 3), id="wv-last-two"),
+              pytest.param("wo", (3,), id="wo-last"),
+              pytest.param("both", (0,), id="both-first"),
+              pytest.param("wv", (0, 1, 2, 3), id="wv-all"),
+              pytest.param("wo", (1,), id="wo-between-live")]
+
+
+def _dead_head_arrays(how, dead, rng, B=3, T=6, d=8, H=4):
+    arrays = {"a": rng.normal(size=(B, T, d))}
+    arrays.update({w: rng.normal(size=(d, d)) / np.sqrt(d) for w in ATTN_LEAVES[1:]})
+    dh = d // H
+    for h in dead:
+        if how in ("wv", "both"):
+            arrays["wv"][h * dh: (h + 1) * dh] = 0.0
+        if how in ("wo", "both"):
+            arrays["wo"][:, h * dh: (h + 1) * dh] = 0.0
+    return arrays
+
+
+@pytest.mark.parametrize("how,dead", DEAD_HEADS)
+@pytest.mark.parametrize("q0", [0, 2])
+def test_dead_heads_are_skipped_bit_for_bit(monkeypatch, how, dead, q0):
+    # frozen weights take the skip; a trainable wo forces the dense path,
+    # which must give the same output and input gradient bit for bit
+    rng = np.random.default_rng(15)
+    arrays = _dead_head_arrays(how, dead, rng)
+    B, T, d = arrays["a"].shape
+    probe = rng.normal(size=(B, T - q0, d))
+    heads = []
+    real_softmax = ag._masked_softmax
+
+    def softmax(z, mask):
+        heads.append(z.shape[1])
+        return real_softmax(z, mask)
+
+    monkeypatch.setattr(ag, "_masked_softmax", softmax)
+
+    def run(trainable):
+        P = {k: ag.Tensor(v, requires_grad=(k in trainable)) for k, v in arrays.items()}
+        out = ag.causal_attention(*(P[k] for k in ATTN_LEAVES), 4, q0)
+        _probe_sum(out, probe).backward()
+        return out.data, P["a"].grad
+
+    skipped, dense = run({"a"}), run({"a", "wo"})
+    # the heads outside the span of live ones are skipped
+    live = sorted(set(range(4)) - set(dead))
+    assert heads == [live[-1] - live[0] + 1 if live else 0, 4]
+    for got, want in zip(skipped, dense):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("how,dead", DEAD_HEADS)
+def test_attention_with_dead_heads_matches_unfused_and_finite_differences(how, dead):
+    # the dense runs (a weight trainable) on the zeroed weights
+    rng = np.random.default_rng(16)
+    arrays = _dead_head_arrays(how, dead, rng)
+    probe = rng.normal(size=arrays["a"].shape)
+
+    def run(attention):
+        P = {k: ag.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        out = attention(*(P[k] for k in ATTN_LEAVES), 4)
+        _probe_sum(out, probe).backward()
+        return out.data, {k: t.grad for k, t in P.items()}
+
+    (out, grads), (ref_out, ref_grads) = run(ag.causal_attention), run(_unfused_attention)
+    _assert_rel_close(out, ref_out)
+    for name in ATTN_LEAVES:
+        _assert_rel_close(grads[name], ref_grads[name])
+
+    def build(**leaves):
+        return ag.causal_attention(*(leaves[k] for k in ATTN_LEAVES), 4)
+
+    _check_fused_grads(build, arrays, {"a", "wo"}, probe)
+
+
 def test_gelu_cube_matches_pow_formula():
     # gelu(x) is of size |x| or less, so the error is measured against
     # max(|gelu(x)|, |x|): near x << 0 the output itself cancels to ~0.
@@ -453,6 +530,41 @@ def test_view_gradient_then_second_gradient(view_first):
     np.testing.assert_array_equal(r.grad, c2)
     assert not np.shares_memory(x.grad, t.grad)
     assert not np.shares_memory(x.grad, r.grad)
+
+
+@pytest.mark.parametrize("op", ["add", "reshape", "transpose"])
+def test_shared_first_gradient_survives_a_second_gradient(op):
+    # a parent stores its first gradient as handed over: the same object as
+    # its sibling's (add) or a view of its child's (reshape, transpose); a
+    # second gradient into the parent must leave that other gradient as it is
+    rng = np.random.default_rng(13)
+    x = ag.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    if op == "add":
+        other = ag.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        out = ag.add(x, other)
+    else:
+        out = ag.reshape(x, (3, 2)) if op == "reshape" else ag.transpose(x, (1, 0))
+        other = out
+    g1, g2 = rng.normal(size=out.shape), rng.normal(size=(2, 3))
+    out._accumulate(g1)
+    out._backward(out.grad)
+    first = {"add": g1, "reshape": g1.reshape(2, 3), "transpose": g1.T}[op]
+    assert np.shares_memory(x.grad, other.grad)
+    x._accumulate(g2)
+    np.testing.assert_array_equal(other.grad, g1)
+    np.testing.assert_array_equal(x.grad, first + g2)
+
+
+def test_gradient_of_the_wrong_shape_raises():
+    # first or later, a gradient must have its tensor's shape; none broadcasts
+    x = ag.Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match=r"gradient of shape \(3,\) for a tensor of shape \(2, 3\)"):
+        x._accumulate(np.ones(3))
+    assert x.grad is None
+    x._accumulate(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="gradient of shape"):
+        x._accumulate(np.ones((1, 3)))
+    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def _where_softmax(z, mask):

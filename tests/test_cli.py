@@ -115,6 +115,32 @@ def test_train_report_names_data_by_hash_not_path(workdir, tmp_path, monkeypatch
     assert doc["data_sha256"] == hashlib.sha256((data / "train.jsonl").read_bytes()).hexdigest()
 
 
+def test_train_report_hashes_the_bytes_it_trained_on(workdir, tmp_path, monkeypatch):
+    # train.jsonl is replaced while the stage runs: the report names the
+    # bytes that were parsed and trained on, not the file left afterwards
+    root, _, cfg_path, data = workdir
+    moved = tmp_path / "data"
+    moved.mkdir()
+    original = (data / "train.jsonl").read_bytes()
+    (moved / "train.jsonl").write_bytes(original)
+    real = cli.train_stage
+
+    def rewriting_stage(model, stage, samples):
+        reports = real(model, stage, samples)
+        write_jsonl(moved / "train.jsonl", samples[:5])
+        return reports
+
+    monkeypatch.setattr(cli, "train_stage", rewriting_stage)
+    out = tmp_path / "premerged.json"
+    assert main(["train", "--stage", "premerged", "--config", str(cfg_path),
+                 "--data", str(moved), "--ckpt-in", str(root / "experts.json"),
+                 "--ckpt-out", str(out)]) == 0
+    assert (moved / "train.jsonl").read_bytes() != original
+    doc = json.loads(Path(f"{out}.report.json").read_text())
+    assert doc["data_sha256"] == hashlib.sha256(original).hexdigest()
+    assert doc["n_samples"] == 48
+
+
 def test_train_router_without_ckpt_in_fails(workdir, tmp_path, capsys):
     # a fresh model's task experts are untrained: refused before any work,
     # with no checkpoint or report written
@@ -302,7 +328,8 @@ def test_missing_output_directory_is_refused_before_any_work(workdir, tmp_path, 
     def no_work(*args, **kwargs):
         raise AssertionError("reached data reading, checkpoint loading or the work")
 
-    for name in ("read_jsonl", "load_checkpoint", "train_stage", "evaluate", "grad_check"):
+    for name in ("read_jsonl", "parse_jsonl", "load_checkpoint", "train_stage", "evaluate",
+                 "grad_check"):
         monkeypatch.setattr(cli, name, no_work)
     out = tmp_path / "absent" / "out.json"
     argv = {
@@ -663,7 +690,7 @@ def test_train_rejects_zero_epochs_before_any_work(workdir, tmp_path, monkeypatc
     def no_work(*args, **kwargs):
         raise AssertionError("reached data reading or training")
 
-    for name in ("read_jsonl", "load_checkpoint", "train_stage"):
+    for name in ("read_jsonl", "parse_jsonl", "load_checkpoint", "train_stage"):
         monkeypatch.setattr(cli, name, no_work)
     prev = {"experts": None, "premerged": "experts", "router": "premerged"}[stage]
     ckpt_out = tmp_path / "out.json"

@@ -481,6 +481,76 @@ def test_prefix_rejects_trainable_prefix_parameter(name):
                          prefix=model.frozen_prefix(tokens))
 
 
+def _default_coded_model():
+    return M.ToyTransformer(load_config(Path(__file__).resolve().parents[1]
+                                        / "configs" / "default.json"))
+
+
+@pytest.mark.parametrize("mixture", ["learned", "reverse", "none"])
+def test_zero_base_projection_is_skipped_bit_for_bit(mixture):
+    # the coded base's frozen zero down_w0 is skipped; a trainable one forces
+    # the dense path: logits and every other gradient must be the same bits
+    model = _default_coded_model()
+    jitter_adapters(model)
+    coef = {"learned": None, "reverse": model.only("reverse"), "none": model.only(None)}[mixture]
+    trainable = model.adapter_param_names("reverse") + model.router_param_names() + ["unembed"]
+    zero_bases = [f"blocks.{i}.ffn.down_w0" for i in range(model.cfg.model.n_layers)]
+    assert not any(model.params[n].any() for n in zero_bases)
+    tokens, rows, targets = _scored_batch(model.cfg)
+    runs = []
+    for extra in ([], zero_bases):
+        logits, P, aux = model.build_graph(tokens, trainable + extra, coef, rows)
+        ag.cross_entropy(logits, targets).backward()
+        runs.append((logits.data, aux["moe_output"], [P[n].grad for n in trainable]))
+    (logits, outputs, grads), (want_logits, want_outputs, want_grads) = runs
+    assert np.array_equal(logits, want_logits)
+    for y, want in zip(outputs, want_outputs):
+        assert np.array_equal(y, want)
+    if mixture == "none":
+        assert not any(y.any() for y in outputs)
+    for name, g, want in zip(trainable, grads, want_grads):
+        assert (g is None and want is None) or np.array_equal(g, want), name
+
+
+@pytest.mark.parametrize("mixture", ["learned", "identity"])
+def test_default_coded_model_skips_its_exact_zeros(monkeypatch, mixture):
+    # the coded base leaves block 0's head 3 and block 1's heads 2-3 unused
+    # and zeroes every down_w0: the attention softmax sees 3 and 2 heads, and
+    # no linear takes a down_w0. A layout change that revives a head, or a
+    # nonzero base projection, fails here instead of slowing every step
+    model = _default_coded_model()
+    coef = None if mixture == "learned" else model.only(mixture)
+    trainable = model.adapter_param_names("identity")
+    tokens, rows, targets = _scored_batch(model.cfg)
+    softmax_heads, linear_weights, in_attention = [], [], []
+    real_attention, real_softmax, real_linear = ag.causal_attention, ag._masked_softmax, ag.linear
+
+    def attention(*args):
+        in_attention.append(True)
+        try:
+            return real_attention(*args)
+        finally:
+            in_attention.pop()
+
+    def softmax(z, mask):
+        if in_attention:
+            softmax_heads.append(z.shape[1])
+        return real_softmax(z, mask)
+
+    def linear(x, w, b=None):
+        linear_weights.append(w.data)
+        return real_linear(x, w, b)
+
+    monkeypatch.setattr(ag, "causal_attention", attention)
+    monkeypatch.setattr(ag, "_masked_softmax", softmax)
+    monkeypatch.setattr(ag, "linear", linear)
+    loss, _, _ = model.loss_graph(tokens, rows, targets, trainable, coef)
+    loss.backward()
+    assert softmax_heads == [3, 2]
+    up = [model.params[f"blocks.{i}.ffn.up_w"] for i in range(2)]
+    assert len(linear_weights) == 2 and all(w is u for w, u in zip(linear_weights, up))
+
+
 def test_graph_rejects_overlong_and_out_of_vocab_tokens(catalog):
     # batch_arrays pads to the longest sample and checks nothing; every batch
     # reaches the token check through build_graph or frozen_prefix
