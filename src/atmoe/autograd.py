@@ -3,8 +3,8 @@
 Each op records its parents and a closure that pushes the upstream gradient
 through the local Jacobian. ``backward()`` walks the graph in reverse
 topological order. The op set is exactly what the transformer and routing
-stack need; masks, token ids, and temperatures enter ops as plain numpy
-data, never as graph nodes.
+stack need; masks, token ids, temperatures and the frozen base weights enter
+ops as plain numpy data, never as graph nodes.
 """
 
 from __future__ import annotations
@@ -124,20 +124,15 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w.T (+ b)`` as one node: x is [N, d_in], w [d_out, d_in], b [d_out]."""
-    parents = (x, w) if b is None else (x, w, b)
+def linear(x: Tensor, w: np.ndarray, b: np.ndarray | None = None) -> Tensor:
+    """``x @ w.T (+ b)`` as one node: x is [N, d_in], the constants w
+    [d_out, d_in] and b [d_out]. Only ``x`` gets a gradient."""
 
     def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.data)
-        if w.requires_grad:
-            w._accumulate(g.T @ x.data)
-        if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+        x._accumulate(g @ w)
 
-    out = x.data @ w.data.T
-    return _make(out if b is None else out + b.data, parents, bwd)
+    out = x.data @ w.T
+    return _make(out if b is None else out + b, (x,), bwd)
 
 
 def lora_mixture(x: Tensor, coef, As, Bs) -> Tensor:
@@ -290,22 +285,22 @@ def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (g - (g * y).sum(axis=-1, keepdims=True)) * y
 
 
-def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                     n_heads: int, q0: int = 0) -> Tensor:
+def causal_attention(a: Tensor, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+                     wo: np.ndarray, n_heads: int, q0: int = 0) -> Tensor:
     """Causal multi-head self-attention as one node.
 
-    ``a`` is [B, T, d]; each weight is [d, d] and applied as ``x @ w.T``.
-    Each query sees its own and earlier positions; scores are scaled by
-    ``1/sqrt(d/n_heads)`` before the softmax. Only positions ``q0`` and later
-    are queries, so the output is [B, T - q0, d]; every position stays a key
-    and a value.
+    ``a`` is [B, T, d]; each weight is a constant [d, d] array, applied as
+    ``x @ w.T``. Each query sees its own and earlier positions; scores are
+    scaled by ``1/sqrt(d/n_heads)`` before the softmax. Only positions ``q0``
+    and later are queries, so the output is [B, T - q0, d]; every position
+    stays a key and a value. Only ``a`` gets a gradient.
 
     A head whose ``wv`` rows or ``wo`` columns are all zero adds exact zeros.
-    While no weight needs a gradient, the heads outside the first to last
-    live head (a slice, so head arrays stay views) skip their scores,
-    softmax and backward and get zeros in the merged output and head
-    gradients. The projection, output and ``a`` gradient GEMMs keep their
-    full width, so every computed value keeps its summation order.
+    The heads outside the first to last live head (a slice, so head arrays
+    stay views) skip their scores, softmax and backward and get zeros in the
+    merged output and head gradients. The projection, output and ``a``
+    gradient GEMMs keep their full width, so every computed value keeps its
+    summation order.
     """
     B, T, d = a.data.shape
     Tq = T - q0
@@ -313,10 +308,9 @@ def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     scale = 1.0 / np.sqrt(dh)
     af = a.data.reshape(B * T, d)
     aq = a.data[:, q0:].reshape(B * Tq, d)
-    live = np.flatnonzero(wv.data.reshape(n_heads, -1).any(axis=1)
-                          & wo.data.reshape(d, n_heads, dh).any(axis=(0, 2)))
-    heads = (slice(None) if any(w.requires_grad for w in (wq, wk, wv, wo))
-             else slice(live[0], live[-1] + 1) if len(live) else slice(0))
+    live = np.flatnonzero(wv.reshape(n_heads, -1).any(axis=1)
+                          & wo.reshape(d, n_heads, dh).any(axis=(0, 2)))
+    heads = slice(live[0], live[-1] + 1) if len(live) else slice(0)
 
     def split(xf):  # [B*n, d] -> [B, live heads, n, dh]
         return xf.reshape(B, -1, n_heads, dh).transpose(0, 2, 1, 3)[:, heads]
@@ -326,33 +320,23 @@ def causal_attention(a: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         out[:, :, heads] = xh.transpose(0, 2, 1, 3)
         return out.reshape(-1, d)
 
-    q, k, v = split(aq @ wq.data.T), split(af @ wk.data.T), split(af @ wv.data.T)
+    q, k, v = split(aq @ wq.T), split(af @ wk.T), split(af @ wv.T)
     causal = np.arange(T)[None, :] <= np.arange(q0, T)[:, None]  # [T - q0, T]
     y = _masked_softmax((q @ k.transpose(0, 1, 3, 2)) * scale, causal)
-    of = merge(y @ v)
 
     def bwd(g):
-        gf = g.reshape(B * Tq, d)
-        if wo.requires_grad:
-            wo._accumulate(gf.T @ of)
-        if not any(p.requires_grad for p in (a, wq, wk, wv)):
-            return
-        go = split(gf @ wo.data)
+        go = split(g.reshape(B * Tq, d) @ wo)
         gs = _softmax_vjp(go @ v.transpose(0, 1, 3, 2), y) * scale
         gq, gk, gv = (merge(gh) for gh in (gs @ k, gs.transpose(0, 1, 3, 2) @ q,
                                             y.transpose(0, 1, 3, 2) @ go))
-        for w, gw, x in ((wq, gq, aq), (wk, gk, af), (wv, gv, af)):
-            if w.requires_grad:
-                w._accumulate(gw.T @ x)
-        if a.requires_grad:
-            # summed in the order (gq + gk) + gv, as when every position queries
-            ga = np.zeros((B, T, d))
-            ga[:, q0:] = (gq @ wq.data).reshape(B, Tq, d)
-            ga += (gk @ wk.data).reshape(B, T, d)
-            ga += (gv @ wv.data).reshape(B, T, d)
-            a._accumulate(ga)
+        # summed in the order (gq + gk) + gv, as when every position queries
+        ga = np.zeros((B, T, d))
+        ga[:, q0:] = (gq @ wq).reshape(B, Tq, d)
+        ga += (gk @ wk).reshape(B, T, d)
+        ga += (gv @ wv).reshape(B, T, d)
+        a._accumulate(ga)
 
-    return _make((of @ wo.data.T).reshape(B, Tq, d), (a, wq, wk, wv, wo), bwd)
+    return _make((merge(y @ v) @ wo.T).reshape(B, Tq, d), (a,), bwd)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -1,9 +1,10 @@
 """Command-line entry point: dataset generation, staged training, evaluation,
 routing-weight CSV dumps, and gradient verification.
 
-Exit codes: 0 success, 2 input error, 3 stage-order error (the router stage
-over untrained adapters), 4 corrupt checkpoint, 5 verification failure, 6 a
-training worker died (no checkpoint written).
+Exit codes: 0 success, 2 input error (a loss that the training settings
+drive non-finite too; no checkpoint written), 3 stage-order error (the router
+stage over untrained adapters), 4 corrupt checkpoint, 5 verification failure,
+6 a training worker died (no checkpoint written).
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
     except BrokenProcessPool as exc:
         print(f"error: a training worker died; no checkpoint written ({exc})", file=sys.stderr)
         return 6
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, FloatingPointError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
 """A small decoder-only transformer whose FFN down-projection in every block
-is the blended expert layer. The base weights are frozen; adapters and routers
-are the only things any training stage touches.
+is the blended expert layer. Only the ``GRAD_CLASSES`` kinds may train; the
+rest is the frozen base, which enters the graph as constant arrays, as masks do.
 
 Parameters live in a flat ``name -> ndarray`` store whose names and shapes
 ``param_shapes`` derives from the config; the batched graph of ``build_graph``
@@ -57,12 +57,13 @@ ADAPTER_STD = 0.02  # LoRA A factors; B starts at 0, so a fresh adapter is inert
 INIT_STD = {"tok_emb": EMBED_STD, "pos_emb": EMBED_STD, "unembed": READOUT_STD,
             "wg": ROUTER_STD, "wd": ROUTER_STD, "A": ADAPTER_STD}
 FAN_IN_INIT = ("wq", "wk", "wv", "wo", "up_w", "down_w0")
-# Gradient-check classes by kind, in report order; frozen attention and FFN in none
+# The one rule of what may train: the kinds of these gradient-check classes (in
+# report order). Attention, FFN up-projection and base down-projection are in none.
 GRAD_CLASSES = {"group_router": ("wg",), "intra_router": ("wd",), "lora_a": ("A",),
                 "lora_b": ("B",), "embeddings": ("tok_emb", "pos_emb"),
                 "unembedding": ("unembed",)}
 
-PREFIX_PARAMS = ("tok_emb", "pos_emb", "blocks.0.attn.")  # name prefixes
+PREFIX_PARAMS = ("tok_emb", "pos_emb")  # what a prefix replaces that may train
 
 # ---------------------------------------------------------------------------
 # Coded-reservoir layout: the residual blocks as (name, width), in coordinate
@@ -166,6 +167,7 @@ class ToyTransformer:
         self.slot_mask = slot_mask(self.groups)
         self.params = params if params is not None else self._init_params()
         self._check_param_names()
+        self.may_train = frozenset(n for names in self.param_classes().values() for n in names)
 
     # ------------------------------------------------------------------ setup
 
@@ -369,12 +371,12 @@ class ToyTransformer:
 
     def _prefix(self, tokens: np.ndarray, P: dict, q0: int = 0):
         pos = ag.getitem(P["pos_emb"], slice(0, tokens.shape[1]))
-        return self._attend(ag.add(ag.embedding(P["tok_emb"], tokens), pos), P, 0, q0)
+        return self._attend(ag.add(ag.embedding(P["tok_emb"], tokens), pos), 0, q0)
 
-    def _attend(self, h, P: dict, layer: int, q0: int = 0):
+    def _attend(self, h, layer: int, q0: int = 0):
         """Block ``layer``'s attention and residual add at positions ``q0`` and
         later: [B, T, d] in, [B, T - q0, d] out."""
-        attn = [P[f"blocks.{layer}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
+        attn = [self.params[f"blocks.{layer}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
         out = ag.causal_attention(ag.layer_norm(h), *attn, self.cfg.model.n_heads, q0)
         return ag.add(ag.getitem(h, (slice(None), slice(q0, None))) if q0 else h, out)
 
@@ -383,13 +385,17 @@ class ToyTransformer:
                     prefix: np.ndarray | None = None):
         """Batched forward graph; returns (logits Tensor, leaf dict, aux).
 
+        The leaf dict holds the parameters of the kinds that may train (see
+        ``GRAD_CLASSES``), and ``trainable`` names the ones that get a
+        gradient; naming a frozen base parameter raises ValueError.
+
         ``coef`` mixes the adapters of every expert projection. ``None`` is the
         learned mixture: ``atmoe.lam`` times the routed weights plus ``1 - lam``
         on the pre-merged adapter. A row over ``adapter_ids`` is a constant
         mixture (see ``only``); only its nonzero adapters run.
 
         ``prefix``, a constant from ``frozen_prefix``, replaces the embedding and
-        block 0's attention, so their ``PREFIX_PARAMS`` must stay frozen.
+        block 0's attention, so the ``PREFIX_PARAMS`` must stay frozen too.
 
         ``rows``, sorted unique flat indices ``b*T + p`` into the B*T
         positions (``batch_arrays``; ``None`` is every position), selects the
@@ -408,14 +414,18 @@ class ToyTransformer:
         mixture ``gw`` (group weights [N, G]) and ``iw`` (intra-group weights
         [N, G, M]). The last layer's arrays hold ``rows`` only.
         """
+        trainable = set(trainable)
+        frozen = sorted((trainable - self.may_train) & self.params.keys())
+        if frozen:
+            raise ValueError(f"frozen base parameters cannot train: {frozen}")
+        if prefix is not None and trainable.intersection(PREFIX_PARAMS):
+            raise ValueError("a prefix needs frozen embeddings")
         if coef is not None and np.shape(coef) != (len(self.adapter_ids),):
             raise ValueError(f"coef needs one entry per adapter, got shape {np.shape(coef)}")
         tokens = self._validate_tokens(tokens)
         B, T = tokens.shape
         m = self.cfg.model
-        P = ag.parameters(self.params, trainable)
-        if prefix is not None and any(P[n].requires_grad for n in P if n.startswith(PREFIX_PARAMS)):
-            raise ValueError("a prefix needs frozen embeddings and block 0 attention")
+        P = ag.parameters({n: v for n, v in self.params.items() if n in self.may_train}, trainable)
         aux: dict = {"moe_input": [], "moe_output": [], "gw": [], "iw": []}
         rows = np.arange(B * T) if rows is None else rows
         q0 = int((rows % T).min()) if len(rows) else 0
@@ -425,12 +435,12 @@ class ToyTransformer:
         h = self._prefix(tokens, P, t0[0]) if prefix is None else ag.Tensor(prefix[:, t0[0]:])
         for i in range(m.n_layers):
             b = f"blocks.{i}"
-            h = ag.reshape(h if i == 0 else self._attend(h, P, i, t0[i]),
+            h = ag.reshape(h if i == 0 else self._attend(h, i, t0[i]),
                            (B * (T - t0[i]), m.d_model))
             if i == m.n_layers - 1:
                 h = ag.getitem(h, rows)
             x = ag.layer_norm(h)
-            u = ag.gelu(ag.linear(x, P[f"{b}.ffn.up_w"], P[f"{b}.ffn.up_b"]))
+            u = ag.gelu(ag.linear(x, self.params[f"{b}.ffn.up_w"], self.params[f"{b}.ffn.up_b"]))
             aux["moe_input"].append(u.data)
             y = self._moe(u, P, i, coef, aux)
             aux["moe_output"].append(y.data)
@@ -442,10 +452,10 @@ class ToyTransformer:
     def _moe(self, u, P, layer: int, coef: np.ndarray | None, aux: dict):
         b = f"blocks.{layer}"
         N = u.shape[0]
-        w0 = P[f"{b}.ffn.down_w0"]
-        # a frozen all-zero base projection (the coded base's) adds exact
-        # zeros: its GEMM and add are skipped
-        base = ag.linear(u, w0) if w0.requires_grad or w0.data.any() else None
+        w0 = self.params[f"{b}.ffn.down_w0"]
+        # an all-zero base projection (the coded base's) adds exact zeros: its
+        # GEMM and add are skipped
+        base = ag.linear(u, w0) if w0.any() else None
         used = range(len(self.adapter_ids)) if coef is None else np.flatnonzero(coef)
         if not len(used):
             return ag.Tensor(np.zeros((N, self.cfg.model.d_model))) if base is None else base

@@ -223,42 +223,43 @@ def _check_fused_grads(build, arrays, trainable, probe):
 
 
 def test_linear_grads_match_finite_differences():
+    # the weight and bias are constants: the input is the one graph parent
     rng = np.random.default_rng(8)
-    arrays = {"x": rng.normal(size=(5, 3)), "w": rng.normal(size=(4, 3)),
-              "b": rng.normal(size=4)}
+    x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=4)
     probe = rng.normal(size=(5, 4))
-    for trainable in ({"x", "w", "b"}, {"w"}, {"x", "b"}):
-        _check_fused_grads(ag.linear, arrays, trainable, probe)
-    no_bias = {k: arrays[k] for k in ("x", "w")}
-    _check_fused_grads(ag.linear, no_bias, {"x", "w"}, probe)
+    for bias in (b, None):
+        _check_fused_grads(lambda x: ag.linear(x, w, bias), {"x": x}, {"x"}, probe)
+        leaf = ag.Tensor(x, requires_grad=True)
+        assert ag.linear(leaf, w, bias)._parents == (leaf,)
+        assert not ag.linear(ag.Tensor(x), w, bias).requires_grad
 
 
 ATTN_LEAVES = ("a", "wq", "wk", "wv", "wo")
 
 
-@pytest.mark.parametrize("trainable", [
-    set(ATTN_LEAVES), {"a"}, {"wq", "wo"}, {"wk"}, {"a", "wv"}, {"wo"},
-])
-def test_causal_attention_grads_match_finite_differences(trainable):
+@pytest.mark.parametrize("H", [1, 2, 4])
+@pytest.mark.parametrize("q0", [0, 2])
+def test_causal_attention_grads_match_finite_differences(H, q0):
+    # the weights are constants: the input is the one graph parent
     rng = np.random.default_rng(9)
-    B, T, d, H = 2, 3, 4, 2
-    arrays = {"a": rng.normal(size=(B, T, d))}
-    arrays.update({w: rng.normal(size=(d, d)) for w in ATTN_LEAVES[1:]})
-    probe = rng.normal(size=(B, T, d))
-
-    def build(**leaves):
-        return ag.causal_attention(*(leaves[k] for k in ATTN_LEAVES), H)
-
-    _check_fused_grads(build, arrays, trainable, probe)
+    B, T, d = 2, 4, 4
+    a = rng.normal(size=(B, T, d))
+    ws = [rng.normal(size=(d, d)) for _ in ATTN_LEAVES[1:]]
+    probe = rng.normal(size=(B, T - q0, d))
+    _check_fused_grads(lambda a: ag.causal_attention(a, *ws, H, q0), {"a": a}, {"a"}, probe)
+    leaf = ag.Tensor(a, requires_grad=True)
+    assert ag.causal_attention(leaf, *ws, H, q0)._parents == (leaf,)
 
 
 def _unfused_linear(x, w, b=None):
-    out = ag.matmul(x, ag.transpose(w, (1, 0)))
+    """``x @ w.T (+ b)`` from matmul and add; ``w`` a Tensor or an array."""
+    out = ag.matmul(x, ag.transpose(w, (1, 0)) if isinstance(w, ag.Tensor) else w.T)
     return out if b is None else ag.add(out, b)
 
 
 def _unfused_attention(a, wq, wk, wv, wo, n_heads):
-    """The causal attention block composed from primitive ops, one node per step."""
+    """The causal attention block composed from primitive ops, one node per
+    step, with constant weights."""
     B, T, d = a.shape
     causal = np.tril(np.ones((T, T), dtype=bool))
     dh = d // n_heads
@@ -289,17 +290,15 @@ def test_fused_ops_match_unfused_composition(B, T, d, H):
     probe = rng.normal(size=(B * T, 2 * d))
 
     def run(attention, linear):
-        P = {k: ag.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        h = attention(*(P[k] for k in ATTN_LEAVES), H)
-        out = linear(ag.reshape(h, (B * T, d)), P["up_w"], P["up_b"])
+        a = ag.Tensor(arrays["a"], requires_grad=True)
+        h = attention(a, *(arrays[k] for k in ATTN_LEAVES[1:]), H)
+        out = linear(ag.reshape(h, (B * T, d)), arrays["up_w"], arrays["up_b"])
         _probe_sum(out, probe).backward()
-        return out.data, {k: t.grad for k, t in P.items()}
+        return out.data, a.grad
 
-    fused_out, fused_grads = run(ag.causal_attention, ag.linear)
-    ref_out, ref_grads = run(_unfused_attention, _unfused_linear)
-    _assert_rel_close(fused_out, ref_out)
-    for name in arrays:
-        _assert_rel_close(fused_grads[name], ref_grads[name])
+    for got, want in zip(run(ag.causal_attention, ag.linear),
+                         run(_unfused_attention, _unfused_linear)):
+        _assert_rel_close(got, want)
 
 
 def test_windowed_attention_is_the_full_attention_past_q0():
@@ -313,19 +312,18 @@ def test_windowed_attention_is_the_full_attention_past_q0():
     probe = rng.normal(size=(B, T, d))
 
     def run(q0, upstream):
-        P = {k: ag.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        out = ag.causal_attention(*(P[k] for k in ATTN_LEAVES), H, q0)
+        a = ag.Tensor(arrays["a"], requires_grad=True)
+        out = ag.causal_attention(a, *(arrays[k] for k in ATTN_LEAVES[1:]), H, q0)
         _probe_sum(out, upstream).backward()
-        return out.data, {k: t.grad for k, t in P.items()}
+        return out.data, a.grad
 
     full_out, _ = run(0, probe)
     for q0 in (0, 1, T - 1):
-        out, grads = run(q0, probe[:, q0:])
+        out, grad = run(q0, probe[:, q0:])
         assert out.shape == (B, T - q0, d)
         _assert_rel_close(out, full_out[:, q0:])
         _, want = run(0, np.where(np.arange(T)[None, :, None] < q0, 0.0, probe))
-        for name in ATTN_LEAVES:
-            _assert_rel_close(grads[name], want[name])
+        _assert_rel_close(grad, want)
 
 
 # which heads of four are dead, and how: "wv" zeroes their value rows, "wo"
@@ -352,12 +350,17 @@ def _dead_head_arrays(how, dead, rng, B=3, T=6, d=8, H=4):
 @pytest.mark.parametrize("how,dead", DEAD_HEADS)
 @pytest.mark.parametrize("q0", [0, 2])
 def test_dead_heads_are_skipped_bit_for_bit(monkeypatch, how, dead, q0):
-    # frozen weights take the skip; a trainable wo forces the dense path,
-    # which must give the same output and input gradient bit for bit
+    # the heads outside the span of live ones are skipped: random query and
+    # key rows on the dead heads change no bit of the output or input gradient
     rng = np.random.default_rng(15)
     arrays = _dead_head_arrays(how, dead, rng)
     B, T, d = arrays["a"].shape
     probe = rng.normal(size=(B, T - q0, d))
+    noisy = dict(arrays, wq=arrays["wq"].copy(), wk=arrays["wk"].copy())
+    dh = d // 4
+    for h in dead:
+        for w in ("wq", "wk"):
+            noisy[w][h * dh: (h + 1) * dh] = rng.normal(size=(dh, d))
     heads = []
     real_softmax = ag._masked_softmax
 
@@ -367,42 +370,35 @@ def test_dead_heads_are_skipped_bit_for_bit(monkeypatch, how, dead, q0):
 
     monkeypatch.setattr(ag, "_masked_softmax", softmax)
 
-    def run(trainable):
-        P = {k: ag.Tensor(v, requires_grad=(k in trainable)) for k, v in arrays.items()}
-        out = ag.causal_attention(*(P[k] for k in ATTN_LEAVES), 4, q0)
+    def run(ws):
+        a = ag.Tensor(ws["a"], requires_grad=True)
+        out = ag.causal_attention(a, *(ws[k] for k in ATTN_LEAVES[1:]), 4, q0)
         _probe_sum(out, probe).backward()
-        return out.data, P["a"].grad
+        return out.data, a.grad
 
-    skipped, dense = run({"a"}), run({"a", "wo"})
-    # the heads outside the span of live ones are skipped
+    clean, randomised = run(arrays), run(noisy)
     live = sorted(set(range(4)) - set(dead))
-    assert heads == [live[-1] - live[0] + 1 if live else 0, 4]
-    for got, want in zip(skipped, dense):
+    assert heads == [live[-1] - live[0] + 1 if live else 0] * 2
+    for got, want in zip(randomised, clean):
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("how,dead", DEAD_HEADS)
 def test_attention_with_dead_heads_matches_unfused_and_finite_differences(how, dead):
-    # the dense runs (a weight trainable) on the zeroed weights
     rng = np.random.default_rng(16)
     arrays = _dead_head_arrays(how, dead, rng)
+    ws = [arrays[k] for k in ATTN_LEAVES[1:]]
     probe = rng.normal(size=arrays["a"].shape)
 
     def run(attention):
-        P = {k: ag.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        out = attention(*(P[k] for k in ATTN_LEAVES), 4)
+        a = ag.Tensor(arrays["a"], requires_grad=True)
+        out = attention(a, *ws, 4)
         _probe_sum(out, probe).backward()
-        return out.data, {k: t.grad for k, t in P.items()}
+        return out.data, a.grad
 
-    (out, grads), (ref_out, ref_grads) = run(ag.causal_attention), run(_unfused_attention)
-    _assert_rel_close(out, ref_out)
-    for name in ATTN_LEAVES:
-        _assert_rel_close(grads[name], ref_grads[name])
-
-    def build(**leaves):
-        return ag.causal_attention(*(leaves[k] for k in ATTN_LEAVES), 4)
-
-    _check_fused_grads(build, arrays, {"a", "wo"}, probe)
+    for got, want in zip(run(ag.causal_attention), run(_unfused_attention)):
+        _assert_rel_close(got, want)
+    _check_fused_grads(lambda a: ag.causal_attention(a, *ws, 4), {"a": arrays["a"]}, {"a"}, probe)
 
 
 def test_gelu_cube_matches_pow_formula():
@@ -448,11 +444,11 @@ def test_lora_mixture_grads_match_finite_differences(trainable):
 
 
 def _looped_mixture(x, coef, As, Bs):
-    """The mixture as per-adapter linear -> linear -> mul -> add nodes."""
+    """The mixture as per-adapter matmul -> matmul -> mul -> add nodes."""
     out = None
     for e, (a, b) in enumerate(zip(As, Bs)):
         w = ag.reshape(ag.getitem(coef, (slice(None), e)), (x.shape[0], 1))
-        term = ag.mul(w, ag.linear(ag.linear(x, a), b))
+        term = ag.mul(w, _unfused_linear(_unfused_linear(x, a), b))
         out = term if out is None else ag.add(out, term)
     return out
 
@@ -610,9 +606,10 @@ def test_softmax_ops_leave_inputs_and_upstream_gradient_unchanged():
     _, (logits, slots), _ = _random_inputs(3)
     a = rng.normal(size=(2, 5, 4))
     ws = [rng.normal(size=(4, 4)) for _ in range(4)]
+    ws0 = [w.copy() for w in ws]
     cases = [
         ([logits], lambda t: ag.masked_temp_softmax(t[0], slots, 0.7)),
-        ([a, *ws], lambda t: ag.causal_attention(*t, 2)),
+        ([a], lambda t: ag.causal_attention(t[0], *ws, 2)),
     ]
     for arrays, op in cases:
         leaves = [ag.Tensor(x.copy(), requires_grad=True) for x in arrays]
@@ -626,3 +623,5 @@ def test_softmax_ops_leave_inputs_and_upstream_gradient_unchanged():
         for leaf, x in zip(leaves, arrays):
             np.testing.assert_array_equal(leaf.data, x)
             assert leaf.grad is not None
+    for w, w0 in zip(ws, ws0):
+        np.testing.assert_array_equal(w, w0)

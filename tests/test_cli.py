@@ -183,6 +183,25 @@ def test_train_router_from_experts_checkpoint_fails(workdir, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_exits_2_when_the_loss_diverges(workdir, tmp_path, capsys):
+    # a learning rate that overflows the parameters is a config error, named
+    # on one line, and leaves no checkpoint or report behind
+    _, cfg, _, data = workdir
+    sec = dataclasses.replace
+    cfg = sec(cfg, training=sec(cfg.training, premerged=sec(
+        cfg.training.premerged, learning_rate=1.7e308, epochs=1)))
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--stage", "premerged", "--config", str(cfg_path),
+                   "--data", str(data), "--ckpt-out", str(out / "p.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: non-finite loss in stage 'premerged'\n"
+    assert list(out.iterdir()) == []
+
+
 def test_eval_command_writes_report(workdir, tmp_path, capsys):
     root, _, _, data = workdir
     out = tmp_path / "eval.json"

@@ -16,6 +16,7 @@ from atmoe import model as M
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config, load_config
 from atmoe.taskgen import PAYLOAD_IDS, TASKS, batch_arrays, generate
+from atmoe.training import grad_check
 
 from conftest import ROUTERS, spy_attention, tiny_config, with_lam
 
@@ -248,7 +249,7 @@ def test_build_graph_exposes_routing_internals(tiny_model, tiny_tokens):
     logits, P, aux = tiny_model.build_graph(tiny_tokens[None, :])
     assert logits.data.shape == (len(tiny_tokens),
                                  tiny_model.cfg.model.vocab_size)
-    assert set(P) == set(tiny_model.params)
+    assert set(P) == tiny_model.may_train
     assert set(aux) == {"moe_input", "moe_output", "gw", "iw"}
     assert len(aux["gw"]) == tiny_model.cfg.model.n_layers
 
@@ -306,11 +307,11 @@ def test_loss_graph_on_scored_rows_matches_full_row_graph(router, lam, stage):
     model = with_lam(model, lam)
     expert = model.task_adapter_ids[1]
     coef, trainable = {
-        "base": (model.only(None), sorted(model.params)),
+        "base": (model.only(None), sorted(model.may_train)),
         "expert": (model.only(expert), model.adapter_param_names(expert)),
         "premerged": (model.only(PREMERGED_ID), model.adapter_param_names(PREMERGED_ID)),
         "router": (None, model.router_param_names()),
-        "all": (None, sorted(model.params)),
+        "all": (None, sorted(model.may_train)),
     }[stage]
     loss, P, aux = model.loss_graph(tokens, rows, targets, trainable, coef)
     loss.backward()
@@ -430,7 +431,8 @@ def _stage_setup(model, stage):
         "expert": (model.only(expert), model.adapter_param_names(expert)),
         "premerged": (model.only(PREMERGED_ID), model.adapter_param_names(PREMERGED_ID)),
         "router": (None, model.router_param_names()),
-        "past_prefix": (None, [n for n in model.params if not n.startswith(M.PREFIX_PARAMS)]),
+        "past_prefix": (None, [n for n in model.params
+                               if n in model.may_train and n not in M.PREFIX_PARAMS]),
     }[stage]
 
 
@@ -473,12 +475,45 @@ def test_last_attention_queries_from_first_scored_position(monkeypatch, n_layers
 @pytest.mark.parametrize("name", ["tok_emb", "pos_emb", "blocks.0.attn.wq", "blocks.0.attn.wk",
                                   "blocks.0.attn.wv", "blocks.0.attn.wo"])
 def test_prefix_rejects_trainable_prefix_parameter(name):
+    # a prefix replaces the embeddings and block 0's attention: the
+    # embeddings train without one but not with one, the attention never
     model = _routed_model({})
-    assert name.startswith(M.PREFIX_PARAMS) and name in model.params
+    assert name in model.params
     tokens, rows, targets = _scored_batch(model.cfg)
-    with pytest.raises(ValueError):
+    if name in M.PREFIX_PARAMS:
+        model.loss_graph(tokens, rows, targets, [name, "unembed"])
+    with pytest.raises(ValueError, match="frozen"):
         model.loss_graph(tokens, rows, targets, [name, "unembed"],
                          prefix=model.frozen_prefix(tokens))
+
+
+BASE_KINDS = ("wq", "wk", "wv", "wo", "up_w", "up_b", "down_w0")
+
+
+def test_frozen_base_is_every_kind_outside_the_grad_classes():
+    model = _routed_model({})
+    assert model.may_train == {n for names in model.param_classes().values() for n in names}
+    assert {n.rsplit(".", 1)[-1] for n in set(model.params) - model.may_train} == set(BASE_KINDS)
+
+
+@pytest.mark.parametrize("kind", BASE_KINDS)
+def test_base_kinds_are_refused_before_any_graph_node(monkeypatch, kind):
+    # only the GRAD_CLASSES kinds may train: build_graph, and so loss_graph
+    # and grad_check, refuse every other with no node built
+    model = _routed_model({})
+    tokens, rows, targets = _scored_batch(model.cfg)
+    nodes = []
+    real_make = ag._make
+    monkeypatch.setattr(ag, "_make", lambda *args: nodes.append(args) or real_make(*args))
+    names = [n for n in model.params if n.rsplit(".", 1)[-1] == kind]
+    assert len(names) == model.cfg.model.n_layers
+    for name in names:
+        for run in (lambda t: model.build_graph(tokens, t),
+                    lambda t: model.loss_graph(tokens, rows, targets, t),
+                    lambda t: grad_check(model, tokens[0], t)):
+            with pytest.raises(ValueError, match="frozen base parameters cannot train"):
+                run(["unembed", name])
+    assert nodes == []
 
 
 def _default_coded_model():
@@ -486,10 +521,18 @@ def _default_coded_model():
                                         / "configs" / "default.json"))
 
 
+class _ReportsNonzero(np.ndarray):
+    """An array whose ``any()`` is True whatever it holds."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
 @pytest.mark.parametrize("mixture", ["learned", "reverse", "none"])
-def test_zero_base_projection_is_skipped_bit_for_bit(mixture):
-    # the coded base's frozen zero down_w0 is skipped; a trainable one forces
-    # the dense path: logits and every other gradient must be the same bits
+def test_zero_base_projection_is_skipped_bit_for_bit(monkeypatch, mixture):
+    # the coded base's zero down_w0 is skipped; the same zeros reporting
+    # themselves nonzero take the GEMM: logits and every gradient must be
+    # the same bits
     model = _default_coded_model()
     jitter_adapters(model)
     coef = {"learned": None, "reverse": model.only("reverse"), "none": model.only(None)}[mixture]
@@ -497,9 +540,16 @@ def test_zero_base_projection_is_skipped_bit_for_bit(mixture):
     zero_bases = [f"blocks.{i}.ffn.down_w0" for i in range(model.cfg.model.n_layers)]
     assert not any(model.params[n].any() for n in zero_bases)
     tokens, rows, targets = _scored_batch(model.cfg)
+    linear_calls = []
+    real_linear = ag.linear
+    monkeypatch.setattr(ag, "linear", lambda *args: linear_calls.append(args) or real_linear(*args))
     runs = []
-    for extra in ([], zero_bases):
-        logits, P, aux = model.build_graph(tokens, trainable + extra, coef, rows)
+    for dense in (False, True):
+        if dense:
+            model.params.update({n: model.params[n].view(_ReportsNonzero) for n in zero_bases})
+        linear_calls.clear()
+        logits, P, aux = model.build_graph(tokens, trainable, coef, rows)
+        assert len(linear_calls) == (1 + dense) * len(zero_bases)
         ag.cross_entropy(logits, targets).backward()
         runs.append((logits.data, aux["moe_output"], [P[n].grad for n in trainable]))
     (logits, outputs, grads), (want_logits, want_outputs, want_grads) = runs
@@ -538,7 +588,7 @@ def test_default_coded_model_skips_its_exact_zeros(monkeypatch, mixture):
         return real_softmax(z, mask)
 
     def linear(x, w, b=None):
-        linear_weights.append(w.data)
+        linear_weights.append(w)
         return real_linear(x, w, b)
 
     monkeypatch.setattr(ag, "causal_attention", attention)
