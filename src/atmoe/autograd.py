@@ -207,18 +207,6 @@ def getitem(a: Tensor, key) -> Tensor:
     return _make(a.data[key], (a,), bwd)
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather with scatter-add backward (repeated ids accumulate)."""
-    ids = np.asarray(ids)
-
-    def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        table._accumulate(gt)
-
-    return _make(table.data[ids], (table,), bwd)
-
-
 _GELU_K = math.sqrt(2.0 / math.pi)
 
 

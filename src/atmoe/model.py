@@ -1,6 +1,8 @@
 """A small decoder-only transformer whose FFN down-projection in every block
-is the blended expert layer. Only the ``GRAD_CLASSES`` kinds may train; the
-rest is the frozen base, which enters the graph as constant arrays, as masks do.
+is the blended expert layer. Only the ``GRAD_CLASSES`` kinds, the routers and
+the LoRA factors, may train; the rest is the frozen base, which enters the graph
+as constant arrays, as masks do. Every graph starts from one constant,
+``frozen_prefix``: the embeddings plus block 0's attention.
 
 Parameters live in a flat ``name -> ndarray`` store whose names and shapes
 ``param_shapes`` derives from the config; the batched graph of ``build_graph``
@@ -58,12 +60,8 @@ INIT_STD = {"tok_emb": EMBED_STD, "pos_emb": EMBED_STD, "unembed": READOUT_STD,
             "wg": ROUTER_STD, "wd": ROUTER_STD, "A": ADAPTER_STD}
 FAN_IN_INIT = ("wq", "wk", "wv", "wo", "up_w", "down_w0")
 # The one rule of what may train: the kinds of these gradient-check classes (in
-# report order). Attention, FFN up-projection and base down-projection are in none.
-GRAD_CLASSES = {"group_router": ("wg",), "intra_router": ("wd",), "lora_a": ("A",),
-                "lora_b": ("B",), "embeddings": ("tok_emb", "pos_emb"),
-                "unembedding": ("unembed",)}
-
-PREFIX_PARAMS = ("tok_emb", "pos_emb")  # what a prefix replaces that may train
+# report order), which are what the stages train. Every other kind is frozen base.
+GRAD_CLASSES = {"group_router": ("wg",), "intra_router": ("wd",), "lora_a": ("A",), "lora_b": ("B",)}
 
 # ---------------------------------------------------------------------------
 # Coded-reservoir layout: the residual blocks as (name, width), in coordinate
@@ -365,13 +363,12 @@ class ToyTransformer:
             raise ValueError("token id out of vocabulary")
         return tokens
 
-    def frozen_prefix(self, tokens: np.ndarray) -> np.ndarray:
-        """``build_graph``'s ``prefix`` [B, T, d_model] for ``tokens``; no graph."""
-        return self._prefix(self._validate_tokens(tokens), ag.parameters(self.params, ())).data
-
-    def _prefix(self, tokens: np.ndarray, P: dict, q0: int = 0):
-        pos = ag.getitem(P["pos_emb"], slice(0, tokens.shape[1]))
-        return self._attend(ag.add(ag.embedding(P["tok_emb"], tokens), pos), 0, q0)
+    def frozen_prefix(self, tokens: np.ndarray, q0: int = 0) -> np.ndarray:
+        """The constant start of every graph: the embeddings plus block 0's
+        attention at positions ``q0`` and later, [B, T - q0, d_model]."""
+        tokens = self._validate_tokens(tokens)
+        h = self.params["tok_emb"][tokens] + self.params["pos_emb"][: tokens.shape[1]]
+        return self._attend(ag.Tensor(h), 0, q0).data
 
     def _attend(self, h, layer: int, q0: int = 0):
         """Block ``layer``'s attention and residual add at positions ``q0`` and
@@ -385,17 +382,17 @@ class ToyTransformer:
                     prefix: np.ndarray | None = None):
         """Batched forward graph; returns (logits Tensor, leaf dict, aux).
 
-        The leaf dict holds the parameters of the kinds that may train (see
-        ``GRAD_CLASSES``), and ``trainable`` names the ones that get a
-        gradient; naming a frozen base parameter raises ValueError.
+        The leaf dict holds the routers and LoRA factors, the kinds that may
+        train (see ``GRAD_CLASSES``), and ``trainable`` names the ones that get
+        a gradient; naming a frozen base parameter raises ValueError.
 
         ``coef`` mixes the adapters of every expert projection. ``None`` is the
         learned mixture: ``atmoe.lam`` times the routed weights plus ``1 - lam``
         on the pre-merged adapter. A row over ``adapter_ids`` is a constant
         mixture (see ``only``); only its nonzero adapters run.
 
-        ``prefix``, a constant from ``frozen_prefix``, replaces the embedding and
-        block 0's attention, so the ``PREFIX_PARAMS`` must stay frozen too.
+        The graph starts from ``frozen_prefix`` of ``tokens``: ``prefix``
+        holds its rows (a training stage's cache), and ``None`` computes it.
 
         ``rows``, sorted unique flat indices ``b*T + p`` into the B*T
         positions (``batch_arrays``; ``None`` is every position), selects the
@@ -418,8 +415,6 @@ class ToyTransformer:
         frozen = sorted((trainable - self.may_train) & self.params.keys())
         if frozen:
             raise ValueError(f"frozen base parameters cannot train: {frozen}")
-        if prefix is not None and trainable.intersection(PREFIX_PARAMS):
-            raise ValueError("a prefix needs frozen embeddings")
         if coef is not None and np.shape(coef) != (len(self.adapter_ids),):
             raise ValueError(f"coef needs one entry per adapter, got shape {np.shape(coef)}")
         tokens = self._validate_tokens(tokens)
@@ -432,7 +427,7 @@ class ToyTransformer:
         rows = rows - q0 * (rows // T + 1)  # into the [B*(T-q0)] window
         t0 = [0] * (m.n_layers - 1) + [q0]  # each block's first query position
 
-        h = self._prefix(tokens, P, t0[0]) if prefix is None else ag.Tensor(prefix[:, t0[0]:])
+        h = ag.Tensor(self.frozen_prefix(tokens, t0[0]) if prefix is None else prefix[:, t0[0]:])
         for i in range(m.n_layers):
             b = f"blocks.{i}"
             h = ag.reshape(h if i == 0 else self._attend(h, i, t0[i]),
@@ -447,7 +442,7 @@ class ToyTransformer:
             h = ag.add(h, y)
             if i < m.n_layers - 1:
                 h = ag.reshape(h, (B, T, m.d_model))
-        return ag.matmul(ag.layer_norm(h), P["unembed"]), P, aux
+        return ag.matmul(ag.layer_norm(h), self.params["unembed"]), P, aux
 
     def _moe(self, u, P, layer: int, coef: np.ndarray | None, aux: dict):
         b = f"blocks.{layer}"

@@ -145,7 +145,7 @@ def _run_stage(model: ToyTransformer, samples: list[Sample], adapter_id: str | N
             loss, P, _ = model.loss_graph(tokens, rows, targets, trainable, coef,
                                           cache.batch(batch, tokens.shape[1]))
             if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite loss in stage {stage_tag!r}")
+                raise FloatingPointError("non-finite loss")
             loss.backward()
             grads = {n: (P[n].grad if P[n].grad is not None else np.zeros_like(model.params[n]))
                      for n in trainable}
@@ -165,7 +165,12 @@ def _fit(i: int) -> tuple[list[float], dict[str, np.ndarray]]:
     model, runs, stage, cache = _job
     adapter_id, samples, tag = runs[i]
     view = ToyTransformer(model.cfg, dict(model.params))
-    return _run_stage(view, samples, adapter_id, stage, tag, cache)
+    # a diverging run stops at its first overflow, before numpy warns of the rest
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return _run_stage(view, samples, adapter_id, stage, tag, cache)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"non-finite loss in stage {tag!r}") from exc
 
 
 def _blas_thread_setter():

@@ -140,7 +140,7 @@ def test_a2_gradient_verification():
                 worst, worst_class = err, cls_name
     elapsed = time.monotonic() - t0
     report("A2", worst < 1e-4 and elapsed < 120.0,
-           f"50 random configs x 6 classes, max rel error {worst:.2e} "
+           f"50 random configs x 4 classes, max rel error {worst:.2e} "
            f"(worst in {worst_class}) < 1e-4, {elapsed:.1f}s (< 2min)")
 
 

@@ -83,24 +83,6 @@ def test_transpose_reshape_getitem_grads():
     np.testing.assert_allclose(t.grad.ravel(), num, atol=ATOL)
 
 
-def test_embedding_grad_scatters_rows():
-    rng = np.random.default_rng(4)
-    table0 = rng.normal(size=(5, 3))
-    ids = np.array([[1, 1, 4], [0, 2, 1]])
-
-    def f(t):
-        e = ag.embedding(t, ids)
-        return total(ag.mul(e, e))
-
-    t = ag.Tensor(table0, requires_grad=True)
-    f(t).backward()
-    num = numeric_grad(lambda th: float(f(ag.Tensor(th.reshape(5, 3))).data),
-                       table0.ravel())
-    np.testing.assert_allclose(t.grad.ravel(), num, atol=ATOL)
-    # row 3 is never looked up, so its gradient must be exactly zero
-    np.testing.assert_array_equal(t.grad[3], np.zeros(3))
-
-
 def test_gelu_layer_norm_grads():
     rng = np.random.default_rng(5)
     y0 = rng.normal(size=(3, 5))

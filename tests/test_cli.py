@@ -183,23 +183,30 @@ def test_train_router_from_experts_checkpoint_fails(workdir, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_train_exits_2_when_the_loss_diverges(workdir, tmp_path, capsys):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_exits_2_when_the_loss_diverges(workdir, tmp_path, monkeypatch, capfd):
     # a learning rate that overflows the parameters is a config error, named
-    # on one line, and leaves no checkpoint or report behind
+    # on one line with no numpy warning before it, and leaves no checkpoint
+    # or report behind: in this process (premerged) and in forked workers
+    # (experts, one per CPU, two here). A RuntimeWarning is an error here, as
+    # pytest would record one raised in this process instead of printing it,
+    # and the workers inherit the filter
     _, cfg, _, data = workdir
     sec = dataclasses.replace
-    cfg = sec(cfg, training=sec(cfg.training, premerged=sec(
-        cfg.training.premerged, learning_rate=1.7e308, epochs=1)))
+    diverging = sec(cfg.training.premerged, learning_rate=1.7e308, epochs=1)
+    cfg = sec(cfg, training=sec(cfg.training, premerged=diverging, experts=diverging))
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
     out = tmp_path / "out"
     out.mkdir()
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["train", "--stage", "premerged", "--config", str(cfg_path),
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for stage, tag in (("premerged", "premerged"), ("experts", f"expert:{cfg.expert_ids[0]}")):
+        capfd.readouterr()
+        rc = main(["train", "--stage", stage, "--config", str(cfg_path),
                    "--data", str(data), "--ckpt-out", str(out / "p.json")])
-    assert rc == 2
-    assert capsys.readouterr().err == "error: non-finite loss in stage 'premerged'\n"
-    assert list(out.iterdir()) == []
+        assert rc == 2
+        assert capfd.readouterr().err == f"error: non-finite loss in stage {tag!r}\n"
+        assert list(out.iterdir()) == []
 
 
 def test_eval_command_writes_report(workdir, tmp_path, capsys):
@@ -394,20 +401,21 @@ def test_eval_rejects_mis_shaped_checkpoint_before_reading_data(workdir, tmp_pat
 
 
 def test_train_experts_computes_each_prefix_once(workdir, tmp_path, monkeypatch):
-    # one cache serves all experts, and no step rebuilds the prefix from
-    # token ids: the cache and the token path share ``_prefix``. The counter
-    # logs to a file, so it also counts calls made in worker processes.
+    # one cache serves all experts, and no step recomputes the prefix:
+    # build_graph computes ``frozen_prefix`` only when no cache rows are
+    # given. The counter logs to a file, so it also counts calls made in
+    # worker processes.
     _, _, cfg_path, data = workdir
     seqs = {tuple(s.tokens()) for s in read_jsonl(data / "train.jsonl")}
     log = tmp_path / "prefix.log"
-    prefix = ToyTransformer._prefix
+    prefix = ToyTransformer.frozen_prefix
 
-    def counting_prefix(self, tokens, P):
+    def counting_prefix(self, tokens, q0=0):
         with log.open("a") as fh:
             fh.write(f"{len(tokens)}\n")
-        return prefix(self, tokens, P)
+        return prefix(self, tokens, q0)
 
-    monkeypatch.setattr(ToyTransformer, "_prefix", counting_prefix)
+    monkeypatch.setattr(ToyTransformer, "frozen_prefix", counting_prefix)
     assert main(["train", "--stage", "experts", "--config", str(cfg_path),
                  "--data", str(data), "--ckpt-out", str(tmp_path / "experts.json")]) == 0
     assert sum(map(int, log.read_text().split())) == len(seqs)
@@ -495,8 +503,7 @@ def test_gradcheck_passes_and_negative_control(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["max_rel_error"] < doc["tolerance"] == 1e-4
-    assert set(doc["classes"]) == {"group_router", "intra_router", "lora_a",
-                                   "lora_b", "embeddings", "unembedding"}
+    assert set(doc["classes"]) == {"group_router", "intra_router", "lora_a", "lora_b"}
     assert main(["gradcheck", "--inject-error"]) == 5
 
 

@@ -15,8 +15,8 @@ from atmoe import autograd as ag
 from atmoe import model as M
 from atmoe.cli import jitter_params
 from atmoe.config import PREMERGED_ID, Config, load_config
-from atmoe.taskgen import PAYLOAD_IDS, TASKS, batch_arrays, generate
-from atmoe.training import grad_check
+from atmoe.taskgen import PAYLOAD_IDS, TASKS, Sample, batch_arrays, generate
+from atmoe.training import PrefixCache, grad_check
 
 from conftest import ROUTERS, spy_attention, tiny_config, with_lam
 
@@ -64,9 +64,15 @@ def test_param_classes_hold_each_trained_tensor_once(n_layers):
     trained += m.router_param_names()
     for name in trained:
         assert sum(name in names for names in classes.values()) == 1, name
-    # besides them only the embeddings and the readout, which gradcheck trains
-    assert {n for names in classes.values() for n in names} - set(trained) == {
-        "tok_emb", "pos_emb", "unembed"}
+
+
+@pytest.mark.parametrize("config", ["default", "tiny"])
+def test_may_train_is_what_the_stages_train(config):
+    # the rule of what may train is the union of the three stages' names:
+    # every adapter's factors and the routers
+    model = _default_coded_model() if config == "default" else M.ToyTransformer(tiny_config())
+    trained = {n for aid in model.adapter_ids for n in model.adapter_param_names(aid)}
+    assert model.may_train == trained | set(model.router_param_names())
 
 
 def test_default_param_classes_are_the_explicit_lists():
@@ -80,8 +86,6 @@ def test_default_param_classes_are_the_explicit_lists():
         "intra_router": [f"blocks.{i}.moe.wd" for i in L],
         "lora_a": [f"blocks.{i}.moe.experts.{aid}.A" for i in L for aid in m.adapter_ids],
         "lora_b": [f"blocks.{i}.moe.experts.{aid}.B" for i in L for aid in m.adapter_ids],
-        "embeddings": ["tok_emb", "pos_emb"],
-        "unembedding": ["unembed"],
     }
     assert list(m.param_classes().items()) == list(want.items())
 
@@ -431,9 +435,15 @@ def _stage_setup(model, stage):
         "expert": (model.only(expert), model.adapter_param_names(expert)),
         "premerged": (model.only(PREMERGED_ID), model.adapter_param_names(PREMERGED_ID)),
         "router": (None, model.router_param_names()),
-        "past_prefix": (None, [n for n in model.params
-                               if n in model.may_train and n not in M.PREFIX_PARAMS]),
+        "past_prefix": (None, sorted(model.may_train)),  # all of it past the prefix
     }[stage]
+
+
+def _sample_batch(cfg):
+    """Three samples of lengths 6, 4 and 5 whose SEP sits at position 2, so
+    the first scored position is 2 and the shorter two are padded."""
+    tokens, _, _ = _scored_batch(cfg)
+    return [Sample(list(row[:2]), [], list(row[3:n])) for row, n in zip(tokens, (6, 4, 5))]
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -441,21 +451,26 @@ def _stage_setup(model, stage):
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 @pytest.mark.parametrize("stage", ["expert", "premerged", "router", "past_prefix"])
 def test_prefix_path_matches_token_path(n_layers, router, lam, stage):
-    # the frozen prefix as a constant against the graph from token ids
+    # the one prefix path: build_graph fed a cache's rows, with zeros on the
+    # pad positions, against build_graph computing the prefix from the token
+    # ids, in the last block's query window when it is block 0. A cache chunk
+    # padded to the batch's length gives the same bits (other padding changes
+    # block 0's sums; see test_prefix_from_cache_matches_token_path)
     model = with_lam(_routed_model(router, n_layers), lam)
-    tokens, rows, targets = _scored_batch(model.cfg)
+    batch = _sample_batch(model.cfg)
+    tokens, rows, targets = batch_arrays(batch)
+    assert tokens.shape == (3, 6) and (rows % 6).min() == 2
     coef, trainable = _stage_setup(model, stage)
-    prefix = model.frozen_prefix(tokens)
-    assert prefix.shape == tokens.shape + (model.cfg.model.d_model,)
+    prefix = PrefixCache(model, batch).batch(batch, tokens.shape[1])
     runs = []
     for pre in (prefix, None):
-        loss, P, _ = model.loss_graph(tokens, rows, targets, trainable, coef, pre)
-        loss.backward()
-        runs.append((loss.data, _grads(P, trainable, model.params)))
-    (loss, grads), (want_loss, want_grads) = runs
-    assert _close(loss, want_loss)
+        logits, P, _ = model.build_graph(tokens, trainable, coef, rows, pre)
+        ag.cross_entropy(logits, targets).backward()
+        runs.append((logits.data, _grads(P, trainable, model.params)))
+    (logits, grads), (want_logits, want_grads) = runs
+    assert np.array_equal(logits, want_logits)
     for name, g, want in zip(trainable, grads, want_grads):
-        assert _close(g, want), name
+        assert np.array_equal(g, want), name
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -475,19 +490,17 @@ def test_last_attention_queries_from_first_scored_position(monkeypatch, n_layers
 @pytest.mark.parametrize("name", ["tok_emb", "pos_emb", "blocks.0.attn.wq", "blocks.0.attn.wk",
                                   "blocks.0.attn.wv", "blocks.0.attn.wo"])
 def test_prefix_rejects_trainable_prefix_parameter(name):
-    # a prefix replaces the embeddings and block 0's attention: the
-    # embeddings train without one but not with one, the attention never
+    # what the prefix computes, the embeddings and block 0's attention, is
+    # frozen base: refused with a cache's rows and without them
     model = _routed_model({})
     assert name in model.params
     tokens, rows, targets = _scored_batch(model.cfg)
-    if name in M.PREFIX_PARAMS:
-        model.loss_graph(tokens, rows, targets, [name, "unembed"])
-    with pytest.raises(ValueError, match="frozen"):
-        model.loss_graph(tokens, rows, targets, [name, "unembed"],
-                         prefix=model.frozen_prefix(tokens))
+    for prefix in (model.frozen_prefix(tokens), None):
+        with pytest.raises(ValueError, match="frozen base parameters cannot train"):
+            model.loss_graph(tokens, rows, targets, [name], prefix=prefix)
 
 
-BASE_KINDS = ("wq", "wk", "wv", "wo", "up_w", "up_b", "down_w0")
+BASE_KINDS = ("tok_emb", "pos_emb", "wq", "wk", "wv", "wo", "up_w", "up_b", "down_w0", "unembed")
 
 
 def test_frozen_base_is_every_kind_outside_the_grad_classes():
@@ -506,13 +519,14 @@ def test_base_kinds_are_refused_before_any_graph_node(monkeypatch, kind):
     real_make = ag._make
     monkeypatch.setattr(ag, "_make", lambda *args: nodes.append(args) or real_make(*args))
     names = [n for n in model.params if n.rsplit(".", 1)[-1] == kind]
-    assert len(names) == model.cfg.model.n_layers
+    assert len(names) == (model.cfg.model.n_layers if "." in names[0] else 1)
+    router = model.router_param_names()[0]
     for name in names:
         for run in (lambda t: model.build_graph(tokens, t),
                     lambda t: model.loss_graph(tokens, rows, targets, t),
                     lambda t: grad_check(model, tokens[0], t)):
             with pytest.raises(ValueError, match="frozen base parameters cannot train"):
-                run(["unembed", name])
+                run([router, name])
     assert nodes == []
 
 
@@ -536,7 +550,7 @@ def test_zero_base_projection_is_skipped_bit_for_bit(monkeypatch, mixture):
     model = _default_coded_model()
     jitter_adapters(model)
     coef = {"learned": None, "reverse": model.only("reverse"), "none": model.only(None)}[mixture]
-    trainable = model.adapter_param_names("reverse") + model.router_param_names() + ["unembed"]
+    trainable = model.adapter_param_names("reverse") + model.router_param_names()
     zero_bases = [f"blocks.{i}.ffn.down_w0" for i in range(model.cfg.model.n_layers)]
     assert not any(model.params[n].any() for n in zero_bases)
     tokens, rows, targets = _scored_batch(model.cfg)

@@ -548,7 +548,7 @@ def test_grad_check_passes_and_negative_control_fails(train_setup):
     for name in model.adapter_param_names("identity"):
         model.params[name] = model.params[name] + rng.normal(
             scale=0.05, size=model.params[name].shape)
-    subset = model.adapter_param_names("identity") + ["unembed"]
+    subset = model.adapter_param_names("identity") + model.router_param_names()
     err = grad_check(model, data[0].tokens(), subset)
     assert err < 1e-4
     bad = grad_check(model, data[0].tokens(), subset, inject_error=True)
@@ -577,7 +577,8 @@ def test_prefix_cache_layout_and_size(train_setup):
 @pytest.mark.parametrize("router", ROUTERS)
 @pytest.mark.parametrize("mode", ["adapter", "full"])
 def test_prefix_from_cache_matches_token_path(train_setup, monkeypatch, router, mode):
-    # other chunking than the default, and a batch whose pad rows are zeros
+    # other chunking than the default, and a batch whose pad rows are zeros,
+    # against build_graph computing the prefix from the token ids
     cfg, data = train_setup
     sec = dataclasses.replace
     cfg = sec(cfg, model=sec(cfg.model, n_layers=2), router=sec(cfg.router, **router),
