@@ -197,11 +197,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def getitem(a: Tensor, key) -> Tensor:
     """Slice, int or index-array indexing; the selected elements must be
-    disjoint: an index array must not repeat an index."""
+    disjoint, as the backward assigns each its gradient: an index array
+    must not repeat an index."""
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        ga[key] += g
+        ga[key] = g
         a._accumulate(ga)
 
     return _make(a.data[key], (a,), bwd)
@@ -211,29 +212,59 @@ _GELU_K = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
+    """``0.5 x (1 + tanh(k (x + 0.044715 x^3)))``, k = sqrt(2/pi). Forward and
+    backward work in place on fresh arrays, in the formula's operation order."""
     x = a.data
-    u = _GELU_K * (x + 0.044715 * (x * x * x))
-    t = np.tanh(u)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= t + 1.0
 
     def bwd(g):
-        du = _GELU_K * (1.0 + 3 * 0.044715 * x**2)
-        a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du))
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) du), du = k (1 + 3 * 0.044715 x^2)
+        du = x * x
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_K
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        ga = x * 0.5
+        ga *= dt
+        ga *= du
+        np.add(t, 1.0, out=dt)
+        dt *= 0.5
+        ga += dt
+        ga *= g
+        a._accumulate(ga)
 
-    return _make(0.5 * x * (1.0 + t), (a,), bwd)
+    return _make(out, (a,), bwd)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis to zero mean and unit variance."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    """Normalization over the last axis to zero mean and unit variance. Means
+    are ``np.add.reduce / n``, which is what ``ndarray.mean`` computes; the
+    rest works in place on fresh arrays, never on ``x.data`` or ``g``."""
+    n = x.data.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
+    var += eps
+    np.sqrt(var, out=var)
+    inv = np.divide(1.0, var, out=var)
+    xhat *= inv
 
     def bwd(g):
-        m1 = g.mean(axis=-1, keepdims=True)
-        m2 = (g * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (g - m1 - xhat * m2))
+        m1 = np.add.reduce(g, axis=-1, keepdims=True) / n
+        t = g * xhat
+        m2 = np.add.reduce(t, axis=-1, keepdims=True) / n
+        np.multiply(xhat, m2, out=t)
+        ga = g - m1
+        ga -= t
+        ga *= inv
+        x._accumulate(ga)
 
     return _make(xhat, (x,), bwd)
 
@@ -284,11 +315,12 @@ def causal_attention(a: Tensor, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     stays a key and a value. Only ``a`` gets a gradient.
 
     A head whose ``wv`` rows or ``wo`` columns are all zero adds exact zeros.
-    The heads outside the first to last live head (a slice, so head arrays
-    stay views) skip their scores, softmax and backward and get zeros in the
-    merged output and head gradients. The projection, output and ``a``
-    gradient GEMMs keep their full width, so every computed value keeps its
-    summation order.
+    The weights are sliced once to the span from the first live head to the
+    last, and every GEMM, forward and backward, runs over that span alone.
+    That drops whole outputs of the projections and exact-zero terms at the
+    ends of the output and input-gradient contractions, so a GEMM that sums
+    each output in order over its inner dimension keeps every bit (the
+    README names the BLAS kernels that do not).
     """
     B, T, d = a.data.shape
     Tq = T - q0
@@ -298,15 +330,14 @@ def causal_attention(a: Tensor, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     aq = a.data[:, q0:].reshape(B * Tq, d)
     live = np.flatnonzero(wv.reshape(n_heads, -1).any(axis=1)
                           & wo.reshape(d, n_heads, dh).any(axis=(0, 2)))
-    heads = slice(live[0], live[-1] + 1) if len(live) else slice(0)
+    lo, hi = (live[0] * dh, (live[-1] + 1) * dh) if len(live) else (0, 0)
+    wq, wk, wv, wo = wq[lo:hi], wk[lo:hi], wv[lo:hi], wo[:, lo:hi]
 
-    def split(xf):  # [B*n, d] -> [B, live heads, n, dh]
-        return xf.reshape(B, -1, n_heads, dh).transpose(0, 2, 1, 3)[:, heads]
+    def split(xf):  # [B*n, hi - lo] -> [B, live heads, n, dh]
+        return xf.reshape(B, len(xf) // B, (hi - lo) // dh, dh).transpose(0, 2, 1, 3)
 
-    def merge(xh):  # [B, live heads, n, dh] -> [B*n, d], zero on the skipped heads
-        out = np.zeros((B, xh.shape[2], n_heads, dh))
-        out[:, :, heads] = xh.transpose(0, 2, 1, 3)
-        return out.reshape(-1, d)
+    def merge(xh):  # [B, live heads, n, dh] -> [B*n, hi - lo]
+        return xh.transpose(0, 2, 1, 3).reshape(B * xh.shape[2], hi - lo)
 
     q, k, v = split(aq @ wq.T), split(af @ wk.T), split(af @ wv.T)
     causal = np.arange(T)[None, :] <= np.arange(q0, T)[:, None]  # [T - q0, T]

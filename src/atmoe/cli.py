@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -228,7 +229,9 @@ def cmd_gradcheck(args) -> int:
 
 # ---------------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` keeps no state in it."""
     p = argparse.ArgumentParser(prog="atmoe",
                                 description="Grouped-routing adapter mixture on a toy transformer")
     sub = p.add_subparsers(dest="command", required=True)

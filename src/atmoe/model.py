@@ -402,7 +402,7 @@ class ToyTransformer:
         only from the batch's first selected position ``q0 = min(rows mod T)``
         on; earlier blocks see every position, and every position stays a key
         and a value, as each feeds later ones. The pick is a ``getitem``,
-        whose backward ``ga[rows] += g`` is right only because no index
+        whose backward ``ga[rows] = g`` is right only because no index
         repeats.
 
         ``aux`` carries per-layer arrays: ``moe_input`` (the activation entering

@@ -116,11 +116,12 @@ class PrefixCache:
                 self.data[starts[c + b] : starts[c + b + 1]] = h[b, : len(s.tokens())]
 
     def batch(self, batch: list[Sample], T: int) -> np.ndarray:
-        """The prefix [B, T, d_model] of a batch; pad rows are 0."""
+        """The prefix [B, T, d_model] of a batch, in one gather; pad rows are 0."""
+        seqs = [tuple(s.tokens()) for s in batch]
+        rows = np.array([self.offsets[seq] for seq in seqs])[:, None] + np.arange(T)
+        real = np.arange(T) < np.array([len(seq) for seq in seqs])[:, None]
         out = np.zeros((len(batch), T, self.data.shape[1]))
-        for b, s in enumerate(batch):
-            seq = tuple(s.tokens())
-            out[b, : len(seq)] = self.data[self.offsets[seq] : self.offsets[seq] + len(seq)]
+        out[real] = self.data[rows[real]]
         return out
 
 
@@ -173,9 +174,11 @@ def _fit(i: int) -> tuple[list[float], dict[str, np.ndarray]]:
             raise FloatingPointError(f"non-finite loss in stage {tag!r}") from exc
 
 
+@functools.cache
 def _blas_thread_setter():
     """The loaded OpenBLAS's set-thread-count function, or None when no
-    OpenBLAS with a known setter is mapped into this process."""
+    OpenBLAS with a known setter is mapped into this process; looked up once
+    per process."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}

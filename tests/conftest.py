@@ -34,6 +34,11 @@ def with_lam(model: ToyTransformer, lam: float) -> ToyTransformer:
     return ToyTransformer(sec(model.cfg, atmoe=sec(model.cfg.atmoe, lam=lam)), model.params)
 
 
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shapes and bytes: unlike ``np.array_equal``, -0.0 is not 0.0."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def spy_attention(monkeypatch) -> list[int]:
     """The query start ``q0`` of every later ``causal_attention`` call, in order."""
     calls = []

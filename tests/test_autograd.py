@@ -6,10 +6,11 @@ import pytest
 
 from atmoe import autograd as ag
 from atmoe.cli import jitter_params
+from atmoe.config import Config
 from atmoe.model import ToyTransformer
 from atmoe.numerics import finite_diff_grad
 
-from conftest import tiny_config, with_lam
+from conftest import same_bits, tiny_config, with_lam
 
 ATOL = 1e-7
 
@@ -383,6 +384,132 @@ def test_attention_with_dead_heads_matches_unfused_and_finite_differences(how, d
     _check_fused_grads(lambda a: ag.causal_attention(a, *ws, 4), {"a": arrays["a"]}, {"a"}, probe)
 
 
+def _full_width_attention(a, wq, wk, wv, wo, n_heads, q0, g):
+    """The attention op before it ran over the live heads only: every
+    projection, the output GEMM and the input-gradient GEMMs over all d
+    columns, the heads outside the live span filled with zeros in a
+    [B, n, n_heads, dh] merge. Returns the output and the input gradient under
+    the upstream gradient ``g``."""
+    B, T, d = a.shape
+    Tq = T - q0
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    af, aq = a.reshape(B * T, d), a[:, q0:].reshape(B * Tq, d)
+    live = np.flatnonzero(wv.reshape(n_heads, -1).any(axis=1)
+                          & wo.reshape(d, n_heads, dh).any(axis=(0, 2)))
+    heads = slice(live[0], live[-1] + 1) if len(live) else slice(0)
+
+    def split(xf):
+        return xf.reshape(B, -1, n_heads, dh).transpose(0, 2, 1, 3)[:, heads]
+
+    def merge(xh):
+        out = np.zeros((B, xh.shape[2], n_heads, dh))
+        out[:, :, heads] = xh.transpose(0, 2, 1, 3)
+        return out.reshape(-1, d)
+
+    q, k, v = split(aq @ wq.T), split(af @ wk.T), split(af @ wv.T)
+    causal = np.arange(T)[None, :] <= np.arange(q0, T)[:, None]
+    y = ag._masked_softmax((q @ k.transpose(0, 1, 3, 2)) * scale, causal)
+    go = split(g.reshape(B * Tq, d) @ wo)
+    gs = ag._softmax_vjp(go @ v.transpose(0, 1, 3, 2), y) * scale
+    gq, gk, gv = (merge(gh) for gh in (gs @ k, gs.transpose(0, 1, 3, 2) @ q,
+                                        y.transpose(0, 1, 3, 2) @ go))
+    ga = np.zeros((B, T, d))
+    ga[:, q0:] = (gq @ wq).reshape(B, Tq, d)
+    ga += (gk @ wk).reshape(B, T, d)
+    ga += (gv @ wv).reshape(B, T, d)
+    return (merge(y @ v) @ wo.T).reshape(B, Tq, d), ga
+
+
+def _assert_live_span_matches_full_width(a, ws, n_heads, q0, rng):
+    g = rng.normal(size=(a.shape[0], a.shape[1] - q0, a.shape[2]))
+    leaf = ag.Tensor(a, requires_grad=True)
+    out = ag.causal_attention(leaf, *ws, n_heads, q0)
+    out._backward(g)
+    want_out, want_grad = _full_width_attention(a, *ws, n_heads, q0, g)
+    assert same_bits(out.data, want_out)
+    assert same_bits(leaf.grad, want_grad)
+
+
+# The shapes the stages run: batch 32, sequences of 23 tokens, the default
+# width. The bits stay where every GEMM sums each output in order over its
+# inner dimension, as these products do. OpenBLAS's AVX-512 small-matrix
+# kernel (a transposed-layout product of at most 1,200 entries) sums in
+# another order, and slicing changes which products it takes, so on such a
+# build a product of a few dozen rows can differ in its last bit;
+# test_attention_with_dead_heads_matches_unfused_and_finite_differences holds
+# such shapes to 1e-12.
+REAL_B, REAL_T = 32, 23
+
+
+@pytest.mark.parametrize("q0", [0, 6])
+@pytest.mark.parametrize("layer", [0, 1])
+def test_live_span_attention_is_bit_identical_on_the_coded_blocks(layer, q0):
+    model = ToyTransformer(Config())
+    m = model.cfg.model
+    rng = np.random.default_rng(40 + layer)
+    tokens = rng.integers(0, m.vocab_size, size=(REAL_B, REAL_T))
+    h = (model.params["tok_emb"][tokens] + model.params["pos_emb"][:REAL_T]
+         if layer == 0 else model.frozen_prefix(tokens))
+    a = ag.layer_norm(ag.Tensor(h)).data
+    ws = [model.params[f"blocks.{layer}.attn.{w}"] for w in ATTN_LEAVES[1:]]
+    _assert_live_span_matches_full_width(a, ws, m.n_heads, q0, rng)
+
+
+@pytest.mark.parametrize("how,dead", [pytest.param("wv", (0,), id="first"),
+                                      pytest.param("wo", (2, 3), id="last"),
+                                      pytest.param("both", (1, 2), id="middle"),
+                                      pytest.param("wv", (0, 1, 2, 3), id="all")])
+@pytest.mark.parametrize("q0", [0, 6])
+def test_live_span_attention_is_bit_identical_with_random_weights(how, dead, q0):
+    rng = np.random.default_rng(41)
+    arrays = _dead_head_arrays(how, dead, rng, B=REAL_B, T=REAL_T, d=32)
+    _assert_live_span_matches_full_width(arrays["a"], [arrays[k] for k in ATTN_LEAVES[1:]],
+                                         4, q0, rng)
+
+
+def _formula_gelu(x, g):
+    """gelu's output and input gradient as out-of-place formulas."""
+    k = ag._GELU_K
+    t = np.tanh(k * (x + 0.044715 * (x * x * x)))
+    du = k * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+
+
+def _formula_layer_norm(x, g, eps=1e-5):
+    """layer_norm's output and input gradient as out-of-place formulas."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    m1, m2 = g.mean(axis=-1, keepdims=True), (g * xhat).mean(axis=-1, keepdims=True)
+    return xhat, inv * (g - m1 - xhat * m2)
+
+
+def _edge_inputs(rng, shape=(9, 16)):
+    """Random rows up to |x| = 40, one row of signed zeros, subnormals and
+    extremes, and constant rows (variance 0), among them all -0.0 and all
+    subnormal."""
+    x = np.clip(rng.normal(scale=12.0, size=shape), -40.0, 40.0)
+    x[0, :10] = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 40.0, -40.0, 1e-8, -39.5]
+    x[1], x[2], x[3] = 3.0, -0.0, 5e-324
+    return x
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_in_place_gelu_and_layer_norm_are_bit_identical_to_their_formulas(seed):
+    rng = np.random.default_rng(seed)
+    x = _edge_inputs(rng)
+    g = rng.normal(size=x.shape)
+    g[0, :4] = [0.0, -0.0, 5e-324, -1e-310]
+    for op, formula in ((ag.gelu, _formula_gelu), (ag.layer_norm, _formula_layer_norm)):
+        leaf = ag.Tensor(x, requires_grad=True)
+        out = op(leaf)
+        out._backward(g)
+        want_out, want_grad = formula(x, g)
+        assert same_bits(out.data, want_out), op.__name__
+        assert same_bits(leaf.grad, want_grad), op.__name__
+
+
 def test_gelu_cube_matches_pow_formula():
     # gelu(x) is of size |x| or less, so the error is measured against
     # max(|gelu(x)|, |x|): near x << 0 the output itself cancels to ~0.
@@ -584,14 +711,24 @@ def test_in_place_softmax_is_bit_identical_to_where_formula(seed):
 
 
 def test_softmax_ops_leave_inputs_and_upstream_gradient_unchanged():
+    # the ops that compute in place (the softmaxes, layer norm, gelu, the
+    # getitem scatter, attention) write nothing they were handed: not the input
+    # node's data, the upstream gradient, the constant weights, nor their own
+    # output, which a second backward would read
     rng = np.random.default_rng(12)
     _, (logits, slots), _ = _random_inputs(3)
     a = rng.normal(size=(2, 5, 4))
     ws = [rng.normal(size=(4, 4)) for _ in range(4)]
     ws0 = [w.copy() for w in ws]
+    edges = _edge_inputs(rng)
     cases = [
         ([logits], lambda t: ag.masked_temp_softmax(t[0], slots, 0.7)),
         ([a], lambda t: ag.causal_attention(t[0], *ws, 2)),
+        ([a], lambda t: ag.causal_attention(t[0], *ws, 2, 2)),
+        ([edges], lambda t: ag.layer_norm(t[0])),
+        ([edges], lambda t: ag.gelu(t[0])),
+        ([edges], lambda t: ag.getitem(t[0], (slice(1, 7), slice(2, 12)))),
+        ([edges], lambda t: ag.getitem(t[0], np.array([5, 0, 3, 8]))),
     ]
     for arrays, op in cases:
         leaves = [ag.Tensor(x.copy(), requires_grad=True) for x in arrays]
@@ -600,10 +737,14 @@ def test_softmax_ops_leave_inputs_and_upstream_gradient_unchanged():
         g = rng.normal(size=out.shape)
         g0 = g.copy()
         out._backward(g)
+        first = [leaf.grad.copy() for leaf in leaves]
+        for leaf in leaves:
+            leaf.grad = None
+        out._backward(g)
         np.testing.assert_array_equal(g, g0)
         np.testing.assert_array_equal(out.data, out_data)
-        for leaf, x in zip(leaves, arrays):
+        for leaf, x, grad in zip(leaves, arrays, first):
             np.testing.assert_array_equal(leaf.data, x)
-            assert leaf.grad is not None
+            assert same_bits(leaf.grad, grad)
     for w, w0 in zip(ws, ws0):
         np.testing.assert_array_equal(w, w0)

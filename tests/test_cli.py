@@ -1,6 +1,7 @@
 """Command-line pipeline: data generation, staged training with checkpoint
 handoff, evaluation reports, routing CSV dumps, and the gradient gate."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -476,6 +477,39 @@ def test_inspect_csv_layout_and_sums(workdir, tmp_path):
     assert len(by_token) == cfg.model.n_layers * len(tokens)
     for total in by_token.values():
         assert abs(total - 1.0) < 1e-6
+
+
+def test_one_parser_serves_every_command_without_carrying_state(workdir, tmp_path,
+                                                                 monkeypatch):
+    # main parses with one parser per process; each parse sees only its own
+    # arguments, whatever ran before it: an eval with every option, an
+    # inspect, a usage error, then an eval with the defaults
+    root, _, _, data = workdir
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    parsed, parse_args = [], parser.parse_args
+
+    def spy(argv):
+        parsed.append(vars(parse_args(argv)))
+        return argparse.Namespace(**parsed[-1])
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    ckpt, split = str(root / "router.json"), str(data / "eval_single.jsonl")
+    out, csv_out = str(tmp_path / "eval.json"), str(tmp_path / "routing.csv")
+    assert main(["eval", "--ckpt", ckpt, "--data", split, "--lam", "0.0", "--out", out]) == 0
+    assert main(["inspect", "--ckpt", ckpt, "--tokens", "0,3,6", "--out", csv_out]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", ckpt, "--only", "none", "--lam", "0.5"])
+    assert exc.value.code == 2
+    assert main(["eval", "--ckpt", ckpt, "--data", split]) == 0
+    eval_args = {"command": "eval", "ckpt": ckpt, "data": split, "only": None, "lam": None,
+                 "out": None, "func": cli.cmd_eval}
+    assert parsed == [
+        {**eval_args, "lam": 0.0, "out": out},
+        {"command": "inspect", "ckpt": ckpt, "tokens": "0,3,6", "out": csv_out,
+         "func": cli.cmd_inspect},
+        eval_args,
+    ]
 
 
 def test_inspect_rejects_empty_tokens(workdir, tmp_path):

@@ -18,8 +18,8 @@ import pytest
 
 import oracle
 from atmoe.checkpoint import load_checkpoint
-from atmoe.cli import jitter_params
-from atmoe.config import load_config
+from atmoe.cli import GRAD_TOLERANCE, jitter_params
+from atmoe.config import Config, load_config
 from atmoe.model import ToyTransformer
 from atmoe.router import routing
 from atmoe.taskgen import batch_arrays, generate, per_task_split, read_jsonl
@@ -35,7 +35,7 @@ from atmoe.training import (
     train_stage,
 )
 
-from conftest import ROUTERS, spy_attention, tiny_config
+from conftest import ROUTERS, same_bits, spy_attention, tiny_config
 
 ROOT = Path(__file__).resolve().parents[1]
 VERIFY = ROOT / "runs" / "verify"  # scripts/run_pipeline.py --workdir runs/verify
@@ -555,6 +555,24 @@ def test_grad_check_passes_and_negative_control_fails(train_setup):
     assert bad > 1e-2
 
 
+def test_grad_check_on_the_coded_default_model(catalog):
+    # the graph the stages run: the frozen coded base as it is (dead heads,
+    # zero down_w0), where every other check jitters the whole base and so
+    # revives them. Layer 0's gradient flows back through block 1's
+    # live-span attention. One expert's layer-0 B is set off zero, so its A
+    # gets a gradient.
+    model = ToyTransformer(Config())
+    base = model.param_checksums(model.frozen_outside(model.may_train))
+    prefix = "blocks.0.moe.experts.identity"
+    rng = np.random.default_rng(17)
+    model.params[f"{prefix}.B"] = rng.normal(scale=0.05, size=model.params[f"{prefix}.B"].shape)
+    sample = min(generate(catalog, 8, seed=3, multi_intent_fraction=0.0),
+                 key=lambda s: len(s.tokens()))
+    names = [f"{prefix}.A", f"{prefix}.B", "blocks.0.moe.wd"]
+    assert grad_check(model, sample.tokens(), names) < GRAD_TOLERANCE
+    assert model.param_checksums(base) == base
+
+
 def test_grad_check_validates_subset(train_setup):
     cfg, data = train_setup
     model = ToyTransformer(cfg)
@@ -572,6 +590,56 @@ def test_prefix_cache_layout_and_size(train_setup):
     assert set(cache.offsets) == seqs
     assert cache.data.dtype == np.float64 and cache.data.flags.c_contiguous
     assert cache.data.nbytes == sum(map(len, seqs)) * cfg.model.d_model * 8
+
+
+def _copied_prefix(cache, batch, T):
+    """The prefix of a batch copied sample by sample; pad rows are 0."""
+    out = np.zeros((len(batch), T, cache.data.shape[1]))
+    for b, s in enumerate(batch):
+        seq = tuple(s.tokens())
+        out[b, : len(seq)] = cache.data[cache.offsets[seq] : cache.offsets[seq] + len(seq)]
+    return out
+
+
+def test_prefix_cache_batch_gathers_what_a_per_sample_copy_does(train_setup):
+    cfg, data = train_setup
+    longest = max(data, key=lambda s: len(s.tokens()))
+    sec = dataclasses.replace
+    # a model whose max_seq_len is the longest sample's length, so that
+    # sample fills a whole row
+    cfg = sec(cfg, model=sec(cfg.model, max_seq_len=len(longest.tokens())))
+    cache = PrefixCache(ToyTransformer(cfg), data)
+    shortest = min(data, key=lambda s: len(s.tokens()))
+    batches = [[data[5]], [data[2], data[9], data[2], data[2]], [shortest, longest, shortest],
+               [longest]]
+    for batch in batches:
+        T = batch_arrays(batch)[0].shape[1]
+        got = cache.batch(batch, T)
+        assert same_bits(got, _copied_prefix(cache, batch, T))
+        pad = np.arange(T) >= np.array([len(s.tokens()) for s in batch])[:, None]
+        assert same_bits(got[pad], np.zeros_like(got[pad]))
+    assert T == cfg.model.max_seq_len
+
+
+def test_blas_thread_setter_is_looked_up_once_per_process(train_setup, monkeypatch):
+    # two evaluate calls on the thread pool (four CPUs, several batches) read
+    # /proc/self/maps once between them
+    cfg, data = train_setup
+    model = _routed_eval_model(cfg)
+    monkeypatch.setattr(training, "EVAL_BATCH", 8)
+    _cpus(monkeypatch, 4)
+    reads, real_open = [], open
+
+    def spy_open(file, *args, **kwargs):
+        if str(file) == "/proc/self/maps":
+            reads.append(threading.get_ident())
+        return real_open(file, *args, **kwargs)
+
+    training._blas_thread_setter.cache_clear()
+    monkeypatch.setattr("builtins.open", spy_open)
+    reports = [evaluate(model, data) for _ in range(2)]
+    assert len(reads) == 1
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("router", ROUTERS)
